@@ -9,7 +9,15 @@ import numpy as np
 from .losses import case_region_row, derive_regions, format_report
 from .network import NetConfig, forward, predict_labels
 from .npyio import read_npy, write_npy
-from .pipeline import PatchSpec, list_cases, load_case, preprocess_case, stitch_patches
+from .pipeline import (
+    PatchSpec,
+    check_coverage,
+    list_cases,
+    load_case,
+    load_labels,
+    preprocess_case,
+    stitch_patches,
+)
 from .tensor import ShapeError
 
 
@@ -21,11 +29,11 @@ def predict_case(case_dir, params, config: NetConfig,
     overlaps, and the argmax taken over the stitched probability volume.
     """
     case = load_case(case_dir)
-    x, patches = preprocess_case(case, PatchSpec(config.patch_shape, stride or config.patch_shape))
+    spec = PatchSpec(config.patch_shape, stride or config.patch_shape)
+    x, patches = preprocess_case(case, spec)
+    check_coverage(x.shape[1:4], spec)  # before the forward passes, not after
     prob_patches = [forward(img, params, config, training=False).output for img, _ in patches]
-    probs = stitch_patches(prob_patches, (*x.shape[:4], 4), PatchSpec(
-        config.patch_shape, stride or config.patch_shape
-    ))
+    probs = stitch_patches(prob_patches, (*x.shape[:4], 4), spec)
     return predict_labels(probs)[0]
 
 
@@ -45,7 +53,8 @@ def predict_dir(data_dir, params, config: NetConfig, out_dir,
 
 def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
     """Per-case per-region metric report comparing prediction volumes
-    (<case>.npy files) against the truth cases' seg.npy volumes.
+    (<case>.npy files) against the truth cases' seg.npy volumes; hd95
+    distances are in units of `spacing` (z, h, w).
     """
     pred_dir = Path(pred_dir)
     truth_dir = Path(truth_dir)
@@ -59,13 +68,13 @@ def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
         if case_id not in truth_cases:
             raise FileNotFoundError(f"prediction {case_id} has no matching truth case")
         pred_labels = read_npy(pred_file)
-        truth = load_case(truth_cases[case_id], require_labels=True)
-        if pred_labels.shape != truth.labels.shape:
+        truth_labels = load_labels(truth_cases[case_id])
+        if pred_labels.shape != truth_labels.shape:
             raise ShapeError(
-                f"{case_id}: prediction shape {pred_labels.shape} != truth {truth.labels.shape}"
+                f"{case_id}: prediction shape {pred_labels.shape} != truth {truth_labels.shape}"
             )
         pred_regions = derive_regions(pred_labels)
-        truth_regions = derive_regions(truth.labels)
+        truth_regions = derive_regions(truth_labels)
         for region in ("WT", "TC", "ET"):
             rows.append(
                 case_region_row(case_id, region, pred_regions[region], truth_regions[region], spacing)

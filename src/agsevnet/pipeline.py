@@ -105,6 +105,20 @@ def _patch_starts(extent: int, patch: int, stride: int) -> list[int]:
     return [k * stride for k in range(n)]
 
 
+def check_coverage(volume_shape: tuple, spec: PatchSpec) -> None:
+    """Raise ValueError if tiling a (z, h, w) volume with `spec` leaves
+    voxels in no patch: a stride beyond the patch on an axis longer than
+    the patch. The last start of every axis already reaches its end.
+    """
+    gaps = [a for a in range(3)
+            if volume_shape[a] > spec.shape[a] and spec.stride[a] > spec.shape[a]]
+    if gaps:
+        raise ValueError(
+            f"patch stride {spec.stride} leaves gaps between {spec.shape} patches "
+            f"on axes {gaps} of a {tuple(volume_shape)} volume"
+        )
+
+
 def extract_patches(x: np.ndarray, labels: Optional[np.ndarray],
                     spec: PatchSpec) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Sliding-window tiling in z-major order; borders zero-padded.
@@ -153,6 +167,7 @@ def stitch_patches(patches: list[np.ndarray], original_shape: tuple,
         raise ShapeError(
             f"stitch_patches: got {len(patches)} patches, tiling needs {len(starts)}"
         )
+    check_coverage((z, h, w), spec)
     acc = np.zeros(original_shape, dtype=DTYPE)
     cnt = np.zeros((1, z, h, w, 1), dtype=DTYPE)
     for patch, (z0, h0, w0) in zip(patches, starts):
@@ -259,12 +274,18 @@ def load_case(directory, require_labels: bool = False) -> Case:
             raise FileNotFoundError(f"case {directory.name}: missing modality file {name}.npy")
         vols.append(read_npy(path))
     labels = None
-    seg = directory / LABEL_FILE
-    if seg.exists():
-        labels = read_npy(seg)
-    elif require_labels:
-        raise FileNotFoundError(f"case {directory.name}: missing {LABEL_FILE}")
+    if require_labels or (directory / LABEL_FILE).exists():
+        labels = load_labels(directory)
     return Case(id=directory.name, modalities=tuple(vols), labels=labels)
+
+
+def load_labels(directory) -> np.ndarray:
+    """The case's label volume alone, without reading the modalities."""
+    directory = Path(directory)
+    seg = directory / LABEL_FILE
+    if not seg.exists():
+        raise FileNotFoundError(f"case {directory.name}: missing {LABEL_FILE}")
+    return read_npy(seg)
 
 
 def list_cases(root) -> list[Path]:

@@ -29,7 +29,7 @@ from .network import (
     save_checkpoint,
 )
 from .npyio import write_npy
-from .pipeline import PatchSpec, list_cases, load_case, preprocess_case
+from .pipeline import PatchSpec, list_cases, load_case, load_labels, preprocess_case
 from .rng import Rng
 
 
@@ -274,10 +274,8 @@ def _validation_metrics(val_dir, params, config: TrainConfig, traversal: int) ->
     """Mean dice/sensitivity/specificity/hd95 per region over val cases."""
     per_region = {r: [] for r in REGION_ORDER}
     for case_dir in list_cases(val_dir):
-        truth = load_case(case_dir, require_labels=True)
-        pred = predict_case(case_dir, params, config.net)
-        pred_regions = derive_regions(pred)
-        truth_regions = derive_regions(truth.labels)
+        truth_regions = derive_regions(load_labels(case_dir))
+        pred_regions = derive_regions(predict_case(case_dir, params, config.net))
         for region in REGION_ORDER:
             per_region[region].append(
                 case_region_row(case_dir.name, region, pred_regions[region],

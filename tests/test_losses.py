@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from agsevnet.checks import hd95_all_pairs, surface_distance_pool
 from agsevnet.gradcheck import max_rel_err, numeric_grad
+from agsevnet import losses
 from agsevnet.layers import activation
 from agsevnet.losses import (
     ClassWeights,
@@ -12,11 +14,11 @@ from agsevnet.losses import (
     dice_loss,
     format_report,
     hausdorff95,
-    hausdorff100,
     metric,
     soft_dice_per_class,
     surface_voxels,
 )
+from agsevnet.pipeline import generate_phantom
 from agsevnet.rng import Rng
 
 
@@ -177,12 +179,15 @@ class TestMetric:
         assert metric("specificity", all_pos) is None
 
 
+SPACINGS = ((1.0, 1.0, 1.0), (2.5, 1.0, 0.7), (0.3, 1.9, 1.1))
+
+
 class TestHausdorff:
     def test_identical_masks_zero(self):
         mask = np.zeros((8, 8, 8), dtype=bool)
         mask[2:5, 2:6, 3:5] = True
         assert hausdorff95(mask, mask) == 0.0
-        assert hausdorff100(mask, mask) == 0.0
+        assert surface_distance_pool(mask, mask).max() == 0.0
 
     def test_two_singletons(self):
         a = np.zeros((10, 10, 10), dtype=bool)
@@ -190,20 +195,23 @@ class TestHausdorff:
         a[2, 2, 2] = True
         b[2, 2, 7] = True
         assert hausdorff95(a, b) == pytest.approx(5.0)
-        assert hausdorff100(a, b) == pytest.approx(5.0)
+        assert surface_distance_pool(a, b).max() == pytest.approx(5.0)
 
     def test_anisotropic_spacing(self):
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[1, 1, 1] = True
         b[2, 1, 1] = True
-        assert hausdorff100(a, b, spacing=(3.0, 1.0, 1.0)) == pytest.approx(3.0)
+        assert surface_distance_pool(a, b, spacing=(3.0, 1.0, 1.0)).max() == pytest.approx(3.0)
+        assert hausdorff95(a, b, spacing=(3.0, 1.0, 1.0)) == pytest.approx(3.0)
 
     def test_empty_mask_undefined(self):
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.ones((4, 4, 4), dtype=bool)
-        assert hausdorff95(a, b) is None
-        assert hausdorff95(b, a) is None
+        for spacing in SPACINGS:
+            assert hausdorff95(a, b, spacing) is None
+            assert hausdorff95(b, a, spacing) is None
+            assert hd95_all_pairs(a, b, spacing) is None
 
     def test_pooled_symmetry_and_hd100_bound(self):
         rng = Rng(16)
@@ -215,7 +223,7 @@ class TestHausdorff:
             h_ab = hausdorff95(a, b)
             h_ba = hausdorff95(b, a)
             assert h_ab == pytest.approx(h_ba, abs=1e-12)
-            assert h_ab <= hausdorff100(a, b) + 1e-12
+            assert h_ab <= surface_distance_pool(a, b).max() + 1e-12
 
     def test_matches_all_pairs_oracle(self):
         rng = Rng(17)
@@ -248,6 +256,13 @@ class TestHausdorff:
         want = float(np.percentile(pool, 95.0, method="linear"))
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_invalid_spacing_rejected(self):
+        a = np.ones((3, 3, 3), dtype=bool)
+        for spacing in ((0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, np.inf),
+                        (np.nan, 1.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="spacing"):
+                hausdorff95(a, a, spacing)
+
     def test_surface_extraction_six_connectivity(self):
         mask = np.zeros((5, 5, 5), dtype=bool)
         mask[1:4, 1:4, 1:4] = True
@@ -255,6 +270,83 @@ class TestHausdorff:
         assert len(surf) == 26  # 3x3x3 block minus the hidden center
         slab = np.ones((1, 3, 3), dtype=bool)
         assert len(surface_voxels(slab)) == 9  # volume border counts as outside
+
+
+def _random_mask(rng, shape, density):
+    return rng.random(shape) < density
+
+
+def _single_voxel(rng, shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(int(rng.integers(0, n)) for n in shape)] = True
+    return mask
+
+
+def _face_touching(rng, shape):
+    """A sparse mask with at least one voxel on each of the six faces."""
+    mask = rng.random(shape) < 0.1
+    for axis in range(3):
+        for end in (0, shape[axis] - 1):
+            idx = [int(rng.integers(0, n)) for n in shape]
+            idx[axis] = end
+            mask[tuple(idx)] = True
+    return mask
+
+
+class TestHausdorffOracle:
+    """hausdorff95 (distance transform) against the all-pairs pool."""
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_random_masks_match_all_pairs(self, spacing):
+        rng = Rng(23)
+        worst = 0.0
+        for trial in range(40):
+            shape = tuple(int(v) for v in rng.integers(1, 13, 3))
+            makers = (
+                lambda: _random_mask(rng, shape, float(rng.uniform(0.05, 0.8))),
+                lambda: _single_voxel(rng, shape),
+                lambda: _face_touching(rng, shape),
+            )
+            pred = makers[trial % 3]()
+            truth = makers[(trial // 3) % 3]()
+            if not pred.any() or not truth.any():
+                continue
+            got = hausdorff95(pred, truth, spacing)
+            want = hd95_all_pairs(pred, truth, spacing)
+            worst = max(worst, abs(got - want))
+        assert worst <= 1e-12
+
+    def test_volume_faces_and_single_voxels(self):
+        shape = (7, 9, 6)
+        full = np.ones(shape, dtype=bool)
+        corner = np.zeros(shape, dtype=bool)
+        corner[0, 0, 0] = True
+        far = np.zeros(shape, dtype=bool)
+        far[-1, -1, -1] = True
+        for spacing in SPACINGS:
+            for pred, truth in ((full, corner), (corner, far), (far, full), (corner, corner)):
+                got = hausdorff95(pred, truth, spacing)
+                assert abs(got - hd95_all_pairs(pred, truth, spacing)) <= 1e-12
+
+    def test_envelope_slabs_change_nothing(self, monkeypatch):
+        rng = Rng(37)
+        pred = _random_mask(rng, (9, 11, 7), 0.3)
+        truth = _face_touching(rng, (9, 11, 7))
+        whole = [hausdorff95(pred, truth, spacing) for spacing in SPACINGS]
+        for block in (1, 50, 200):  # one line, a partial slab, a few slabs
+            monkeypatch.setattr(losses, "_ENVELOPE_BLOCK", block)
+            assert [hausdorff95(pred, truth, spacing) for spacing in SPACINGS] == whole
+        for got, spacing in zip(whole, SPACINGS):
+            assert abs(got - hd95_all_pairs(pred, truth, spacing)) <= 1e-12
+
+    @pytest.mark.parametrize("spacing", SPACINGS[:2])
+    def test_phantom_pair_48(self, spacing):
+        truth = derive_regions(generate_phantom(Rng(31).derive("t"), (48, 48, 48), 0.3).labels)
+        pred = derive_regions(generate_phantom(Rng(32).derive("p"), (48, 48, 48), 0.3).labels)
+        for region in ("WT", "TC", "ET"):
+            got = hausdorff95(pred[region], truth[region], spacing)
+            want = hd95_all_pairs(pred[region], truth[region], spacing)
+            assert abs(got - want) <= 1e-12
 
 
 class TestRegions:

@@ -5,6 +5,7 @@ from agsevnet.losses import derive_regions
 from agsevnet.pipeline import (
     Case,
     PatchSpec,
+    check_coverage,
     extract_patches,
     generate_phantom,
     list_cases,
@@ -155,6 +156,20 @@ class TestPatches:
             cnt[:, :, :, w0 : w0 + ws] += 1
         want = acc / cnt
         assert np.abs(got - want).max() < 1e-12
+
+    def test_stride_beyond_patch_gaps_only_long_axes(self):
+        spec = PatchSpec((16, 16, 16), (24, 16, 16))  # training may sample sparsely
+        check_coverage((16, 16, 16), spec)  # one patch per axis: no gap
+        # a 40-long axis with patch 16 and stride 24 leaves voxels 16..23 uncovered
+        with pytest.raises(ValueError, match="gaps"):
+            check_coverage((40, 16, 16), spec)
+
+    def test_stitch_refuses_uncovered_voxels(self):
+        spec = PatchSpec((16, 16, 16), (24, 16, 16))
+        x = Rng(9).normal((1, 40, 16, 16, 1))
+        patches = [p for p, _ in extract_patches(x, None, spec)]
+        with pytest.raises(ValueError, match="gaps"):
+            stitch_patches(patches, x.shape, spec)
 
     def test_patch_count_mismatch_rejected(self):
         x = Rng(8).normal((1, 16, 16, 16, 1))

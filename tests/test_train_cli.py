@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from agsevnet.cli import main
-from agsevnet.network import NetConfig, load_checkpoint
-from agsevnet.npyio import read_npy
+from agsevnet.network import NetConfig, build, load_checkpoint, save_checkpoint
+from agsevnet.npyio import read_npy, write_npy
+from agsevnet import pipeline
 from agsevnet.pipeline import generate_phantom, save_case
 from agsevnet.rng import Rng
 from agsevnet.train import (
     TrainConfig,
+    _validation_metrics,
     train,
     train_config_from_text,
     train_config_to_text,
@@ -118,6 +120,19 @@ class TestTraining:
             region = line.split(",")[1]
             assert region in ("WT", "TC", "ET")
         assert report == (tmp_path / "vb" / "report.txt").read_text()
+
+    def test_validation_reads_each_modality_once(self, phantom_dir, monkeypatch):
+        reads = []
+
+        def counting_read(path):
+            reads.append(f"{path.parent.name}/{path.name}")
+            return read_npy(path)
+
+        monkeypatch.setattr(pipeline, "read_npy", counting_read)
+        cfg = tiny_train_config()
+        _validation_metrics(phantom_dir, build(cfg.net, Rng(4)), cfg, 0)
+        modalities = [r for r in reads if not r.endswith("seg.npy")]
+        assert len(modalities) == len(set(modalities)) == 2 * 4
 
     def test_sgd_also_trains(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(optimizer="sgd", lr_initial=1e-2, lr_decayed=1e-2,
@@ -278,6 +293,36 @@ class TestCli:
             "--out", str(tmp_path / "r.csv"),
         ])
         assert rc == 1
+
+    def test_evaluate_reads_only_labels(self, phantom_dir, tmp_path):
+        truth = tmp_path / "truth"
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for case_dir in sorted(phantom_dir.iterdir()):
+            (truth / case_dir.name).mkdir(parents=True)
+            (truth / case_dir.name / "t1.npy").write_bytes(b"not read")
+            (truth / case_dir.name / "seg.npy").write_bytes((case_dir / "seg.npy").read_bytes())
+            write_npy(pred / f"{case_dir.name}.npy", read_npy(case_dir / "seg.npy"))
+        assert main([
+            "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+        (truth / "case000" / "seg.npy").unlink()
+        assert main([
+            "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "r.csv"),
+        ]) == 1
+
+    def test_predict_rejects_stride_that_leaves_gaps(self, phantom_dir, tmp_path):
+        config = tiny_train_config().net
+        save_checkpoint(tmp_path / "ckpt", build(config, Rng(5)), config, 0)
+        long_case = generate_phantom(Rng(79), (40, 16, 16), 0.2)
+        long_case.id = "long000"
+        save_case(tmp_path / "long" / long_case.id, long_case)
+        predict = ["predict", "--checkpoint", str(tmp_path / "ckpt"), "--stride", "24,16,16"]
+        # 16^3 cases fit one patch per axis, so stride 24 leaves no gap
+        assert main([*predict, "--data", str(phantom_dir), "--out", str(tmp_path / "ok")]) == 0
+        # patch 16, stride 24 on a 40-long axis would leave voxels 16..23 unpredicted
+        assert main([*predict, "--data", str(tmp_path / "long"), "--out", str(tmp_path / "out")]) == 1
+        assert not list((tmp_path / "out").glob("*.npy"))
 
     def test_gradcheck_loss_scope(self, capsys):
         assert main(["gradcheck", "--scope", "loss", "--seed", "0"]) == 0

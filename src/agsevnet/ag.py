@@ -1,13 +1,12 @@
 """Attention Guided Filter: attention-weighted guided image filtering
-used to fuse a high-resolution guidance feature with a lower-resolution
-feature map.
+that fuses an encoder skip (the guidance I) with the upsampled decoder
+map (the filtered map O) on their shared grid.
 
-Pipeline: the guidance I is (optionally channel-aligned and) resampled
-down to the filtered map O's grid; an attention map T is computed from
-O and the low-res guidance; per cubic window a ridge regression weighted
-by T^2 fits O as an affine function of the guidance; the per-window
-coefficients are averaged over covering windows, resampled back up, and
-applied as output = A_h * I + B_h.
+Pipeline: an attention map T is computed from O and I; per cubic
+window a ridge regression weighted by T^2 fits O as an affine function
+of I; the per-window coefficients are averaged over covering windows
+and applied as output = A * I + B. The network deconvolves before the
+filter, so I and O always share one grid and one channel count.
 
 The squared attention weights are normalized by their global mean (per
 batch item) before entering the fit. This keeps the regularizer on the
@@ -23,19 +22,12 @@ only), computed in O(voxels) by three axis-wise running-sum passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward, he_conv_kernel
-from .rng import Rng
-from .tensor import (
-    DTYPE,
-    ShapeError,
-    as_tensor5,
-    resample_trilinear,
-    resample_trilinear_adjoint,
-)
+from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward
+from .tensor import DTYPE, ShapeError, as_tensor5
 
 DEGENERATE_WEIGHT_SUM = 1e-12
 
@@ -45,9 +37,8 @@ class AgParams:
     radius: int  # window radius r
     eps: float  # ridge regularization
     attn_o: Conv3dParams  # 1x1x1 transform of the filtered map O
-    attn_i: Conv3dParams  # 1x1x1 transform of the low-res guidance
+    attn_i: Conv3dParams  # 1x1x1 transform of the guidance
     attn_gate: Conv3dParams  # 1x1x1 collapse to the single-channel attention map
-    align: Optional[Conv3dParams] = None  # 1x1x1 matching I's channels to O's
 
     def __post_init__(self):
         if self.radius < 1:
@@ -59,31 +50,10 @@ class AgParams:
 
 
 class AgCoefficients(NamedTuple):
-    """Per-voxel affine coefficients of the filter at the low resolution."""
+    """Per-voxel affine coefficients of the filter."""
 
-    A: np.ndarray  # slope, same shape as the low-res guidance
+    A: np.ndarray  # slope, same shape as the guidance
     B: np.ndarray  # intercept
-
-
-def build_ag_params(rng: Rng, i_channels: int, o_channels: int,
-                    radius: int, eps: float) -> AgParams:
-    width = o_channels
-
-    def conv1(c_in, c_out, key):
-        sub = rng.derive("ag", key)
-        return Conv3dParams(
-            he_conv_kernel(sub, 1, 1, 1, c_in, c_out), np.zeros(c_out, dtype=DTYPE)
-        )
-
-    align = None if i_channels == o_channels else conv1(i_channels, o_channels, "align")
-    return AgParams(
-        radius=radius,
-        eps=eps,
-        attn_o=conv1(o_channels, width, "attn_o"),
-        attn_i=conv1(o_channels, width, "attn_i"),
-        attn_gate=conv1(width, 1, "attn_gate"),
-        align=align,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +97,18 @@ def window_counts(spatial: tuple[int, int, int], r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention map
 
-def attention_map(o: np.ndarray, i_l: np.ndarray, p: AgParams) -> LayerGrad:
+def attention_map(o: np.ndarray, i: np.ndarray, p: AgParams) -> LayerGrad:
     """Single-channel attention in (0,1) from the two same-grid inputs.
 
-    T = sigmoid(gate(relu(conv_o(o) + conv_i(i_l)))). backward(gt)
-    returns ((go, gi_l), grads) with grads keyed attn_o.kernel etc.
+    T = sigmoid(gate(relu(conv_o(o) + conv_i(i)))). backward(gt)
+    returns ((go, gi), grads) with grads keyed attn_o.kernel etc.
     """
     o = as_tensor5(o, "attention input o")
-    i_l = as_tensor5(i_l, "attention input i_l")
-    if o.shape[:4] != i_l.shape[:4]:
-        raise ShapeError(
-            f"attention_map: spatial mismatch {o.shape} vs {i_l.shape}"
-        )
+    i = as_tensor5(i, "attention input i")
+    if o.shape[:4] != i.shape[:4]:
+        raise ShapeError(f"attention_map: spatial mismatch {o.shape} vs {i.shape}")
     lg_o = conv3d_forward(o, p.attn_o)
-    lg_i = conv3d_forward(i_l, p.attn_i)
+    lg_i = conv3d_forward(i, p.attn_i)
     lg_r = activation(lg_o.output + lg_i.output, "relu")
     lg_g = conv3d_forward(lg_r.output, p.attn_gate)
     lg_s = activation(lg_g.output, "sigmoid")
@@ -167,14 +135,14 @@ def attention_map(o: np.ndarray, i_l: np.ndarray, p: AgParams) -> LayerGrad:
 # ---------------------------------------------------------------------------
 # attention-weighted window fit
 
-def _fit_forward(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float):
+def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float):
     """Weighted per-window affine fit plus covering-window averaging.
 
     Returns (A, B, backward) where backward(gA, gB) -> (gI, gO, gT).
     Windows whose normalized weight mass falls below a floor get the
     documented fallback: slope 0 and the unweighted window mean of O.
     """
-    n, z, h, w, c = i_l.shape
+    n, z, h, w, c = i.shape
     spatial = (z, h, w)
     voxels = float(z * h * w)
 
@@ -186,10 +154,10 @@ def _fit_forward(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: flo
 
     counts = window_counts(spatial, r)
     s = box_sum(q, r)
-    p1 = box_sum(q * i_l, r)
+    p1 = box_sum(q * i, r)
     p2 = box_sum(q * o, r)
-    p3 = box_sum(q * i_l * i_l, r)
-    p4 = box_sum(q * i_l * o, r)
+    p3 = box_sum(q * i * i, r)
+    p4 = box_sum(q * i * o, r)
 
     degenerate = s < DEGENERATE_WEIGHT_SUM  # (n,z,h,w,1)
     s_safe = np.where(degenerate, 1.0, s)
@@ -245,13 +213,13 @@ def _fit_forward(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: flo
         w4 = box_sum(dp4, r)
         ws = box_sum(ds, r)
 
-        g_i = q * (w1 + 2.0 * i_l * w3 + o * w4)
-        g_o = q * (w2 + i_l * w4)
+        g_i = q * (w1 + 2.0 * i * w3 + o * w4)
+        g_o = q * (w2 + i * w4)
         # degenerate windows: b is the unweighted window mean of O
         db_deg = np.where(degenerate, db, 0.0)
         g_o += box_sum(db_deg / counts, r)
 
-        dq = (i_l * w1 + o * w2 + i_l * i_l * w3 + i_l * o * w4).sum(
+        dq = (i * w1 + o * w2 + i * i * w3 + i * o * w4).sum(
             axis=4, keepdims=True
         ) + ws
         # q = q0 * voxels / sum(q0): distribute through the normalization
@@ -263,7 +231,7 @@ def _fit_forward(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: flo
     return coeff_a, coeff_b, backward
 
 
-def ag_fit(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float) -> AgCoefficients:
+def ag_fit(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float) -> AgCoefficients:
     """Per-voxel filter coefficients from the attention-weighted fit.
 
     Minimizes, per window and channel, the squared reconstruction error
@@ -271,24 +239,20 @@ def ag_fit(i_l: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float) ->
     squared attention, ridge-regularized per in-window voxel, then
     averages each voxel's coefficients over all windows covering it.
     """
-    i_l = as_tensor5(i_l, "ag_fit guidance")
+    i = as_tensor5(i, "ag_fit guidance")
     o = as_tensor5(o, "ag_fit target")
     t = as_tensor5(t, "ag_fit attention")
-    if i_l.shape[:4] != o.shape[:4] or i_l.shape[:4] != t.shape[:4]:
-        raise ShapeError(
-            f"ag_fit: spatial mismatch i_l={i_l.shape} o={o.shape} t={t.shape}"
-        )
-    if i_l.shape[4] != o.shape[4]:
-        raise ShapeError(
-            f"ag_fit: channel mismatch i_l={i_l.shape[4]} vs o={o.shape[4]}"
-        )
+    if i.shape[:4] != o.shape[:4] or i.shape[:4] != t.shape[:4]:
+        raise ShapeError(f"ag_fit: spatial mismatch i={i.shape} o={o.shape} t={t.shape}")
+    if i.shape[4] != o.shape[4]:
+        raise ShapeError(f"ag_fit: channel mismatch i={i.shape[4]} vs o={o.shape[4]}")
     if t.shape[4] != 1:
         raise ShapeError(f"ag_fit: attention must be single-channel, got {t.shape}")
     if r < 1:
         raise ValueError(f"ag_fit radius must be >= 1, got {r}")
     if eps <= 0:
         raise ValueError(f"ag_fit eps must be > 0, got {eps}")
-    coeff_a, coeff_b, _ = _fit_forward(i_l, o, t, r, eps)
+    coeff_a, coeff_b, _ = _fit_forward(i, o, t, r, eps)
     return AgCoefficients(coeff_a, coeff_b)
 
 
@@ -300,62 +264,28 @@ def effective_radius(radius: int, spatial: tuple[int, int, int]) -> int:
 def ag_forward(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
     """Full attention-guided filtering of the guidance/filtered pair.
 
-    `i` is the high-resolution guidance, `o` the filtered map on a grid
-    whose extents divide i's. Output lives on i's grid with o's channel
-    count. backward(gy) returns ((gi, go), grads); grads carry the
-    attention convs and, when present, the channel-align conv.
+    `i` is the guidance, `o` the filtered map; both share one shape and
+    so does the output. backward(gy) returns ((gi, go), grads) with
+    grads keyed attn_o.kernel etc.
     """
     i = as_tensor5(i, "ag guidance")
     o = as_tensor5(o, "ag filtered map")
-    if i.shape[0] != o.shape[0]:
-        raise ShapeError(f"ag_forward: batch mismatch {i.shape[0]} vs {o.shape[0]}")
-    for ie, oe in zip(i.shape[1:4], o.shape[1:4]):
-        if ie % oe != 0:
-            raise ShapeError(
-                f"ag_forward: guidance extents {i.shape[1:4]} are not an integer "
-                f"multiple of the filtered map's {o.shape[1:4]}"
-            )
-    lg_align = None
-    i_al = i
-    if p.align is not None:
-        lg_align = conv3d_forward(i, p.align)
-        i_al = lg_align.output
-    if i_al.shape[4] != o.shape[4]:
+    if i.shape != o.shape:
         raise ShapeError(
-            f"ag_forward: guidance has {i_al.shape[4]} channels vs filtered map "
-            f"{o.shape[4]} and no align conv is configured"
+            f"ag_forward: guidance {i.shape} and filtered map {o.shape} must share "
+            f"one grid and channel count"
         )
-
-    lo_spatial = o.shape[1:4]
-    hi_spatial = i.shape[1:4]
-    i_low = resample_trilinear(i_al, lo_spatial)
-    lg_attn = attention_map(o, i_low, p)
-    r_eff = effective_radius(p.radius, lo_spatial)
-    coeff_a, coeff_b, fit_backward = _fit_forward(i_low, o, lg_attn.output, r_eff, p.eps)
-    a_h = resample_trilinear(coeff_a, hi_spatial)
-    b_h = resample_trilinear(coeff_b, hi_spatial)
-    y = a_h * i_al + b_h
+    lg_attn = attention_map(o, i, p)
+    r_eff = effective_radius(p.radius, o.shape[1:4])
+    coeff_a, coeff_b, fit_backward = _fit_forward(i, o, lg_attn.output, r_eff, p.eps)
+    y = coeff_a * i + coeff_b
 
     def backward(gy: np.ndarray):
         gy = np.asarray(gy, dtype=DTYPE)
         if gy.shape != y.shape:
             raise ShapeError(f"ag backward: gradient shape {gy.shape} != output {y.shape}")
-        g_ah = gy * i_al
-        g_bh = gy
-        g_ial = gy * a_h
-        g_a = resample_trilinear_adjoint(g_ah, lo_spatial)
-        g_b = resample_trilinear_adjoint(g_bh, lo_spatial)
-        g_ilow, g_o, g_t = fit_backward(g_a, g_b)
-        (g_o_attn, g_ilow_attn), grads = lg_attn.backward(g_t)
-        g_o = g_o + g_o_attn
-        g_ilow = g_ilow + g_ilow_attn
-        g_ial = g_ial + resample_trilinear_adjoint(g_ilow, hi_spatial)
-        if lg_align is not None:
-            g_i, align_grads = lg_align.backward(g_ial)
-            grads["align.kernel"] = align_grads["kernel"]
-            grads["align.bias"] = align_grads["bias"]
-        else:
-            g_i = g_ial
-        return (g_i, g_o), grads
+        g_i, g_o, g_t = fit_backward(gy * i, gy)
+        (g_o_attn, g_i_attn), grads = lg_attn.backward(g_t)
+        return (gy * coeff_a + (g_i + g_i_attn), g_o + g_o_attn), grads
 
     return LayerGrad(y, backward)

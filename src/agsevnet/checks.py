@@ -21,7 +21,14 @@ from .layers import (
     dense,
     instance_norm,
 )
-from .losses import ClassWeights, dice_grad_closed_form, dice_loss, surface_voxels
+from .losses import (
+    SMOOTH,
+    ClassWeights,
+    _check_pair,
+    dice_grad_closed_form,
+    dice_loss,
+    surface_voxels,
+)
 from .network import NetConfig, build, forward
 from .rng import Rng
 from .se import SeParams, se_forward
@@ -213,12 +220,12 @@ def check_ag(seed: int = 0) -> list[CheckResult]:
     rng = Rng(seed).derive("ag")
     results = []
 
-    # full AG block gradient, guidance at 2x the filtered map's grid
+    # full AG block gradient; guidance and filtered map share one grid
     c = 2
-    i = _rand(rng.derive("i"), (1, 8, 8, 8, c))
-    o = _rand(rng.derive("o"), (1, 4, 4, 4, c))
+    i = _rand(rng.derive("i"), (1, 6, 6, 6, c))
+    o = _rand(rng.derive("o"), (1, 6, 6, 6, c))
     p = _small_ag_params(rng.derive("params"), c)
-    probe = rng.derive("probe").normal(i.shape[:4] + (c,))
+    probe = rng.derive("probe").normal(i.shape)
     lg = ag_forward(i, o, p)
     (gi, go), gp = lg.backward(probe)
     results.append(CheckResult(
@@ -235,8 +242,7 @@ def check_ag(seed: int = 0) -> list[CheckResult]:
     ))
 
     def with_gate_kernel(v):
-        return AgParams(p.radius, p.eps, p.attn_o, p.attn_i,
-                        Conv3dParams(v, p.attn_gate.bias), p.align)
+        return AgParams(p.radius, p.eps, p.attn_o, p.attn_i, Conv3dParams(v, p.attn_gate.bias))
 
     results.append(CheckResult(
         "ag/attn_gate.kernel",
@@ -351,6 +357,22 @@ def check_loss(seed: int = 0) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # scalar oracles shared with the tests
+
+def soft_dice_per_class(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
+    """Squared-denominator soft Dice per class, summed over batch and voxels:
+    the per-class score inside `dice_loss`, computed on its own for tests.
+
+    Classes absent from the truth score exactly 0 (documented empty-class
+    rule) rather than the near-zero value the raw ratio would give.
+    """
+    p, g = _check_pair(p, g)
+    inter = (p * g).sum(axis=(0, 1, 2, 3))
+    pp = (p * p).sum(axis=(0, 1, 2, 3))
+    gg = (g * g).sum(axis=(0, 1, 2, 3))
+    present = gg > 0.0
+    denom = np.where(present, pp + gg + smooth, 1.0)
+    return np.where(present, 2.0 * inter / denom, 0.0)
+
 
 def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:
     """Naive O(n * window) clipped window sum."""

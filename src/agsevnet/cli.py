@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: phantom-gen, preprocess, train, predict, evaluate,
-gradcheck. Exit codes: 0 success, 1 validation failure (bad flags,
-config, shapes, or a failed gradcheck), 2 runtime failure.
+Subcommands: phantom-gen, train, predict, evaluate, gradcheck. Exit
+codes: 0 success, 1 validation failure (bad flags, config, shapes, or a
+failed gradcheck), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,15 +15,7 @@ from pathlib import Path
 from .gradcheck import run_checks
 from .infer import evaluate_dirs, predict_dir
 from .network import load_checkpoint
-from .pipeline import (
-    PatchSpec,
-    generate_phantom,
-    list_cases,
-    load_case,
-    preprocess_case,
-    save_case,
-    save_patches,
-)
+from .pipeline import generate_phantom, save_case
 from .rng import Rng
 from .tensor import ShapeError
 from .train import TrainConfig, train, train_config_from_text
@@ -47,17 +39,6 @@ def cmd_phantom_gen(args) -> int:
         case.id = f"case{k:03d}"
         save_case(out / case.id, case)
     print(f"wrote {args.count} phantom cases under {out}")
-    return 0
-
-
-def cmd_preprocess(args) -> int:
-    spec = PatchSpec(args.patch, args.stride or args.patch)
-    out = Path(args.out)
-    for case_dir in list_cases(args.data):
-        case = load_case(case_dir)
-        _, patches = preprocess_case(case, spec)
-        save_patches(out / case_dir.name, patches)
-        print(f"preprocessed {case_dir.name}: {len(patches)} patches")
     return 0
 
 
@@ -108,8 +89,8 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agsevnet",
-        description="Volumetric segmentation kit: phantoms, preprocessing, training, "
-        "inference, evaluation, and gradient verification.",
+        description="Volumetric segmentation kit: phantoms, training, inference, "
+        "evaluation, and gradient verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_phantom_gen)
-
-    p = sub.add_parser("preprocess", help="normalize, stack, and patch cases to disk")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--patch", type=_parse_triple, default=(32, 32, 32))
-    p.add_argument("--stride", type=_parse_triple, default=None)
-    p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train", help="train on labeled case directories")
     p.add_argument("--config", help="training config file (key=value)")

@@ -10,6 +10,7 @@ from .losses import case_region_row, derive_regions, format_report
 from .network import NetConfig, forward, predict_labels
 from .npyio import read_npy, write_npy
 from .pipeline import (
+    LABEL_FILE,
     PatchSpec,
     check_coverage,
     list_cases,
@@ -53,20 +54,21 @@ def predict_dir(data_dir, params, config: NetConfig, out_dir,
 
 def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
     """Per-case per-region metric report comparing prediction volumes
-    (<case>.npy files) against the truth cases' seg.npy volumes; hd95
+    (<case>.npy files) against the truth cases' seg.npy volumes, the only
+    file read from a truth case (modality files may be absent); hd95
     distances are in units of `spacing` (z, h, w).
     """
     pred_dir = Path(pred_dir)
     truth_dir = Path(truth_dir)
     rows = []
-    truth_cases = {d.name: d for d in list_cases(truth_dir)}
+    truth_cases = {d.name: d for d in list_cases(truth_dir, LABEL_FILE)}
     pred_files = sorted(pred_dir.glob("*.npy"))
     if not pred_files:
         raise FileNotFoundError(f"no prediction volumes under {pred_dir}")
     for pred_file in pred_files:
         case_id = pred_file.stem
         if case_id not in truth_cases:
-            raise FileNotFoundError(f"prediction {case_id} has no matching truth case")
+            raise FileNotFoundError(f"prediction {case_id} has no truth case with {LABEL_FILE}")
         pred_labels = read_npy(pred_file)
         truth_labels = load_labels(truth_cases[case_id])
         if pred_labels.shape != truth_labels.shape:

@@ -58,21 +58,6 @@ def _check_pair(p: np.ndarray, g: np.ndarray):
     return p, g
 
 
-def soft_dice_per_class(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
-    """Squared-denominator soft Dice per class, summed over batch and voxels.
-
-    Classes absent from the truth score exactly 0 (documented empty-class
-    rule) rather than the near-zero value the raw ratio would give.
-    """
-    p, g = _check_pair(p, g)
-    inter = (p * g).sum(axis=(0, 1, 2, 3))
-    pp = (p * p).sum(axis=(0, 1, 2, 3))
-    gg = (g * g).sum(axis=(0, 1, 2, 3))
-    present = gg > 0.0
-    denom = np.where(present, pp + gg + smooth, 1.0)
-    return np.where(present, 2.0 * inter / denom, 0.0)
-
-
 def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights,
               smooth: float = SMOOTH) -> tuple[float, np.ndarray]:
     """Weighted negative soft Dice and its gradient with respect to p.

@@ -25,7 +25,6 @@ MODALITIES = ("t1", "t1ce", "t2", "flair")
 LABEL_FILE = "seg.npy"
 SIGMA_FLOOR = 1e-8
 LABEL_TO_CHANNEL = {0: 0, 1: 1, 2: 2, 4: 3}
-CHANNEL_TO_LABEL = np.array([0, 1, 2, 4], dtype=np.uint8)
 
 
 @dataclass
@@ -254,7 +253,7 @@ def generate_phantom(rng: Rng, shape: tuple[int, int, int], difficulty: float) -
 
 
 # ---------------------------------------------------------------------------
-# case and patch directory I/O
+# case directory I/O
 
 def save_case(directory, case: Case) -> None:
     directory = Path(directory)
@@ -266,6 +265,9 @@ def save_case(directory, case: Case) -> None:
 
 
 def load_case(directory, require_labels: bool = False) -> Case:
+    """The case's four modalities; its labels too only when `require_labels`,
+    so inference never reads (or patches) a label volume it would discard.
+    """
     directory = Path(directory)
     vols = []
     for name in MODALITIES:
@@ -273,9 +275,7 @@ def load_case(directory, require_labels: bool = False) -> Case:
         if not path.exists():
             raise FileNotFoundError(f"case {directory.name}: missing modality file {name}.npy")
         vols.append(read_npy(path))
-    labels = None
-    if require_labels or (directory / LABEL_FILE).exists():
-        labels = load_labels(directory)
+    labels = load_labels(directory) if require_labels else None
     return Case(id=directory.name, modalities=tuple(vols), labels=labels)
 
 
@@ -288,9 +288,10 @@ def load_labels(directory) -> np.ndarray:
     return read_npy(seg)
 
 
-def list_cases(root) -> list[Path]:
+def list_cases(root, marker: str = "t1.npy") -> list[Path]:
+    """Sorted case directories under `root`: those holding a `marker` file."""
     root = Path(root)
-    dirs = sorted(d for d in root.iterdir() if d.is_dir() and (d / "t1.npy").exists())
+    dirs = sorted(d for d in root.iterdir() if d.is_dir() and (d / marker).exists())
     if not dirs:
         raise FileNotFoundError(f"no case directories under {root}")
     return dirs
@@ -305,37 +306,3 @@ def preprocess_case(case: Case, spec: PatchSpec):
     )
     x = stack_modalities(normalized)
     return x, extract_patches(x, case.labels, spec)
-
-
-def save_patches(directory, patches) -> None:
-    """Write img_XXXX.npy / lbl_XXXX.npy pairs plus a manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for k, (img, lbl) in enumerate(patches):
-        img_name = f"img_{k:04d}.npy"
-        write_npy(directory / img_name, img)
-        if lbl is not None:
-            lbl_name = f"lbl_{k:04d}.npy"
-            write_npy(directory / lbl_name, lbl)
-        else:
-            lbl_name = "-"
-        lines.append(f"index={k} img={img_name} lbl={lbl_name}")
-    (directory / "patches.txt").write_text("\n".join(lines) + "\n")
-
-
-def load_patches(directory):
-    directory = Path(directory)
-    manifest = directory / "patches.txt"
-    if not manifest.exists():
-        raise FileNotFoundError(f"no patch manifest at {manifest}")
-    out = []
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = dict(tok.split("=", 1) for tok in line.split())
-        img = read_npy(directory / fields["img"])
-        lbl = None if fields["lbl"] == "-" else read_npy(directory / fields["lbl"])
-        out.append((img, lbl))
-    return out

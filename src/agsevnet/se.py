@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import DenseParams, LayerGrad, activation, dense, he_dense_weight
-from .rng import Rng
+from .layers import DenseParams, LayerGrad, activation, dense
 from .tensor import DTYPE, ShapeError, as_tensor5
 
 
@@ -31,14 +30,6 @@ def effective_reduction(channels: int, reduction: int) -> int:
     if channels % m != 0:
         raise ShapeError(f"SE reduction {m} does not divide channel count {channels}")
     return m
-
-
-def build_se_params(rng: Rng, channels: int, reduction: int) -> SeParams:
-    m = effective_reduction(channels, reduction)
-    hidden = channels // m
-    fc1 = DenseParams(he_dense_weight(rng, channels, hidden), np.zeros(hidden, dtype=DTYPE))
-    fc2 = DenseParams(he_dense_weight(rng, hidden, channels), np.zeros(channels, dtype=DTYPE))
-    return SeParams(m, fc1, fc2)
 
 
 def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:

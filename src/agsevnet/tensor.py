@@ -1,9 +1,8 @@
-"""Dense 5-axis float tensors and the resampling primitives built on them.
+"""Dense 5-axis float tensors.
 
 A "tensor5" is a plain float64 numpy array with axes fixed as
 (batch, depth z, height h, width w, channel c), row-major. Every module
 in the kit works on this layout; serialization (npyio) depends on it.
-There is no broadcasting beyond what the documented ops do explicitly.
 Operations treat their inputs as immutable values and return fresh
 arrays, so tensors are safe to share across threads for reading.
 """
@@ -13,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 DTYPE = np.float64
-
-AXES = ("batch", "z", "h", "w", "c")
 
 
 class ShapeError(ValueError):
@@ -29,98 +26,3 @@ def as_tensor5(x, name: str = "tensor") -> np.ndarray:
     if any(e < 1 for e in arr.shape):
         raise ShapeError(f"{name}: all extents must be >= 1, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
-
-
-def elementwise(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise combine two equal-shape tensors. op in {add, sub, mul, max}."""
-    a = as_tensor5(a, "a")
-    b = as_tensor5(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise {op}: shape mismatch {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "max":
-        return np.maximum(a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
-def reduce_mean_spatial(u: np.ndarray) -> np.ndarray:
-    """Global spatial mean per (batch, channel); output shape (n,1,1,1,c)."""
-    u = as_tensor5(u, "u")
-    return u.mean(axis=(1, 2, 3), keepdims=True)
-
-
-def _axis_samples(n_in: int, n_out: int):
-    """Per-axis interpolation plan: source pair (i0, i0+1) and weight w.
-
-    Target coordinate j maps to source coordinate (j + 0.5) * n_in/n_out - 0.5
-    (the align-corners-false convention). Near the borders the mapped
-    coordinate can fall outside [0, n_in-1]; the nearest interior sample
-    pair is used with an out-of-range weight, i.e. linear extrapolation.
-    That choice makes the resampler reproduce affine profiles exactly
-    through a down/up cycle instead of flattening them at the edges.
-    """
-    j = np.arange(n_out, dtype=DTYPE)
-    t = (j + 0.5) * (n_in / n_out) - 0.5
-    if n_in == 1:
-        i0 = np.zeros(n_out, dtype=np.intp)
-        return i0, i0, np.zeros(n_out, dtype=DTYPE)
-    i0 = np.clip(np.floor(t).astype(np.intp), 0, n_in - 2)
-    w = t - i0
-    return i0, i0 + 1, w
-
-
-def _interp_axis(x: np.ndarray, axis: int, n_out: int) -> np.ndarray:
-    n_in = x.shape[axis]
-    i0, i1, w = _axis_samples(n_in, n_out)
-    shape = [1] * x.ndim
-    shape[axis] = n_out
-    w = w.reshape(shape)
-    lo = np.take(x, i0, axis=axis)
-    hi = np.take(x, i1, axis=axis)
-    return lo * (1.0 - w) + hi * w
-
-
-def _interp_axis_adjoint(g: np.ndarray, axis: int, n_in: int) -> np.ndarray:
-    n_out = g.shape[axis]
-    i0, i1, w = _axis_samples(n_in, n_out)
-    shape = [1] * g.ndim
-    shape[axis] = n_out
-    w = w.reshape(shape)
-    out_shape = list(g.shape)
-    out_shape[axis] = n_in
-    out = np.zeros(out_shape, dtype=DTYPE)
-    gm = np.moveaxis(out, axis, 0)
-    np.add.at(gm, i0, np.moveaxis(g * (1.0 - w), axis, 0))
-    np.add.at(gm, i1, np.moveaxis(g * w, axis, 0))
-    return out
-
-
-def resample_trilinear(x: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:
-    """Channel-wise trilinear resample of the spatial axes to `target` (z,h,w)."""
-    x = as_tensor5(x, "x")
-    tz, th, tw = (int(v) for v in target)
-    if min(tz, th, tw) < 1:
-        raise ShapeError(f"resample target extents must be >= 1, got {(tz, th, tw)}")
-    y = x
-    for axis, n_out in ((1, tz), (2, th), (3, tw)):
-        if y.shape[axis] != n_out:
-            y = _interp_axis(y, axis, n_out)
-    return np.ascontiguousarray(y)
-
-
-def resample_trilinear_adjoint(g: np.ndarray, source_spatial: tuple[int, int, int]) -> np.ndarray:
-    """Adjoint of `resample_trilinear`: maps an output-shaped gradient back
-    to the source spatial shape. Satisfies <resample(x), g> == <x, adjoint(g)>.
-    """
-    g = as_tensor5(g, "g")
-    sz, sh, sw = (int(v) for v in source_spatial)
-    y = g
-    for axis, n_in in ((3, sw), (2, sh), (1, sz)):
-        if y.shape[axis] != n_in:
-            y = _interp_axis_adjoint(y, axis, n_in)
-    return np.ascontiguousarray(y)

@@ -203,7 +203,9 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     report under out_dir/report.txt (loss per step, learning rate,
     seed, config hash, and, when `val_dir` is given, per-traversal
     validation metrics in the evaluation-table layout; no wall-clock
-    inside the report so reruns are byte-identical).
+    inside the report so reruns are byte-identical). The loss rows
+    (losses.txt) and validation rows (val.txt) carry their step, so a
+    resume keeps exactly those taken before its checkpoint.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,9 +214,6 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     patches = _load_training_patches(data_dir, spec)
     if not patches:
         raise TrainingError(f"no training patches found under {data_dir}")
-    for img, lbl in patches:
-        if lbl is None:
-            raise TrainingError("training requires labeled cases (seg.npy present)")
 
     if resume is not None:
         params, net_config, start_step, state = load_checkpoint(resume)
@@ -226,12 +225,18 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         state = init_opt_state(config, params)
         start_step = 0
         loss_log = []
+    n = len(patches)
+    val_rows = []
+    if resume is not None and val_dir is not None:
+        # rows the uninterrupted run would hold: not the extra final-step
+        # row of an earlier run configured to stop sooner
+        val_rows = _read_val_log(
+            out_dir / "val.txt", lambda s: s < start_step and _validation_due(config, s, n)
+        )
 
     weights = ClassWeights(config.class_weights)
-    n = len(patches)
     started = time.time()
     checkpoint_dir = out_dir / "checkpoint"
-    val_rows: list[str] = []
     for step in range(start_step, config.max_steps):
         order_pos = (step * config.batch_size) % n
         traversal = (step * config.batch_size) // n
@@ -253,21 +258,32 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         loss_log.append((step, config.learning_rate(step), loss))
         log(f"step {step:5d}  lr {config.learning_rate(step):.2e}  loss {loss:+.6f}")
 
-        if (step + 1) % config.checkpoint_interval == 0 or step + 1 == config.max_steps:
+        checkpoint_due = (step + 1) % config.checkpoint_interval == 0 or step + 1 == config.max_steps
+        if checkpoint_due:
             _guard_finite(params, step)
-            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state)
-            _write_loss_log(out_dir / "losses.txt", loss_log)
-
-        end_of_traversal = ((step + 1) * config.batch_size) // n > traversal
-        if val_dir is not None and (end_of_traversal or step + 1 == config.max_steps):
+        if val_dir is not None and _validation_due(config, step, n):
             rows = _validation_metrics(val_dir, params, config, traversal)
-            val_rows.extend(rows)
+            val_rows.extend((step, row) for row in rows)
             log(f"traversal {traversal}: " + "; ".join(rows[-3:]))
+        if checkpoint_due:
+            # logs before the checkpoint: a run cut in between resumes from
+            # the previous checkpoint, which truncates the logs back to it
+            _write_loss_log(out_dir / "losses.txt", loss_log)
+            if val_dir is not None:
+                _write_val_log(out_dir / "val.txt", val_rows)
+            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state)
 
     _write_loss_log(out_dir / "losses.txt", loss_log)
-    _write_report(out_dir / "report.txt", config, loss_log, val_rows)
+    _write_report(out_dir / "report.txt", config, loss_log, [row for _, row in val_rows])
     log(f"trained {config.max_steps - start_step} steps in {time.time() - started:.1f}s")
     return checkpoint_dir
+
+
+def _validation_due(config: TrainConfig, step: int, n: int) -> bool:
+    """Validation follows the last step of each traversal of the n
+    patches, and the run's final step."""
+    b = config.batch_size
+    return ((step + 1) * b) // n > (step * b) // n or step + 1 == config.max_steps
 
 
 def _validation_metrics(val_dir, params, config: TrainConfig, traversal: int) -> list[str]:
@@ -311,6 +327,17 @@ def _read_loss_log(path: Path, upto_step: int):
         if int(s) < upto_step:
             out.append((int(s), float(lr), float(loss)))
     return out
+
+
+def _write_val_log(path: Path, val_rows):
+    path.write_text("".join(f"{step} {row}\n" for step, row in val_rows))
+
+
+def _read_val_log(path: Path, keep):
+    if not path.exists():
+        return []
+    rows = [line.split(" ", 1) for line in path.read_text().splitlines()]
+    return [(int(s), row) for s, row in rows if keep(int(s))]
 
 
 def _write_report(path: Path, config: TrainConfig, loss_log, val_rows=()):

@@ -7,7 +7,6 @@ from agsevnet.ag import (
     ag_forward,
     attention_map,
     box_sum,
-    build_ag_params,
     effective_radius,
     window_counts,
 )
@@ -15,14 +14,14 @@ from agsevnet.checks import box_sum_oracle, fit_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import Conv3dParams
 from agsevnet.rng import Rng
-from agsevnet.tensor import ShapeError, resample_trilinear
+from agsevnet.tensor import ShapeError
 
 
 def rand(seed, shape, scale=1.0):
     return Rng(seed).normal(shape, scale=scale)
 
 
-def ag_params(seed, c, radius=2, eps=0.01, align_in=None):
+def ag_params(seed, c, radius=2, eps=0.01):
     rng = Rng(seed)
 
     def conv1(c_in, c_out, key):
@@ -37,7 +36,6 @@ def ag_params(seed, c, radius=2, eps=0.01, align_in=None):
         attn_o=conv1(c, c, "o"),
         attn_i=conv1(c, c, "i"),
         attn_gate=conv1(c, 1, "g"),
-        align=None if align_in is None else conv1(align_in, c, "al"),
     )
 
 
@@ -226,29 +224,28 @@ class TestAgFit:
 
 class TestAgForward:
     def test_self_guidance_limit_reproduces_guidance(self):
-        i = rand(32, (1, 8, 8, 8, 1))
-        o = resample_trilinear(i, (4, 4, 4))
+        i = rand(32, (1, 6, 6, 6, 1))
         p = zero_attention_params(1, radius=2, eps=1e-12)
-        out = ag_forward(i, o, p).output
+        out = ag_forward(i, i, p).output
         assert np.abs(out - i).max() < 1e-8
 
     def test_constant_guidance_goes_through_intercept(self):
-        i = np.full((1, 8, 8, 8, 1), 2.0)
-        o = rand(33, (1, 4, 4, 4, 1))
+        i = np.full((1, 6, 6, 6, 1), 2.0)
+        o = rand(33, (1, 6, 6, 6, 1))
         p = zero_attention_params(1, radius=2, eps=0.01)
         out = ag_forward(i, o, p).output
-        counts = window_counts((4, 4, 4), 2)
+        counts = window_counts((6, 6, 6), 2)
         mean_o = box_sum(o, 2) / counts
-        b_low = box_sum(mean_o, 2) / counts
-        want = resample_trilinear(b_low, (8, 8, 8))
+        want = box_sum(mean_o, 2) / counts
         assert np.abs(out - want).max() < 1e-9
 
     def test_gradients_match_finite_differences(self):
+        # anisotropic grid, parameter gradient included
         c = 2
-        i = rand(34, (1, 8, 8, 8, c))
-        o = rand(35, (1, 4, 4, 4, c))
+        i = rand(34, (1, 6, 4, 5, c))
+        o = rand(35, (1, 6, 4, 5, c))
         p = ag_params(36, c, radius=2, eps=0.05)
-        probe = rand(37, (1, 8, 8, 8, c))
+        probe = rand(37, i.shape)
         lg = ag_forward(i, o, p)
         (gi, go), gp = lg.backward(probe)
         num_i = numeric_grad(
@@ -257,35 +254,28 @@ class TestAgForward:
         num_o = numeric_grad(
             lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
         )
-        assert max_rel_err(gi, num_i) < 1e-4
-        assert max_rel_err(go, num_o) < 1e-4
 
-    def test_align_conv_handles_channel_mismatch(self):
-        i = rand(38, (1, 4, 4, 4, 3))
-        o = rand(39, (1, 2, 2, 2, 2))
-        p = ag_params(40, 2, align_in=3)
-        lg = ag_forward(i, o, p)
-        assert lg.output.shape == (1, 4, 4, 4, 2)
-        probe = rand(41, lg.output.shape)
-        (gi, go), gp = lg.backward(probe)
-        assert gi.shape == i.shape and go.shape == o.shape
-        assert "align.kernel" in gp
-        num_i = numeric_grad(
-            lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
+        def with_attn_i_kernel(v):
+            return AgParams(p.radius, p.eps, p.attn_o, Conv3dParams(v, p.attn_i.bias), p.attn_gate)
+
+        num_k = numeric_grad(
+            lambda v: float((ag_forward(i, o, with_attn_i_kernel(v)).output * probe).sum()),
+            p.attn_i.kernel, refine=True,
         )
         assert max_rel_err(gi, num_i) < 1e-4
+        assert max_rel_err(go, num_o) < 1e-4
+        assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4
 
-    def test_channel_mismatch_without_align_rejected(self):
+    def test_channel_mismatch_rejected(self):
         i = rand(42, (1, 4, 4, 4, 3))
-        o = rand(43, (1, 2, 2, 2, 2))
-        with pytest.raises(ShapeError, match="align"):
+        o = rand(43, (1, 4, 4, 4, 2))
+        with pytest.raises(ShapeError, match="share one grid and channel count"):
             ag_forward(i, o, ag_params(44, 2))
 
-    def test_non_integral_scale_rejected(self):
-        i = rand(45, (1, 6, 6, 6, 1))
-        o = rand(46, (1, 4, 4, 4, 1))
-        with pytest.raises(ShapeError, match="integer"):
-            ag_forward(i, o, zero_attention_params(1))
+    def test_grid_mismatch_rejected(self):
+        for i_shape in ((1, 8, 8, 8, 1), (1, 6, 6, 6, 1), (2, 4, 4, 4, 1)):
+            with pytest.raises(ShapeError, match="share one grid"):
+                ag_forward(rand(45, i_shape), rand(46, (1, 4, 4, 4, 1)), zero_attention_params(1))
 
     def test_equal_grids_supported_with_gradients(self):
         # the in-network configuration: skip and upsampled map share a grid
@@ -305,31 +295,9 @@ class TestAgForward:
         assert max_rel_err(gi, num_i) < 1e-4
         assert max_rel_err(go, num_o) < 1e-4
 
-    def test_anisotropic_integer_scale(self):
-        i = rand(51, (1, 8, 4, 8, 1))
-        o = rand(52, (1, 4, 4, 2, 1))  # per-axis ratios 2, 1, 4
-        p = zero_attention_params(1, radius=1, eps=0.05)
-        lg = ag_forward(i, o, p)
-        assert lg.output.shape == (1, 8, 4, 8, 1)
-        probe = rand(53, lg.output.shape)
-        (gi, go), _ = lg.backward(probe)
-        num_o = numeric_grad(
-            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
-        )
-        assert max_rel_err(go, num_o) < 1e-4
-
 
 def test_effective_radius_scaling():
     assert effective_radius(16, (32, 32, 32)) == 16
     assert effective_radius(16, (4, 8, 8)) == 2
     assert effective_radius(16, (1, 4, 4)) == 1
     assert effective_radius(2, (16, 16, 16)) == 2
-
-
-def test_build_ag_params_align_only_when_needed():
-    rng = Rng(50)
-    p_same = build_ag_params(rng, 4, 4, 16, 0.01)
-    assert p_same.align is None
-    p_diff = build_ag_params(rng, 6, 4, 16, 0.01)
-    assert p_diff.align is not None
-    assert p_diff.align.kernel.shape == (1, 1, 1, 6, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agsevnet.checks import hd95_all_pairs, surface_distance_pool
+from agsevnet.checks import hd95_all_pairs, soft_dice_per_class, surface_distance_pool
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet import losses
 from agsevnet.layers import activation
@@ -15,7 +15,6 @@ from agsevnet.losses import (
     format_report,
     hausdorff95,
     metric,
-    soft_dice_per_class,
     surface_voxels,
 )
 from agsevnet.pipeline import generate_phantom
@@ -72,6 +71,10 @@ class TestSoftDice:
                             gg += g[b, k, i, j, c] ** 2
             want = 2 * inter / (pp + gg + 1e-7) if gg > 0 else 0.0
             assert d[c] == pytest.approx(want, abs=1e-12)
+        # the oracle for dice_loss: the weighted mean of these scores, negated
+        w = ClassWeights()
+        loss, _ = dice_loss(p, g, w)
+        assert loss == pytest.approx(-(np.asarray(w.w) * d).sum() / sum(w.w), rel=1e-12)
 
     def test_rejects_non_onehot(self):
         p = random_probs(3, (1, 2, 2, 2))

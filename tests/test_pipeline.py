@@ -10,12 +10,10 @@ from agsevnet.pipeline import (
     generate_phantom,
     list_cases,
     load_case,
-    load_patches,
+    load_labels,
     normalize,
     one_hot_labels,
-    preprocess_case,
     save_case,
-    save_patches,
     stack_modalities,
     stitch_patches,
 )
@@ -225,7 +223,9 @@ class TestCaseIO:
         assert loaded.id == "caseX"
         for a, b in zip(case.modalities, loaded.modalities):
             assert a.tobytes() == b.tobytes()
-        assert np.array_equal(case.labels, loaded.labels)
+        assert loaded.labels is None  # labels are read only on request
+        assert np.array_equal(case.labels, load_labels(tmp_path / "caseX"))
+        assert np.array_equal(case.labels, load_case(tmp_path / "caseX", require_labels=True).labels)
 
     def test_missing_modality_named(self, tmp_path):
         case = make_case(15)
@@ -245,13 +245,3 @@ class TestCaseIO:
         for name in ("b_case", "a_case"):
             save_case(tmp_path / name, make_case(17))
         assert [d.name for d in list_cases(tmp_path)] == ["a_case", "b_case"]
-
-    def test_patch_dir_round_trip(self, tmp_path):
-        case = make_case(18, shape=(16, 16, 16))
-        _, patches = preprocess_case(case, PatchSpec((16, 16, 16), (16, 16, 16)))
-        save_patches(tmp_path / "patches", patches)
-        loaded = load_patches(tmp_path / "patches")
-        assert len(loaded) == len(patches)
-        for (img_a, lbl_a), (img_b, lbl_b) in zip(patches, loaded):
-            assert img_a.tobytes() == img_b.tobytes()
-            assert lbl_a.tobytes() == lbl_b.tobytes()

@@ -1,0 +1,72 @@
+"""Source-level guard: every top-level name in the package is used.
+
+A function, class or constant defined at the top of a `src/agsevnet`
+module must be referenced somewhere in `src/` outside its own
+definition; an API kept alive only by its own tests fails here.
+`checks.py` is exempt as a definer because it holds the oracles and
+registered checks that the tests and `gradcheck` call.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agsevnet"
+EXEMPT_MODULES = {"checks.py"}
+EXEMPT_NAMES = {"__version__"}
+
+
+def _definitions(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, stmt
+
+
+def _references(node) -> Counter:
+    """Names loaded or attributes read under `node`; imports do not count."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def unused_names(root: Path) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    unused = []
+    for module, tree in trees.items():
+        if module in EXEMPT_MODULES:
+            continue
+        for name, stmt in _definitions(tree):
+            if name not in EXEMPT_NAMES and total[name] - _references(stmt)[name] == 0:
+                unused.append(f"{module}:{name}")
+    return unused
+
+
+def test_no_top_level_name_is_unused():
+    assert unused_names(PACKAGE) == []
+
+
+def test_guard_flags_names_used_only_by_themselves(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import helper\n"
+        "LIMIT = 3\n"
+        "def countdown(n):\n"
+        "    return countdown(n - 1) if n else helper(LIMIT)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def helper(x):\n    return x\n"
+        "class Orphan:\n    pass\n"
+    )
+    (tmp_path / "checks.py").write_text("def oracle():\n    return 0\n")
+    assert unused_names(tmp_path) == ["a.py:countdown", "b.py:Orphan"]

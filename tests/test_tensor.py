@@ -1,138 +1,10 @@
 import numpy as np
-import pytest
 
 from agsevnet.rng import Rng
-from agsevnet.tensor import (
-    ShapeError,
-    elementwise,
-    reduce_mean_spatial,
-    resample_trilinear,
-    resample_trilinear_adjoint,
-)
 
 
 def rand(seed, shape):
     return Rng(seed).normal(shape)
-
-
-class TestElementwise:
-    def test_add(self):
-        a = np.full((1, 1, 1, 1, 2), 0.0)
-        a[0, 0, 0, 0] = [1.0, 2.0]
-        b = np.zeros_like(a)
-        b[0, 0, 0, 0] = [3.0, 4.0]
-        out = elementwise("add", a, b)
-        assert out[0, 0, 0, 0].tolist() == [4.0, 6.0]
-
-    def test_mul_identity(self):
-        x = rand(0, (2, 3, 4, 5, 2))
-        assert np.array_equal(elementwise("mul", x, np.ones_like(x)), x)
-
-    def test_max_idempotent(self):
-        x = rand(1, (1, 2, 2, 2, 3))
-        assert np.array_equal(elementwise("max", x, x), x)
-
-    def test_sub(self):
-        x = rand(2, (1, 2, 2, 2, 1))
-        assert np.allclose(elementwise("sub", x, x), 0.0)
-
-    def test_add_commutes_bitwise(self):
-        a = rand(3, (2, 3, 3, 3, 4))
-        b = rand(4, (2, 3, 3, 3, 4))
-        assert np.array_equal(elementwise("add", a, b), elementwise("add", b, a))
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        a = rand(5, (1, 2, 2, 2, 1))
-        b = rand(5, (1, 2, 2, 3, 1))
-        with pytest.raises(ShapeError, match=r"1, 2, 2, 2, 1.*1, 2, 2, 3, 1"):
-            elementwise("add", a, b)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ShapeError):
-            elementwise("add", np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-class TestReduceMeanSpatial:
-    def test_constant(self):
-        x = np.full((2, 3, 4, 5, 6), 2.0)
-        out = reduce_mean_spatial(x)
-        assert out.shape == (2, 1, 1, 1, 6)
-        assert np.all(out == 2.0)
-
-    def test_two_values(self):
-        x = np.zeros((1, 1, 1, 2, 1))
-        x[0, 0, 0, 1, 0] = 2.0
-        assert reduce_mean_spatial(x)[0, 0, 0, 0, 0] == 1.0
-
-    def test_matches_naive_loop(self):
-        x = rand(7, (2, 3, 4, 5, 6))
-        out = reduce_mean_spatial(x)
-        for b in range(2):
-            for c in range(6):
-                total = 0.0
-                for k in range(3):
-                    for i in range(4):
-                        for j in range(5):
-                            total += x[b, k, i, j, c]
-                assert out[b, 0, 0, 0, c] == pytest.approx(total / 60, rel=1e-12)
-
-
-class TestResample:
-    def test_constant_any_size(self):
-        x = np.full((1, 4, 4, 4, 2), 3.5)
-        for target in ((2, 2, 2), (8, 8, 8), (3, 5, 7)):
-            out = resample_trilinear(x, target)
-            assert out.shape == (1, *target, 2)
-            assert np.allclose(out, 3.5, atol=1e-12)
-
-    def test_identity_is_exact(self):
-        x = rand(8, (2, 3, 4, 5, 3))
-        assert np.abs(resample_trilinear(x, (3, 4, 5)) - x).max() == 0.0
-
-    def test_ramp_down_up_recovers(self):
-        ramp = np.arange(8.0).reshape(1, 8, 1, 1, 1) * np.ones((1, 8, 4, 4, 1))
-        down = resample_trilinear(ramp, (4, 4, 4))
-        up = resample_trilinear(down, (8, 4, 4))
-        assert np.abs(up - ramp).max() < 1e-12
-
-    def test_matches_naive_interpolation(self):
-        x = rand(9, (1, 4, 4, 4, 1))
-        out = resample_trilinear(x, (8, 8, 8))
-
-        def sample_axis(t, n):
-            if n == 1:
-                return 0, 0, 0.0
-            i0 = int(np.clip(np.floor(t), 0, n - 2))
-            return i0, i0 + 1, t - i0
-
-        naive = np.zeros((1, 8, 8, 8, 1))
-        for zo in range(8):
-            for ho in range(8):
-                for wo in range(8):
-                    tz = (zo + 0.5) * 4 / 8 - 0.5
-                    th = (ho + 0.5) * 4 / 8 - 0.5
-                    tw = (wo + 0.5) * 4 / 8 - 0.5
-                    z0, z1, wz = sample_axis(tz, 4)
-                    h0, h1, wh = sample_axis(th, 4)
-                    w0, w1, ww = sample_axis(tw, 4)
-                    acc = 0.0
-                    for (zi, fz) in ((z0, 1 - wz), (z1, wz)):
-                        for (hi, fh) in ((h0, 1 - wh), (h1, wh)):
-                            for (wi, fw) in ((w0, 1 - ww), (w1, ww)):
-                                acc += fz * fh * fw * x[0, zi, hi, wi, 0]
-                    naive[0, zo, ho, wo, 0] = acc
-        assert np.abs(out - naive).max() < 1e-12
-
-    def test_adjoint_identity(self):
-        x = rand(10, (2, 3, 4, 5, 3))
-        g = rand(11, (2, 6, 8, 10, 3))
-        fwd = resample_trilinear(x, (6, 8, 10))
-        adj = resample_trilinear_adjoint(g, (3, 4, 5))
-        assert (fwd * g).sum() == pytest.approx((x * adj).sum(), rel=1e-12)
-
-    def test_target_validation(self):
-        with pytest.raises(ShapeError):
-            resample_trilinear(rand(0, (1, 2, 2, 2, 1)), (0, 2, 2))
 
 
 def test_row_major_offset_layout():

@@ -1,11 +1,14 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from agsevnet.cli import main
+from agsevnet.cli import build_parser, main
+from agsevnet.infer import predict_case
 from agsevnet.network import NetConfig, build, load_checkpoint, save_checkpoint
 from agsevnet.npyio import read_npy, write_npy
 from agsevnet import pipeline
-from agsevnet.pipeline import generate_phantom, save_case
+from agsevnet.pipeline import MODALITIES, generate_phantom, load_labels, save_case
 from agsevnet.rng import Rng
 from agsevnet.train import (
     TrainConfig,
@@ -89,22 +92,27 @@ class TestTraining:
 
     def test_resume_matches_uninterrupted(self, phantom_dir, tmp_path):
         full = tiny_train_config(max_steps=10, checkpoint_interval=5)
-        train(full, phantom_dir, tmp_path / "full", log=lambda s: None)
-
         half = tiny_train_config(max_steps=5, checkpoint_interval=5)
-        train(half, phantom_dir, tmp_path / "part", log=lambda s: None)
-        train(
-            full, phantom_dir, tmp_path / "part",
-            resume=tmp_path / "part" / "checkpoint", log=lambda s: None,
-        )
-        full_losses = (tmp_path / "full" / "losses.txt").read_text()
-        part_losses = (tmp_path / "part" / "losses.txt").read_text()
-        assert full_losses == part_losses
-        a = load_checkpoint(tmp_path / "full" / "checkpoint")
-        b = load_checkpoint(tmp_path / "part" / "checkpoint")
-        assert a[2] == b[2] == 10
-        for k in a[0]:
-            assert a[0][k].tobytes() == b[0][k].tobytes()
+        for val in (None, phantom_dir):
+            run = tmp_path / ("val" if val else "plain")
+            train(full, phantom_dir, run / "full", val_dir=val, log=lambda s: None)
+            # the half run also validates after its last step (4), which the
+            # full run does not: the resume must drop that row
+            train(half, phantom_dir, run / "part", val_dir=val, log=lambda s: None)
+            train(
+                full, phantom_dir, run / "part", val_dir=val,
+                resume=run / "part" / "checkpoint", log=lambda s: None,
+            )
+            for name in ("losses.txt", "report.txt"):
+                assert (run / "full" / name).read_bytes() == (run / "part" / name).read_bytes()
+            a = load_checkpoint(run / "full" / "checkpoint")
+            b = load_checkpoint(run / "part" / "checkpoint")
+            assert a[2] == b[2] == 10
+            for k in a[0]:
+                assert a[0][k].tobytes() == b[0][k].tobytes()
+        report = (tmp_path / "val" / "part" / "report.txt").read_text()
+        wt_rows = [line for line in report.splitlines() if line.split(",")[1:2] == ["WT"]]
+        assert [line.split(",")[0] for line in wt_rows] == ["0", "1", "2", "3", "4"]
 
     def test_validation_metrics_in_report(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(max_steps=4, checkpoint_interval=4)
@@ -133,6 +141,22 @@ class TestTraining:
         _validation_metrics(phantom_dir, build(cfg.net, Rng(4)), cfg, 0)
         modalities = [r for r in reads if not r.endswith("seg.npy")]
         assert len(modalities) == len(set(modalities)) == 2 * 4
+        assert sorted(r for r in reads if r.endswith("seg.npy")) == [
+            "case000/seg.npy", "case001/seg.npy"
+        ]
+
+    def test_prediction_reads_no_labels(self, phantom_dir, monkeypatch):
+        reads = []
+
+        def counting_read(path):
+            reads.append(f"{path.parent.name}/{path.name}")
+            return read_npy(path)
+
+        monkeypatch.setattr(pipeline, "read_npy", counting_read)
+        config = tiny_train_config().net
+        assert (phantom_dir / "case000" / "seg.npy").exists()
+        predict_case(phantom_dir / "case000", build(config, Rng(4)), config)
+        assert sorted(reads) == sorted(f"case000/{m}.npy" for m in MODALITIES)
 
     def test_sgd_also_trains(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(optimizer="sgd", lr_initial=1e-2, lr_decayed=1e-2,
@@ -182,7 +206,7 @@ class TestThresholdOracle:
             case = load_case(tmp_path / "flat" / f"case{k:03d}")
             flair = case.modalities[3]
             wt_guess = flair > 0.5  # tumor plateaus sit well above brain tissue
-            wt_true = derive_regions(case.labels)["WT"]
+            wt_true = derive_regions(load_labels(tmp_path / "flat" / f"case{k:03d}"))["WT"]
             dice = metric("dice", confusion(wt_guess, wt_true))
             assert dice >= 0.99
 
@@ -199,26 +223,17 @@ class TestCli:
 
     def test_phantom_gen_nesting(self, tmp_path):
         from agsevnet.losses import derive_regions
-        from agsevnet.pipeline import load_case
 
         assert main([
             "phantom-gen", "-n", "3", "--shape", "16,16,16", "--seed", "4",
             "--out", str(tmp_path / "cases"),
         ]) == 0
         for k in range(3):
-            case = load_case(tmp_path / "cases" / f"case{k:03d}")
-            masks = derive_regions(case.labels)
+            masks = derive_regions(load_labels(tmp_path / "cases" / f"case{k:03d}"))
             assert np.all(masks["ET"] <= masks["TC"]) and np.all(masks["TC"] <= masks["WT"])
 
-    def test_preprocess_writes_patch_pairs(self, phantom_dir, tmp_path):
-        assert main([
-            "preprocess", "--data", str(phantom_dir), "--out", str(tmp_path / "pp"),
-            "--patch", "16",
-        ]) == 0
-        files = sorted((tmp_path / "pp" / "case000").glob("*.npy"))
-        assert [f.name for f in files] == ["img_0000.npy", "lbl_0000.npy"]
-        img = read_npy(files[0])
-        assert img.shape == (1, 16, 16, 16, 4)
+    def test_subcommands(self):
+        assert "{phantom-gen,train,predict,evaluate,gradcheck}" in build_parser().format_help()
 
     def test_train_predict_evaluate_round_trip(self, phantom_dir, tmp_path):
         config_text = train_config_to_text(tiny_train_config(max_steps=5, checkpoint_interval=5))
@@ -248,14 +263,12 @@ class TestCli:
         assert report.startswith("case_id,region,")
 
     def test_evaluate_identity_scores_perfect(self, phantom_dir, tmp_path):
-        from agsevnet.pipeline import load_case
         from agsevnet.npyio import write_npy
 
         pred = tmp_path / "ident"
         pred.mkdir()
         for case_dir in sorted(phantom_dir.iterdir()):
-            labels = load_case(case_dir).labels
-            write_npy(pred / f"{case_dir.name}.npy", labels)
+            write_npy(pred / f"{case_dir.name}.npy", load_labels(case_dir))
         assert main([
             "evaluate", "--pred", str(pred), "--truth", str(phantom_dir),
             "--out", str(tmp_path / "r.csv"),
@@ -269,12 +282,11 @@ class TestCli:
 
     def test_evaluate_reports_are_byte_identical(self, phantom_dir, tmp_path):
         from agsevnet.npyio import write_npy
-        from agsevnet.pipeline import load_case
 
         pred = tmp_path / "pred"
         pred.mkdir()
         for case_dir in sorted(phantom_dir.iterdir()):
-            write_npy(pred / f"{case_dir.name}.npy", load_case(case_dir).labels)
+            write_npy(pred / f"{case_dir.name}.npy", load_labels(case_dir))
         for sub in ("r1.csv", "r2.csv"):
             assert main([
                 "evaluate", "--pred", str(pred), "--truth", str(phantom_dir),
@@ -310,6 +322,24 @@ class TestCli:
         assert main([
             "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "r.csv"),
         ]) == 1
+
+    def test_evaluate_accepts_label_only_truth(self, phantom_dir, tmp_path):
+        truth = tmp_path / "truth"
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        cases = sorted(phantom_dir.iterdir())
+        for case_dir, other in zip(cases, reversed(cases)):
+            shutil.copytree(case_dir, truth / case_dir.name)
+            write_npy(pred / f"{case_dir.name}.npy", load_labels(other))
+        evaluate = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--out"]
+        assert main([*evaluate, str(tmp_path / "full.csv")]) == 0
+        for case_dir in truth.iterdir():
+            for m in MODALITIES:
+                (case_dir / f"{m}.npy").unlink()
+        assert main([*evaluate, str(tmp_path / "labels_only.csv")]) == 0
+        full = (tmp_path / "full.csv").read_text()
+        assert "1.000000" not in full.splitlines()[1]  # mismatched cases, not a trivial report
+        assert (tmp_path / "labels_only.csv").read_text() == full
 
     def test_predict_rejects_stride_that_leaves_gaps(self, phantom_dir, tmp_path):
         config = tiny_train_config().net

@@ -266,16 +266,40 @@ class TestAgForward:
         assert max_rel_err(go, num_o) < 1e-4
         assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4
 
-    def test_channel_mismatch_rejected(self):
+    def test_channel_mismatch_without_align_rejected(self):
+        # there is no channel-align conv: the decoder's deconv matches channels
         i = rand(42, (1, 4, 4, 4, 3))
         o = rand(43, (1, 4, 4, 4, 2))
         with pytest.raises(ShapeError, match="share one grid and channel count"):
             ag_forward(i, o, ag_params(44, 2))
 
+    def test_non_integral_scale_rejected(self):
+        i = rand(45, (1, 6, 6, 6, 1))
+        o = rand(46, (1, 4, 4, 4, 1))
+        with pytest.raises(ShapeError, match="share one grid"):
+            ag_forward(i, o, zero_attention_params(1))
+
     def test_grid_mismatch_rejected(self):
-        for i_shape in ((1, 8, 8, 8, 1), (1, 6, 6, 6, 1), (2, 4, 4, 4, 1)):
+        for i_shape in ((1, 8, 8, 8, 1), (2, 4, 4, 4, 1)):
             with pytest.raises(ShapeError, match="share one grid"):
                 ag_forward(rand(45, i_shape), rand(46, (1, 4, 4, 4, 1)), zero_attention_params(1))
+
+    def test_anisotropic_integer_scale(self):
+        # a per-axis integer-multiple guidance (ratios 2, 1, 4) is no longer
+        # up-sampled; an anisotropic grid shared by both inputs is supported
+        p = zero_attention_params(1, radius=1, eps=0.05)
+        with pytest.raises(ShapeError, match="share one grid"):
+            ag_forward(rand(51, (1, 8, 4, 8, 1)), rand(52, (1, 4, 4, 2, 1)), p)
+        i = rand(51, (1, 8, 4, 8, 1))
+        o = rand(52, (1, 8, 4, 8, 1))
+        lg = ag_forward(i, o, p)
+        assert lg.output.shape == (1, 8, 4, 8, 1)
+        probe = rand(53, lg.output.shape)
+        (gi, go), _ = lg.backward(probe)
+        num_o = numeric_grad(
+            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
+        )
+        assert max_rel_err(go, num_o) < 1e-4
 
     def test_equal_grids_supported_with_gradients(self):
         # the in-network configuration: skip and upsampled map share a grid

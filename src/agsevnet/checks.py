@@ -17,7 +17,9 @@ from .layers import (
     DenseParams,
     activation,
     conv3d_forward,
+    conv_output_extent,
     deconv3d_forward,
+    deconv_output_extent,
     dense,
     instance_norm,
 )
@@ -44,127 +46,92 @@ def _away_from_kinks(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
     return np.where(np.abs(x) < margin, np.sign(x) * margin + (x == 0) * margin, x)
 
 
+def _probe_check(name, analytic, f, arr, probe, tol=1e-5, refine=False) -> CheckResult:
+    """Analytic gradient of <f(v).output, probe> at v = arr against central
+    differences."""
+    numeric = numeric_grad(lambda v: float((f(v).output * probe).sum()), arr, refine=refine)
+    return CheckResult(name, max_rel_err(analytic, numeric), tol)
+
+
 def check_layers(seed: int = 0) -> list[CheckResult]:
     rng = Rng(seed).derive("layers")
-    results = []
 
-    # conv3d: input and parameter gradients
+    # conv3d: input and parameter gradients, stride 1 and 2
     x = _rand(rng.derive("conv_x"), (1, 4, 5, 4, 2))
     kernel = _rand(rng.derive("conv_k"), (3, 3, 3, 2, 3)) * 0.5
     bias = _rand(rng.derive("conv_b"), (3,)) * 0.1
     probe = rng.derive("conv_probe").normal((1, 4, 5, 4, 3))
 
-    def conv_out(xv, kv, bv):
-        return conv3d_forward(xv, Conv3dParams(kv, bv, stride=1, padding=1))
+    def conv(xv, kv=kernel, bv=bias, s=1):
+        return conv3d_forward(xv, Conv3dParams(kv, bv, stride=s, padding=1))
 
-    lg = conv_out(x, kernel, bias)
-    gx, gp = lg.backward(probe)
-    results.append(CheckResult(
-        "conv3d/input",
-        max_rel_err(gx, numeric_grad(lambda v: float((conv_out(v, kernel, bias).output * probe).sum()), x)),
-        1e-5,
-    ))
-    results.append(CheckResult(
-        "conv3d/kernel",
-        max_rel_err(gp["kernel"], numeric_grad(
-            lambda v: float((conv_out(x, v, bias).output * probe).sum()), kernel)),
-        1e-5,
-    ))
-    results.append(CheckResult(
-        "conv3d/bias",
-        max_rel_err(gp["bias"], numeric_grad(
-            lambda v: float((conv_out(x, kernel, v).output * probe).sum()), bias)),
-        1e-5,
-    ))
-
-    # strided conv
+    gx, gp = conv(x).backward(probe)
     xs = _rand(rng.derive("convs_x"), (1, 6, 6, 6, 2))
     probe_s = rng.derive("convs_probe").normal((1, 3, 3, 3, 3))
-    lg = conv3d_forward(xs, Conv3dParams(kernel, bias, stride=2, padding=1))
-    gx, gp = lg.backward(probe_s)
-    results.append(CheckResult(
-        "conv3d/strided_input",
-        max_rel_err(gx, numeric_grad(
-            lambda v: float((conv3d_forward(v, Conv3dParams(kernel, bias, stride=2, padding=1)).output * probe_s).sum()),
-            xs)),
-        1e-5,
-    ))
+    gxs, _ = conv(xs, s=2).backward(probe_s)
+    results = [
+        _probe_check("conv3d/input", gx, conv, x, probe),
+        _probe_check("conv3d/kernel", gp["kernel"], lambda v: conv(x, v), kernel, probe),
+        _probe_check("conv3d/bias", gp["bias"], lambda v: conv(x, kernel, v), bias, probe),
+        _probe_check("conv3d/strided_input", gxs, lambda v: conv(v, s=2), xs, probe_s),
+    ]
 
     # deconv3d
     xd = _rand(rng.derive("dec_x"), (1, 3, 3, 3, 3))
     kd = _rand(rng.derive("dec_k"), (3, 3, 3, 2, 3)) * 0.5
     bd = _rand(rng.derive("dec_b"), (2,)) * 0.1
 
-    def dec_out(xv, kv, bv):
-        return deconv3d_forward(
-            xv, Deconv3dParams(kv, bv, stride=2, padding=1, output_padding=1)
-        )
+    def dec(xv, kv=kd):
+        return deconv3d_forward(xv, Deconv3dParams(kv, bd, stride=2, padding=1, output_padding=1))
 
-    probe_d = rng.derive("dec_probe").normal(dec_out(xd, kd, bd).output.shape)
-    lg = dec_out(xd, kd, bd)
-    gx, gp = lg.backward(probe_d)
-    results.append(CheckResult(
-        "deconv3d/input",
-        max_rel_err(gx, numeric_grad(
-            lambda v: float((dec_out(v, kd, bd).output * probe_d).sum()), xd)),
-        1e-5,
-    ))
-    results.append(CheckResult(
-        "deconv3d/kernel",
-        max_rel_err(gp["kernel"], numeric_grad(
-            lambda v: float((dec_out(xd, v, bd).output * probe_d).sum()), kd)),
-        1e-5,
-    ))
+    probe_d = rng.derive("dec_probe").normal(dec(xd).output.shape)
+    gx, gp = dec(xd).backward(probe_d)
+    results.append(_probe_check("deconv3d/input", gx, dec, xd, probe_d))
+    results.append(_probe_check("deconv3d/kernel", gp["kernel"], lambda v: dec(xd, v), kd, probe_d))
+
+    # forward passes against the direct-loop oracles
+    for name, xv, layer, params, oracle in (
+        ("conv3d/oracle_stride1", x, conv3d_forward, Conv3dParams(kernel, bias, 1, 1),
+         conv3d_oracle),
+        ("conv3d/oracle_stride2", xs, conv3d_forward, Conv3dParams(kernel, bias, 2, 1),
+         conv3d_oracle),
+        ("deconv3d/oracle", xd, deconv3d_forward, Deconv3dParams(kd, bd, 2, 1, 1),
+         deconv3d_oracle),
+    ):
+        want = oracle(xv, params)
+        err = float(np.abs(layer(xv, params).output - want).max() / np.abs(want).max())
+        results.append(CheckResult(name, err, 1e-12))
 
     # dense
     xv = _rand(rng.derive("dense_x"), (3, 6))
     wv = _rand(rng.derive("dense_w"), (6, 4))
     bv = _rand(rng.derive("dense_b"), (4,))
     probe_f = rng.derive("dense_probe").normal((3, 4))
-    lg = dense(xv, DenseParams(wv, bv))
-    gx, gp = lg.backward(probe_f)
-    results.append(CheckResult(
-        "dense/input",
-        max_rel_err(gx, numeric_grad(
-            lambda v: float((dense(v, DenseParams(wv, bv)).output * probe_f).sum()), xv)),
-        1e-5,
-    ))
-    results.append(CheckResult(
-        "dense/weight",
-        max_rel_err(gp["weight"], numeric_grad(
-            lambda v: float((dense(xv, DenseParams(v, bv)).output * probe_f).sum()), wv)),
-        1e-5,
-    ))
+    gx, gp = dense(xv, DenseParams(wv, bv)).backward(probe_f)
+    results.append(_probe_check(
+        "dense/input", gx, lambda v: dense(v, DenseParams(wv, bv)), xv, probe_f))
+    results.append(_probe_check(
+        "dense/weight", gp["weight"], lambda v: dense(xv, DenseParams(v, bv)), wv, probe_f))
 
     # instance norm
     xn = _rand(rng.derive("in_x"), (2, 3, 4, 3, 2)) * 2.0
     gamma = _rand(rng.derive("in_g"), (2,)) + 1.5
     beta = _rand(rng.derive("in_b"), (2,))
     probe_n = rng.derive("in_probe").normal(xn.shape)
-    lg = instance_norm(xn, gamma, beta, 1e-5)
-    gx, gp = lg.backward(probe_n)
-    results.append(CheckResult(
-        "instance_norm/input",
-        max_rel_err(gx, numeric_grad(
-            lambda v: float((instance_norm(v, gamma, beta, 1e-5).output * probe_n).sum()), xn)),
-        1e-5,
-    ))
-    results.append(CheckResult(
-        "instance_norm/gamma",
-        max_rel_err(gp["gamma"], numeric_grad(
-            lambda v: float((instance_norm(xn, v, beta, 1e-5).output * probe_n).sum()), gamma)),
-        1e-5,
-    ))
+    gx, gp = instance_norm(xn, gamma, beta, 1e-5).backward(probe_n)
+    results.append(_probe_check(
+        "instance_norm/input", gx, lambda v: instance_norm(v, gamma, beta, 1e-5), xn, probe_n))
+    results.append(_probe_check(
+        "instance_norm/gamma", gp["gamma"], lambda v: instance_norm(xn, v, beta, 1e-5), gamma,
+        probe_n))
 
     # activations (relu probed away from its kink)
     xa = _away_from_kinks(_rand(rng.derive("act_x"), (1, 3, 3, 3, 4)))
     probe_a = rng.derive("act_probe").normal(xa.shape)
     for kind in ("relu", "sigmoid", "softmax_channel"):
         ga, _ = activation(xa, kind).backward(probe_a)
-        numeric = numeric_grad(
-            lambda v, k=kind: float((activation(v, k).output * probe_a).sum()), xa
-        )
-        results.append(CheckResult(f"activation/{kind}", max_rel_err(ga, numeric), 1e-5))
+        results.append(_probe_check(
+            f"activation/{kind}", ga, lambda v, k=kind: activation(v, k), xa, probe_a))
     return results
 
 
@@ -178,25 +145,15 @@ def check_se(seed: int = 0) -> list[CheckResult]:
         DenseParams(_rand(rng.derive("w2"), (c // m, c)), _rand(rng.derive("b2"), (c,)) * 0.1),
     )
     probe = rng.derive("probe").normal(u.shape)
-    lg = se_forward(u, p)
-    gu, gp = lg.backward(probe)
-    results = [CheckResult(
-        "se/input",
-        max_rel_err(gu, numeric_grad(
-            lambda v: float((se_forward(v, p).output * probe).sum()), u, refine=True)),
-        1e-5,
-    )]
+    gu, gp = se_forward(u, p).backward(probe)
+    results = [_probe_check("se/input", gu, lambda v: se_forward(v, p), u, probe, refine=True)]
     for pname, arr, setter in (
         ("fc1.weight", p.fc1.weight, lambda v: SeParams(m, DenseParams(v, p.fc1.bias), p.fc2)),
         ("fc2.weight", p.fc2.weight, lambda v: SeParams(m, p.fc1, DenseParams(v, p.fc2.bias))),
     ):
-        results.append(CheckResult(
-            f"se/{pname}",
-            max_rel_err(gp[pname], numeric_grad(
-                lambda v: float((se_forward(u, setter(v)).output * probe).sum()), arr,
-                refine=True)),
-            1e-5,
-        ))
+        results.append(_probe_check(
+            f"se/{pname}", gp[pname], lambda v, f=setter: se_forward(u, f(v)), arr, probe,
+            refine=True))
     return results
 
 
@@ -218,7 +175,6 @@ def _small_ag_params(rng: Rng, c: int, radius: int = 2, eps: float = 0.05) -> Ag
 
 def check_ag(seed: int = 0) -> list[CheckResult]:
     rng = Rng(seed).derive("ag")
-    results = []
 
     # full AG block gradient; guidance and filtered map share one grid
     c = 2
@@ -226,31 +182,20 @@ def check_ag(seed: int = 0) -> list[CheckResult]:
     o = _rand(rng.derive("o"), (1, 6, 6, 6, c))
     p = _small_ag_params(rng.derive("params"), c)
     probe = rng.derive("probe").normal(i.shape)
-    lg = ag_forward(i, o, p)
-    (gi, go), gp = lg.backward(probe)
-    results.append(CheckResult(
-        "ag/guidance_input",
-        max_rel_err(gi, numeric_grad(
-            lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True)),
-        1e-4,
-    ))
-    results.append(CheckResult(
-        "ag/filtered_input",
-        max_rel_err(go, numeric_grad(
-            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True)),
-        1e-4,
-    ))
+    (gi, go), gp = ag_forward(i, o, p).backward(probe)
 
     def with_gate_kernel(v):
         return AgParams(p.radius, p.eps, p.attn_o, p.attn_i, Conv3dParams(v, p.attn_gate.bias))
 
-    results.append(CheckResult(
-        "ag/attn_gate.kernel",
-        max_rel_err(gp["attn_gate.kernel"], numeric_grad(
-            lambda v: float((ag_forward(i, o, with_gate_kernel(v)).output * probe).sum()),
-            p.attn_gate.kernel, refine=True)),
-        1e-4,
-    ))
+    results = [
+        _probe_check("ag/guidance_input", gi, lambda v: ag_forward(v, o, p), i, probe,
+                     1e-4, refine=True),
+        _probe_check("ag/filtered_input", go, lambda v: ag_forward(i, v, p), o, probe,
+                     1e-4, refine=True),
+        _probe_check("ag/attn_gate.kernel", gp["attn_gate.kernel"],
+                     lambda v: ag_forward(i, o, with_gate_kernel(v)), p.attn_gate.kernel, probe,
+                     1e-4, refine=True),
+    ]
 
     # weighted fit against per-window normal equations
     il = _rand(rng.derive("fit_i"), (1, 6, 6, 6, 1))
@@ -372,6 +317,34 @@ def soft_dice_per_class(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) ->
     present = gg > 0.0
     denom = np.where(present, pp + gg + smooth, 1.0)
     return np.where(present, 2.0 * inter / denom, 0.0)
+
+
+def conv3d_oracle(x: np.ndarray, p: Conv3dParams) -> np.ndarray:
+    """Direct zero-padded strided cross-correlation, one output voxel and
+    kernel offset at a time: the oracle for conv3d_forward."""
+    (s0, s1, s2), k = p.stride, p.kernel.shape[:3]
+    out = [conv_output_extent(*v) for v in zip(x.shape[1:4], k, p.stride, p.padding)]
+    xp = np.pad(x, ((0, 0), *((pd, pd) for pd in p.padding), (0, 0)))
+    y = np.zeros((x.shape[0], *out, p.kernel.shape[4]))
+    for b, z, h, w in np.ndindex(*y.shape[:4]):
+        for a, bb, c in np.ndindex(*k):
+            y[b, z, h, w] += xp[b, z * s0 + a, h * s1 + bb, w * s2 + c] @ p.kernel[a, bb, c]
+    return y + p.bias
+
+
+def deconv3d_oracle(x: np.ndarray, p: Deconv3dParams) -> np.ndarray:
+    """Direct transposed convolution: every input voxel scattered through
+    every kernel offset, one at a time, with the padding cropped: the
+    oracle for deconv3d_forward."""
+    s, pad, k = p.stride, p.padding, p.kernel.shape[:3]
+    out = [deconv_output_extent(*v) for v in zip(x.shape[1:4], k, s, pad, p.output_padding)]
+    y = np.zeros((x.shape[0], *out, p.kernel.shape[3]))
+    for b, i, j, m in np.ndindex(*x.shape[:4]):
+        for a, bb, c in np.ndindex(*k):
+            z, h, w = i * s[0] + a - pad[0], j * s[1] + bb - pad[1], m * s[2] + c - pad[2]
+            if 0 <= z < out[0] and 0 <= h < out[1] and 0 <= w < out[2]:
+                y[b, z, h, w] += p.kernel[a, bb, c] @ x[b, i, j, m]
+    return y + p.bias
 
 
 def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:

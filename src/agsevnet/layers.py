@@ -11,16 +11,29 @@ Kernel layouts (channels last, matching the tensor axis order):
 The deconv layout is flipped on the channel axes so that a convolution
 and a transposed convolution sharing one kernel array are exact adjoint
 linear maps: <deconv_W(x), y> == <x, conv_W(y)>.
+
+Both run on one shift-GEMM kernel. The zero-padded input is split once
+into s0*s1*s2 phase grids (phase (r0, r1, r2) holds the padded voxels
+(r0 + s0*i, r1 + s1*j, r2 + s2*k)), each flattened with the batch into
+the rows of a (rows, channels) matrix. Kernel offset (a, b, c) reads
+phase (a%s0, b%s1, c%s2) at the constant row shift of (a//s0, b//s1,
+c//s2), so every stride is a stride-1 correlation: one product of a
+contiguous row block with the offset's channel matrix per offset, with
+no im2col copy. Conv forward and deconv input-gradient gather; conv
+input-gradient and deconv forward scatter (gather's adjoint); both
+kernel gradients are one `_kgrad`. Memory: the phase rows (one padded
+copy of the input) and the output on the phase row pitch, plus one
+product temporary.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .npyio import read_npy, write_npy
 from .rng import Rng
@@ -49,6 +62,14 @@ def _triple(v) -> tuple[int, int, int]:
     return t
 
 
+def _geometry(stride, padding):
+    """(stride, padding) as triples, strides >= 1 and paddings >= 0."""
+    s, p = _triple(stride), _triple(padding)
+    if min(s) < 1 or min(p) < 0:
+        raise ShapeError(f"stride {s} must be >= 1 and padding {p} >= 0 on every axis")
+    return s, p
+
+
 @dataclass
 class Conv3dParams:
     kernel: np.ndarray  # (kz, kh, kw, c_in, c_out)
@@ -57,8 +78,7 @@ class Conv3dParams:
     padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        self.stride = _triple(self.stride)
-        self.padding = _triple(self.padding)
+        self.stride, self.padding = _geometry(self.stride, self.padding)
         if self.kernel.ndim != 5:
             raise ShapeError(f"conv kernel must have 5 axes, got {self.kernel.shape}")
         if self.bias.shape != (self.kernel.shape[4],):
@@ -76,13 +96,12 @@ class Deconv3dParams:
     output_padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        self.stride = _triple(self.stride)
-        self.padding = _triple(self.padding)
+        self.stride, self.padding = _geometry(self.stride, self.padding)
         self.output_padding = _triple(self.output_padding)
         if self.kernel.ndim != 5:
             raise ShapeError(f"deconv kernel must have 5 axes, got {self.kernel.shape}")
         for op, s in zip(self.output_padding, self.stride):
-            if not 0 <= op < max(s, 1):
+            if not 0 <= op < s:
                 raise ShapeError(
                     f"output_padding {self.output_padding} must lie in [0, stride) per axis"
                 )
@@ -106,20 +125,84 @@ def deconv_output_extent(i: int, k: int, s: int, p: int, op: int) -> int:
     return s * (i - 1) + k - 2 * p + op
 
 
-def _sliding_view(xp: np.ndarray, k: tuple[int, int, int], s: tuple[int, int, int]):
-    """Read-only strided view (n, oz, oh, ow, kz, kh, kw, c) over padded input."""
-    n, zp, hp, wp, c = xp.shape
-    oz = (zp - k[0]) // s[0] + 1
-    oh = (hp - k[1]) // s[1] + 1
-    ow = (wp - k[2]) // s[2] + 1
-    sn, sz, sh, sw, sc = xp.strides
-    view = as_strided(
-        xp,
-        shape=(n, oz, oh, ow, k[0], k[1], k[2], c),
-        strides=(sn, sz * s[0], sh * s[1], sw * s[2], sz, sh, sw, sc),
-        writeable=False,
+class _Grid(NamedTuple):
+    """Shift-GEMM layout of one convolution. Output voxel (z, h, w) of batch
+    item j is phase row j*Zq*Hq*Wq + (z*Hq + h)*Wq + w; the rows between
+    output voxels are padding."""
+
+    n: int
+    ext: tuple  # unpadded input extent
+    out: tuple  # output extent
+    q: tuple  # phase grid extent (Zq, Hq, Wq)
+    stride: tuple
+    pad: tuple
+    taps: tuple  # (phase, row shift) per kernel offset, in kernel order
+    rows: int  # rows each shifted product covers: through the last output voxel
+
+
+def _grid(n: int, ext, k, s, pad) -> _Grid:
+    out = tuple(conv_output_extent(*v) for v in zip(ext, k, s, pad))
+    q = tuple(-(-(e + 2 * p) // st) for e, p, st in zip(ext, pad, s))
+    taps = tuple(
+        (((a % s[0]) * s[1] + b % s[1]) * s[2] + c % s[2],
+         ((a // s[0]) * q[1] + b // s[1]) * q[2] + c // s[2])
+        for a, b, c in np.ndindex(*k)
     )
-    return view, (oz, oh, ow)
+    last = ((out[0] - 1) * q[1] + out[1] - 1) * q[2] + out[2]
+    return _Grid(n, tuple(ext), out, q, s, pad, taps, (n - 1) * q[0] * q[1] * q[2] + last)
+
+
+def _split(x: np.ndarray, g: _Grid) -> np.ndarray:
+    """Zero-pad x and split it into phase rows, shape (s0*s1*s2, rows, c)."""
+    (q0, q1, q2), (s0, s1, s2), (p0, p1, p2) = g.q, g.stride, g.pad
+    xp = x
+    if (q0 * s0, q1 * s1, q2 * s2) != x.shape[1:4]:
+        xp = np.zeros((g.n, q0 * s0, q1 * s1, q2 * s2, x.shape[4]), dtype=DTYPE)
+        xp[:, p0 : p0 + g.ext[0], p1 : p1 + g.ext[1], p2 : p2 + g.ext[2]] = x
+    ph = xp.reshape(g.n, q0, s0, q1, s1, q2, s2, -1).transpose(2, 4, 6, 0, 1, 3, 5, 7)
+    return np.ascontiguousarray(ph).reshape(s0 * s1 * s2, -1, x.shape[4])
+
+
+def _pitch(y: np.ndarray, g: _Grid) -> np.ndarray:
+    """Output-shaped y on the phase row pitch, zero between output voxels."""
+    rows = np.zeros((g.n, *g.q, y.shape[4]), dtype=DTYPE)
+    rows[:, : g.out[0], : g.out[1], : g.out[2]] = y
+    return rows.reshape(-1, y.shape[4])
+
+
+def _gather(ph: np.ndarray, kernel: np.ndarray, g: _Grid) -> np.ndarray:
+    """Output-shaped correlation of the phases with a (kz, kh, kw, c_a, c_b)
+    kernel: row j sums ph[phase, j + shift] @ kernel[offset] over offsets."""
+    k = kernel.reshape(len(g.taps), *kernel.shape[3:])
+    rows = np.zeros((ph.shape[1], k.shape[2]), dtype=DTYPE)
+    acc = rows[: g.rows]
+    for kk, (r, d) in zip(k, g.taps):
+        acc += ph[r, d : d + g.rows] @ kk
+    y = rows.reshape(g.n, *g.q, -1)[:, : g.out[0], : g.out[1], : g.out[2]]
+    return np.ascontiguousarray(y)
+
+
+def _scatter(rows: np.ndarray, kernel: np.ndarray, g: _Grid) -> np.ndarray:
+    """Adjoint of _gather in its input, from pitch rows: every row j adds
+    rows[j] @ kernel[offset]^T to ph[phase, j + shift]; the phases are then
+    interleaved and the padding cropped."""
+    (q0, q1, q2), (s0, s1, s2), (p0, p1, p2) = g.q, g.stride, g.pad
+    # transposed once into C order: products with a C-order operand are faster
+    k = np.swapaxes(kernel.reshape(len(g.taps), *kernel.shape[3:]), 1, 2).copy()
+    ph = np.zeros((s0 * s1 * s2, rows.shape[0], k.shape[2]), dtype=DTYPE)
+    src = rows[: g.rows]
+    for kk, (r, d) in zip(k, g.taps):
+        ph[r, d : d + g.rows] += src @ kk
+    xp = ph.reshape(s0, s1, s2, g.n, q0, q1, q2, -1).transpose(3, 4, 0, 5, 1, 6, 2, 7)
+    xp = xp.reshape(g.n, q0 * s0, q1 * s1, q2 * s2, -1)
+    return np.ascontiguousarray(xp[:, p0 : p0 + g.ext[0], p1 : p1 + g.ext[1], p2 : p2 + g.ext[2]])
+
+
+def _kgrad(ph: np.ndarray, rows: np.ndarray, g: _Grid, shape) -> np.ndarray:
+    """Adjoint of _gather in its kernel: per offset, the sum over j of
+    ph[phase, j + shift]^T rows[j], with rows from _pitch."""
+    src = rows[: g.rows]
+    return np.stack([ph[r, d : d + g.rows].T @ src for r, d in g.taps]).reshape(shape)
 
 
 def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
@@ -132,42 +215,21 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
     kz, kh, kw, c_in, c_out = p.kernel.shape
     if x.shape[4] != c_in:
         raise ShapeError(f"conv: input has {x.shape[4]} channels, kernel expects {c_in}")
-    s, pad = p.stride, p.padding
-    for i_ext, k_ext, s_ext, p_ext in zip(x.shape[1:4], (kz, kh, kw), s, pad):
-        if conv_output_extent(i_ext, k_ext, s_ext, p_ext) < 1:
-            raise ShapeError(
-                f"conv: non-positive output extent for i={i_ext}, k={k_ext}, s={s_ext}, p={p_ext}"
-            )
-    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2]), (0, 0)))
-    view, (oz, oh, ow) = _sliding_view(xp, (kz, kh, kw), s)
-    y = np.tensordot(view, p.kernel, axes=([4, 5, 6, 7], [0, 1, 2, 3])) + p.bias
+    g = _grid(x.shape[0], x.shape[1:4], (kz, kh, kw), p.stride, p.padding)
+    if min(g.out) < 1:
+        raise ShapeError(f"conv: non-positive output extent {g.out} for input {g.ext}, "
+                         f"kernel {(kz, kh, kw)}, stride {p.stride}, padding {p.padding}")
+    ph = _split(x, g)
+    y = _gather(ph, p.kernel, g) + p.bias
 
     def backward(gy: np.ndarray):
         gy = np.asarray(gy, dtype=DTYPE)
         if gy.shape != y.shape:
             raise ShapeError(f"conv backward: gradient shape {gy.shape} != output {y.shape}")
-        gk = np.tensordot(view, gy, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-        gb = gy.sum(axis=(0, 1, 2, 3))
-        gxp = np.zeros_like(xp)
-        for a in range(kz):
-            for b in range(kh):
-                for c in range(kw):
-                    contrib = np.tensordot(gy, p.kernel[a, b, c], axes=([4], [1]))
-                    gxp[
-                        :,
-                        a : a + oz * s[0] : s[0],
-                        b : b + oh * s[1] : s[1],
-                        c : c + ow * s[2] : s[2],
-                        :,
-                    ] += contrib
-        gx = gxp[
-            :,
-            pad[0] : pad[0] + x.shape[1],
-            pad[1] : pad[1] + x.shape[2],
-            pad[2] : pad[2] + x.shape[3],
-            :,
-        ]
-        return np.ascontiguousarray(gx), {"kernel": gk, "bias": gb}
+        rows = _pitch(gy, g)
+        gx = _scatter(rows, p.kernel, g)
+        gk = _kgrad(ph, rows, g, p.kernel.shape)
+        return gx, {"kernel": gk, "bias": gy.sum(axis=(0, 1, 2, 3))}
 
     return LayerGrad(y, backward)
 
@@ -183,64 +245,26 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
     kz, kh, kw, c_out, c_in = p.kernel.shape
     if x.shape[4] != c_in:
         raise ShapeError(f"deconv: input has {x.shape[4]} channels, kernel expects {c_in}")
-    s, pad, opad = p.stride, p.padding, p.output_padding
-    iz, ih, iw = x.shape[1:4]
     out_ext = tuple(
         deconv_output_extent(i, k, st, pd, op)
-        for i, k, st, pd, op in zip((iz, ih, iw), (kz, kh, kw), s, pad, opad)
+        for i, k, st, pd, op in zip(x.shape[1:4], (kz, kh, kw), p.stride, p.padding,
+                                    p.output_padding)
     )
     if min(out_ext) < 1:
         raise ShapeError(f"deconv: non-positive output extent {out_ext}")
-    big = tuple(s[d] * ([iz, ih, iw][d] - 1) + (kz, kh, kw)[d] + opad[d] for d in range(3))
-    y_big = np.zeros((x.shape[0], *big, c_out), dtype=DTYPE)
-    for a in range(kz):
-        for b in range(kh):
-            for c in range(kw):
-                contrib = np.tensordot(x, p.kernel[a, b, c], axes=([4], [1]))
-                y_big[
-                    :,
-                    a : a + iz * s[0] : s[0],
-                    b : b + ih * s[1] : s[1],
-                    c : c + iw * s[2] : s[2],
-                    :,
-                ] += contrib
-    y = y_big[
-        :,
-        pad[0] : pad[0] + out_ext[0],
-        pad[1] : pad[1] + out_ext[1],
-        pad[2] : pad[2] + out_ext[2],
-        :,
-    ] + p.bias
-    y = np.ascontiguousarray(y)
+    # the grid of the conv this op is the adjoint of: its input is our output
+    g = _grid(x.shape[0], out_ext, (kz, kh, kw), p.stride, p.padding)
+    rows = _pitch(x, g)
+    y = _scatter(rows, p.kernel, g) + p.bias
 
     def backward(gy: np.ndarray):
         gy = np.asarray(gy, dtype=DTYPE)
         if gy.shape != y.shape:
             raise ShapeError(f"deconv backward: gradient shape {gy.shape} != output {y.shape}")
-        g_big = np.zeros_like(y_big)
-        g_big[
-            :,
-            pad[0] : pad[0] + out_ext[0],
-            pad[1] : pad[1] + out_ext[1],
-            pad[2] : pad[2] + out_ext[2],
-            :,
-        ] = gy
-        gx = np.zeros_like(x)
-        gk = np.zeros_like(p.kernel)
-        for a in range(kz):
-            for b in range(kh):
-                for c in range(kw):
-                    g_slice = g_big[
-                        :,
-                        a : a + iz * s[0] : s[0],
-                        b : b + ih * s[1] : s[1],
-                        c : c + iw * s[2] : s[2],
-                        :,
-                    ]
-                    gx += np.tensordot(g_slice, p.kernel[a, b, c], axes=([4], [0]))
-                    gk[a, b, c] = np.tensordot(g_slice, x, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-        gb = gy.sum(axis=(0, 1, 2, 3))
-        return gx, {"kernel": gk, "bias": gb}
+        ph = _split(gy, g)
+        gx = _gather(ph, p.kernel, g)
+        gk = _kgrad(ph, rows, g, p.kernel.shape)
+        return gx, {"kernel": gk, "bias": gy.sum(axis=(0, 1, 2, 3))}
 
     return LayerGrad(y, backward)
 
@@ -370,7 +394,7 @@ MANIFEST_NAME = "manifest.txt"
 
 def save_params(directory, params: dict[str, np.ndarray]) -> None:
     """Write each named array as <name>.npy plus a manifest listing
-    name, shape, and file per line. Reload is bit-exact.
+    name, shape, file and the file's SHA-256 per line. Reload is bit-exact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -380,7 +404,8 @@ def save_params(directory, params: dict[str, np.ndarray]) -> None:
         fname = name + ".npy"
         write_npy(directory / fname, arr)
         shape = "x".join(str(e) for e in arr.shape)
-        lines.append(f"name={name} shape={shape} file={fname}")
+        digest = hashlib.sha256((directory / fname).read_bytes()).hexdigest()
+        lines.append(f"name={name} shape={shape} file={fname} sha256={digest}")
     (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
 
 
@@ -395,7 +420,12 @@ def load_params(directory) -> dict[str, np.ndarray]:
         if not line or line.startswith("#"):
             continue
         fields = dict(tok.split("=", 1) for tok in line.split())
-        arr = read_npy(directory / fields["file"])
+        path = directory / fields["file"]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if digest != fields.get("sha256"):
+            raise ValueError(f"{path}: SHA-256 {digest} does not match the manifest's "
+                             f"{fields.get('sha256', '(none)')}")
+        arr = read_npy(path)
         expect = tuple(int(v) for v in fields["shape"].split("x") if v)
         if arr.shape != expect:
             raise ValueError(

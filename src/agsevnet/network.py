@@ -18,6 +18,7 @@ gradient and a gradient dict over those same names.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -418,16 +419,26 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
 def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
                     step: int, extra: dict[str, np.ndarray] | None = None) -> None:
     """Parameter directory + config text + step counter; reload resumes
-    bitwise-identically. `extra` carries optimizer state arrays.
+    bitwise-identically. `extra` carries optimizer state arrays. The files
+    go to a sibling `<name>.tmp` directory that then replaces `directory`,
+    so a save cut short leaves the previous checkpoint whole.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    tmp, old = (directory.with_name(directory.name + ext) for ext in (".tmp", ".old"))
+    for stale in (tmp, old):
+        if stale.exists():
+            shutil.rmtree(stale)
     blob = dict(params)
     for key, val in (extra or {}).items():
         blob[f"opt.{key}"] = val
-    save_params(directory, blob)
-    (directory / "config.txt").write_text(config_to_text(config))
-    (directory / "step.txt").write_text(f"{step}\n")
+    save_params(tmp, blob)
+    (tmp / "config.txt").write_text(config_to_text(config))
+    (tmp / "step.txt").write_text(f"{step}\n")
+    if directory.exists():
+        directory.rename(old)
+    tmp.rename(directory)
+    if old.exists():
+        shutil.rmtree(old)
 
 
 def load_checkpoint(directory):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agsevnet.checks import conv3d_oracle, deconv3d_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import (
     Conv3dParams,
@@ -25,32 +26,22 @@ def rand(seed, shape, scale=1.0):
     return Rng(seed).normal(shape, scale=scale)
 
 
-def conv_oracle(x, kernel, bias, stride, padding):
-    """Six-nested-loop direct convolution."""
-    n, z, h, w, cin = x.shape
-    kz, kh, kw, _, cout = kernel.shape
-    s, p = stride, padding
-    oz = (z + 2 * p - kz) // s + 1
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-    out = np.zeros((n, oz, oh, ow, cout))
-    for b in range(n):
-        for zo in range(oz):
-            for ho in range(oh):
-                for wo in range(ow):
-                    for co in range(cout):
-                        acc = 0.0
-                        for a in range(kz):
-                            for bb in range(kh):
-                                for c in range(kw):
-                                    for ci in range(cin):
-                                        acc += (
-                                            xp[b, zo * s + a, ho * s + bb, wo * s + c, ci]
-                                            * kernel[a, bb, c, ci, co]
-                                        )
-                        out[b, zo, ho, wo, co] = acc + bias[co]
-    return out
+def kernel_grad_loop(x, gy, kshape, stride, padding):
+    """Brute-force conv3d kernel gradient: for every output voxel and kernel
+    offset, the outer product of the input voxel it reads with gy there."""
+    xp = np.pad(x, ((0, 0), *((p, p) for p in padding), (0, 0)))
+    gk = np.zeros(kshape)
+    for b, z, h, w in np.ndindex(*gy.shape[:4]):
+        for a, bb, c in np.ndindex(*kshape[:3]):
+            v = xp[b, z * stride[0] + a, h * stride[1] + bb, w * stride[2] + c]
+            gk[a, bb, c] += np.outer(v, gy[b, z, h, w])
+    return gk
+
+
+def close(got, want):
+    """Within 1e-12 of the oracle relative to its largest entry; exact when
+    that is 0 (a gapped stride can skip a whole extent-1 input)."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestConv3d:
@@ -71,16 +62,18 @@ class TestConv3d:
         x = rand(3, (1, 5, 5, 5, 2))
         kernel = rand(4, (3, 3, 3, 2, 3), 0.5)
         bias = rand(5, (3,), 0.1)
-        got = conv3d_forward(x, Conv3dParams(kernel, bias)).output
-        want = conv_oracle(x, kernel, bias, 1, 0)
+        p = Conv3dParams(kernel, bias)
+        got = conv3d_forward(x, p).output
+        want = conv3d_oracle(x, p)
         assert np.abs(got - want).max() < 1e-12
 
     def test_strided_padded_matches_oracle(self):
         x = rand(6, (2, 6, 7, 6, 2))
         kernel = rand(7, (3, 3, 3, 2, 2), 0.5)
         bias = rand(8, (2,), 0.1)
-        got = conv3d_forward(x, Conv3dParams(kernel, bias, stride=2, padding=1)).output
-        want = conv_oracle(x, kernel, bias, 2, 1)
+        p = Conv3dParams(kernel, bias, stride=2, padding=1)
+        got = conv3d_forward(x, p).output
+        want = conv3d_oracle(x, p)
         assert np.abs(got - want).max() < 1e-12
 
     def test_channel_mismatch_rejected(self):
@@ -126,6 +119,85 @@ class TestConv3d:
         assert np.array_equal(gp1["kernel"], gp2["kernel"])
         gx_twice, _ = lg.backward(2.0 * gy)
         assert np.allclose(gx_twice, 2.0 * gx1, atol=1e-12)
+
+
+    @pytest.mark.parametrize("params", [Conv3dParams, Deconv3dParams])
+    @pytest.mark.parametrize("geometry", [
+        {"stride": 0}, {"stride": (1, 0, 2)}, {"stride": -1},
+        {"padding": -1}, {"padding": (0, -1, 0)},
+    ])
+    def test_stride_below_one_or_negative_padding_rejected(self, params, geometry):
+        # these used to fail deep in the kernel (ZeroDivisionError, a zero
+        # slice step) or, for a deconv with padding -1, return a wrong shape
+        with pytest.raises(ShapeError, match="stride .* padding"):
+            params(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), **geometry)
+
+
+# kernel x stride x padding; each case runs on the two (extent, batch) inputs
+# below, skipping an input where an output extent would be < 1. The extents
+# hold 1, odd and even values; strides 3, (2, 1, 3) and 2 with 1^3 kernels
+# leave gaps (s > k).
+KERNELS = [(1, 1, 1), (3, 3, 3), (3, 1, 2)]
+STRIDES = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 1, 3)]
+INPUTS = [((1, 4, 5), 2), ((5, 6, 3), 1)]
+
+
+def _dims(t):
+    return "x".join(map(str, t))
+
+
+class TestShiftGemmOracles:
+    """conv3d and deconv3d forward, input gradient and kernel gradient
+    against the direct-loop oracles over a grid of shapes (c_in 2, c_out 3).
+    The input gradient of each op is the other op's forward with the same
+    kernel, so each oracle also checks the other op's backward."""
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", STRIDES, ids=_dims)
+    @pytest.mark.parametrize("k", KERNELS, ids=_dims)
+    def test_conv_matches_oracles(self, k, stride, pad):
+        rng = Rng(50).derive(*k, *stride, pad)
+        kernel = rng.normal((*k, 2, 3))
+        bias = rng.normal((3,))
+        for ext, n in INPUTS:
+            if min(conv_output_extent(*v) for v in zip(ext, k, stride, (pad,) * 3)) < 1:
+                continue
+            x = rng.normal((n, *ext, 2))
+            p = Conv3dParams(kernel, bias, stride, pad)
+            lg = conv3d_forward(x, p)
+            assert close(lg.output, conv3d_oracle(x, p))
+            gy = rng.normal(lg.output.shape)
+            gx, gp = lg.backward(gy)
+            # conv input gradient = deconv of gy with the output padding
+            # that restores the input extent
+            op = tuple((e + 2 * pad - kk) % s for e, kk, s in zip(ext, k, stride))
+            adjoint = Deconv3dParams(kernel, np.zeros(2), stride, pad, op)
+            assert close(gx, deconv3d_oracle(gy, adjoint))
+            want_k = kernel_grad_loop(x, gy, kernel.shape, stride, (pad,) * 3)
+            assert close(gp["kernel"], want_k)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", STRIDES, ids=_dims)
+    @pytest.mark.parametrize("k", KERNELS, ids=_dims)
+    def test_deconv_matches_oracles(self, k, stride, pad):
+        rng = Rng(51).derive(*k, *stride, pad)
+        kernel = rng.normal((*k, 3, 2))
+        bias = rng.normal((3,))
+        for ext, n in INPUTS:
+            x = rng.normal((n, *ext, 2))
+            for op in np.ndindex(*stride):  # every valid output_padding
+                out = [deconv_output_extent(*v) for v in zip(ext, k, stride, (pad,) * 3, op)]
+                if min(out) < 1:
+                    continue
+                p = Deconv3dParams(kernel, bias, stride, pad, op)
+                lg = deconv3d_forward(x, p)
+                assert close(lg.output, deconv3d_oracle(x, p))
+                gy = rng.normal(lg.output.shape)
+                gx, gp = lg.backward(gy)
+                adjoint = Conv3dParams(kernel, np.zeros(2), stride, pad)
+                assert close(gx, conv3d_oracle(gy, adjoint))
+                want_k = kernel_grad_loop(gy, x, kernel.shape, stride, (pad,) * 3)
+                assert close(gp["kernel"], want_k)
 
 
 class TestSizeArithmetic:

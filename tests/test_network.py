@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import agsevnet.layers as layers
 import agsevnet.network as network
 from agsevnet.losses import ClassWeights, dice_loss
 from agsevnet.network import (
@@ -230,3 +231,39 @@ class TestCheckpoint:
         for k in params:
             assert params[k].tobytes() == p2[k].tobytes()
         assert extra2["m.head.kernel"].tobytes() == extra["m.head.kernel"].tobytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        first, second = build(cfg, Rng(19)), build(cfg, Rng(20))
+        save_checkpoint(tmp_path / "ck", first, cfg, 4)
+        real_write, written = layers.write_npy, []
+
+        def failing_write(path, arr):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(path)
+            real_write(path, arr)
+
+        monkeypatch.setattr(layers, "write_npy", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "ck", second, cfg, 8)
+        params, _, step, _ = load_checkpoint(tmp_path / "ck")
+        assert step == 4
+        assert all(params[k].tobytes() == first[k].tobytes() for k in first)
+        # the next save replaces the partial one
+        monkeypatch.setattr(layers, "write_npy", real_write)
+        save_checkpoint(tmp_path / "ck", second, cfg, 8)
+        params, _, step, _ = load_checkpoint(tmp_path / "ck")
+        assert step == 8
+        assert all(params[k].tobytes() == second[k].tobytes() for k in second)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_flipped_byte_names_the_file(self, tmp_path):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ck", build(cfg, Rng(21)), cfg, 1)
+        target = tmp_path / "ck" / "head.kernel.npy"
+        data = bytearray(target.read_bytes())
+        data[-3] ^= 0x01  # a mantissa bit: still a valid .npy of the right shape
+        target.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="head.kernel.npy.*SHA-256"):
+            load_checkpoint(tmp_path / "ck")

@@ -16,7 +16,7 @@ reduces the fit exactly to the classical unweighted guided filter with
 slope cov/(var + eps).
 
 Window sums use clipped cubic windows (side 2r+1, in-volume voxels
-only), computed in O(voxels) by three axis-wise running-sum passes.
+only), computed by one band-matrix GEMM per axis (see box_sum).
 """
 
 from __future__ import annotations
@@ -59,33 +59,26 @@ class AgCoefficients(NamedTuple):
 # ---------------------------------------------------------------------------
 # windowed sums
 
-def _box_axis(x: np.ndarray, axis: int, r: int) -> np.ndarray:
-    n = x.shape[axis]
-    c = np.cumsum(x, axis=axis)
-    hi_idx = np.minimum(np.arange(n) + r, n - 1)
-    hi = np.take(c, hi_idx, axis=axis)
-    lo_idx = np.arange(n) - r - 1
-    lo = np.take(c, np.maximum(lo_idx, 0), axis=axis)
-    shape = [1] * x.ndim
-    shape[axis] = n
-    valid = (lo_idx >= 0).reshape(shape)
-    return hi - np.where(valid, lo, 0.0)
-
-
 def box_sum(x: np.ndarray, r: int) -> np.ndarray:
     """Sum of each cubic window of radius r, clipped at the volume border.
 
     out[v] = sum of x over {u : |u - v|_inf <= r} intersected with the
-    volume, per batch item and channel. Self-adjoint as a linear map
-    (the window relation is symmetric), which the fit backward relies on.
+    volume, per batch item and channel. One GEMM per axis of extent m
+    with the 0/1 band Band[u, v] = (|u - v| <= r), whose finite size
+    clips at the border: 2*(z+h+w) flops per element and no prefix sums,
+    so no cancellation; at the network's extents (at most 32) that beats
+    five running-sum passes per axis. Band is symmetric, so the map is
+    self-adjoint, which the fit backward relies on.
     """
     x = as_tensor5(x, "box_sum input")
     if r < 1:
         raise ValueError(f"box_sum radius must be >= 1, got {r}")
-    y = x
-    for axis in (1, 2, 3):
-        y = _box_axis(y, axis, r)
-    return y
+    n, z, h, w, c = x.shape
+    for lead, m, trail in ((n, z, h * w * c), (n * z, h, w * c), (n * z * h, w, c)):
+        v = np.arange(m)
+        band = (np.abs(v[:, None] - v) <= r).astype(DTYPE)
+        x = band @ x.reshape(lead, m, trail)
+    return x.reshape(n, z, h, w, c)
 
 
 def window_counts(spatial: tuple[int, int, int], r: int) -> np.ndarray:

@@ -31,6 +31,8 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def cmd_phantom_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(args.seed)
@@ -72,6 +74,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     failures = 0
     for seed in range(args.seeds):
         results = run_checks(args.scope, seed=args.seed + seed)

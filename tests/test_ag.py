@@ -78,6 +78,46 @@ class TestBoxSum:
         with pytest.raises(ValueError):
             box_sum(np.ones((1, 2, 2, 2, 1)), 0)
 
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("spatial", [(1, 5, 7), (6, 4, 5)])
+    def test_oracle_grid(self, spatial, c):
+        # radius 1, the network's effective radius, half the largest
+        # extent, and a window that covers the whole volume
+        radii = {1, effective_radius(16, spatial), max(spatial) // 2, max(spatial)}
+        ints = Rng(5).integers(-50, 50, (2, *spatial, c)).astype(float)
+        floats = rand(6, (2, *spatial, c))
+        for r in sorted(radii):
+            assert np.array_equal(box_sum(ints, r), box_sum_oracle(ints, r))
+            assert np.abs(box_sum(floats, r) - box_sum_oracle(floats, r)).max() < 1e-12
+
+    def test_non_contiguous_view(self):
+        base = rand(7, (2, 9, 5, 12, 4))
+        view = base[:, ::2, :, ::-3, 1:]
+        assert not view.flags.c_contiguous
+        out = box_sum(view, 2)
+        assert np.array_equal(out, box_sum(np.ascontiguousarray(view), 2))
+        assert np.abs(out - box_sum_oracle(np.ascontiguousarray(view), 2)).max() < 1e-12
+
+    def test_network_geometry_matches_oracle(self):
+        x = rand(8, (1, 16, 16, 16, 1))
+        assert np.abs(box_sum(x, 8) - box_sum_oracle(x, 8)).max() < 1e-12
+
+    def test_operator_matrix_symmetric_at_half_extent(self):
+        # box sums of the unit volumes are the operator's columns
+        spatial = (6, 4, 5)
+        voxels = 6 * 4 * 5
+        basis = np.eye(voxels).reshape(voxels, *spatial, 1)
+        m = box_sum(basis, 3).reshape(voxels, voxels)
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_window_counts_closed_form(self, n):
+        r = n // 2  # the acceptance network's AG geometries
+        v = np.arange(n)
+        per_axis = np.minimum(v + r, n - 1) - np.maximum(v - r, 0) + 1
+        expected = per_axis[:, None, None] * per_axis[None, :, None] * per_axis[None, None, :]
+        assert np.array_equal(window_counts((n, n, n), r), expected[None, ..., None].astype(float))
+
 
 class TestAttentionMap:
     def test_zero_weights_give_half(self):

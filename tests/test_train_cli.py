@@ -362,3 +362,13 @@ class TestCli:
     def test_bad_inputs_exit_one(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
         assert main(["phantom-gen", "-n", "1", "--shape", "8", "--out", str(tmp_path / "p")]) == 1
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_counts_exit_one(self, tmp_path, capsys, count):
+        out = tmp_path / "p"
+        assert main(["phantom-gen", "-n", str(count), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["gradcheck", "--scope", "loss", "--seeds", str(count)]) == 1
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out and "wrote" not in captured.out
+        assert "--count must be >= 1" in captured.err and "--seeds must be >= 1" in captured.err

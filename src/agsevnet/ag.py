@@ -66,9 +66,8 @@ def box_sum(x: np.ndarray, r: int) -> np.ndarray:
     volume, per batch item and channel. One GEMM per axis of extent m
     with the 0/1 band Band[u, v] = (|u - v| <= r), whose finite size
     clips at the border: 2*(z+h+w) flops per element and no prefix sums,
-    so no cancellation; at the network's extents (at most 32) that beats
-    five running-sum passes per axis. Band is symmetric, so the map is
-    self-adjoint, which the fit backward relies on.
+    so no cancellation. Band is symmetric, so the map is self-adjoint,
+    which the fit backward relies on.
     """
     x = as_tensor5(x, "box_sum input")
     if r < 1:

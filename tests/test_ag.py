@@ -46,6 +46,17 @@ def zero_attention_params(c, radius=2, eps=0.01):
     return AgParams(radius, eps, conv1(c, c), conv1(c, c), conv1(c, 1))
 
 
+# box_sum oracle grid: anisotropic extents (one with an extent-1 axis),
+# batch 2, one and three channels; radius 1, the network's effective
+# radius, half and all of the largest extent
+BOX_GRID = [
+    ((2, *spatial, c), r)
+    for spatial in [(1, 5, 7), (6, 4, 5)]
+    for c in (1, 3)
+    for r in sorted({1, effective_radius(16, spatial), max(spatial) // 2, max(spatial)})
+]
+
+
 class TestBoxSum:
     def test_ones_counts(self):
         ones = np.ones((1, 5, 5, 5, 1))
@@ -61,34 +72,32 @@ class TestBoxSum:
         assert np.abs(out - total).max() < 1e-12
 
     def test_matches_naive_oracle(self):
-        x = rand(1, (1, 7, 7, 7, 1))
-        assert np.abs(box_sum(x, 2) - box_sum_oracle(x, 2)).max() < 1e-12
+        # plus the network's 16^3 single-channel geometry at r = 8
+        cases = [((1, 7, 7, 7, 1), 2), ((1, 16, 16, 16, 1), 8), *BOX_GRID]
+        for k, (shape, r) in enumerate(cases):
+            x = rand(1 + k, shape)
+            assert np.abs(box_sum(x, r) - box_sum_oracle(x, r)).max() < 1e-12, (shape, r)
 
     def test_integer_inputs_exact(self):
-        x = Rng(2).integers(-50, 50, (2, 6, 5, 7, 2)).astype(float)
-        for r in (1, 2, 3):
-            assert np.array_equal(box_sum(x, r), box_sum_oracle(x, r))
+        cases = [((2, 6, 5, 7, 2), r) for r in (1, 2, 3)] + BOX_GRID
+        for shape, r in cases:
+            x = Rng(2).integers(-50, 50, shape).astype(float)
+            assert np.array_equal(box_sum(x, r), box_sum_oracle(x, r)), (shape, r)
 
     def test_self_adjoint(self):
         x = rand(3, (1, 5, 6, 4, 1))
         y = rand(4, (1, 5, 6, 4, 1))
         assert (box_sum(x, 2) * y).sum() == pytest.approx((x * box_sum(y, 2)).sum(), rel=1e-12)
+        # exactly, at r = n/2: the box sums of the unit volumes are the
+        # columns of the operator's matrix
+        voxels = 6 * 4 * 5
+        basis = np.eye(voxels).reshape(voxels, 6, 4, 5, 1)
+        m = box_sum(basis, 3).reshape(voxels, voxels)
+        assert np.array_equal(m, m.T)
 
     def test_radius_validated(self):
         with pytest.raises(ValueError):
             box_sum(np.ones((1, 2, 2, 2, 1)), 0)
-
-    @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("spatial", [(1, 5, 7), (6, 4, 5)])
-    def test_oracle_grid(self, spatial, c):
-        # radius 1, the network's effective radius, half the largest
-        # extent, and a window that covers the whole volume
-        radii = {1, effective_radius(16, spatial), max(spatial) // 2, max(spatial)}
-        ints = Rng(5).integers(-50, 50, (2, *spatial, c)).astype(float)
-        floats = rand(6, (2, *spatial, c))
-        for r in sorted(radii):
-            assert np.array_equal(box_sum(ints, r), box_sum_oracle(ints, r))
-            assert np.abs(box_sum(floats, r) - box_sum_oracle(floats, r)).max() < 1e-12
 
     def test_non_contiguous_view(self):
         base = rand(7, (2, 9, 5, 12, 4))
@@ -97,18 +106,6 @@ class TestBoxSum:
         out = box_sum(view, 2)
         assert np.array_equal(out, box_sum(np.ascontiguousarray(view), 2))
         assert np.abs(out - box_sum_oracle(np.ascontiguousarray(view), 2)).max() < 1e-12
-
-    def test_network_geometry_matches_oracle(self):
-        x = rand(8, (1, 16, 16, 16, 1))
-        assert np.abs(box_sum(x, 8) - box_sum_oracle(x, 8)).max() < 1e-12
-
-    def test_operator_matrix_symmetric_at_half_extent(self):
-        # box sums of the unit volumes are the operator's columns
-        spatial = (6, 4, 5)
-        voxels = 6 * 4 * 5
-        basis = np.eye(voxels).reshape(voxels, *spatial, 1)
-        m = box_sum(basis, 3).reshape(voxels, voxels)
-        assert np.array_equal(m, m.T)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_window_counts_closed_form(self, n):

@@ -372,18 +372,9 @@ def dense(x: np.ndarray, p: DenseParams) -> LayerGrad:
 # ---------------------------------------------------------------------------
 # initialization
 
-def he_conv_kernel(rng: Rng, kz: int, kh: int, kw: int, c_in: int, c_out: int) -> np.ndarray:
-    fan_in = kz * kh * kw * c_in
-    return rng.normal((kz, kh, kw, c_in, c_out), scale=np.sqrt(2.0 / fan_in))
-
-
-def he_deconv_kernel(rng: Rng, kz: int, kh: int, kw: int, c_out: int, c_in: int) -> np.ndarray:
-    fan_in = kz * kh * kw * c_in
-    return rng.normal((kz, kh, kw, c_out, c_in), scale=np.sqrt(2.0 / fan_in))
-
-
-def he_dense_weight(rng: Rng, c_in: int, c_out: int) -> np.ndarray:
-    return rng.normal((c_in, c_out), scale=np.sqrt(2.0 / c_in))
+def he_normal(rng: Rng, shape, fan_in: int) -> np.ndarray:
+    """He init: zero-mean normal draws with variance 2 / fan_in."""
+    return rng.normal(shape, scale=np.sqrt(2.0 / fan_in))
 
 
 # ---------------------------------------------------------------------------

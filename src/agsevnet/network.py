@@ -1,15 +1,17 @@
 """Full volumetric segmentation network.
 
 Five encoder stages with squeeze-excite channel gating and four decoder
-stages with attention-guided-filter skip fusion. Each encoder stage is
-a stack of 3x3x3 convolutions (instance norm, ReLU, dropout, residual
-adds between same-shape neighbors), an SE block, and, for the first
-four stages, a stride-2 convolution that halves resolution and doubles
-width. Each decoder stage deconvolves the deeper feature back up
-(doubling resolution, halving width), fuses it with the matching
-encoder skip through the AG filter, and refines with a conv stack. The
-head is a 1x1x1 convolution to 4 class channels followed by a softmax
-over channels.
+stages with attention-guided-filter skip fusion, assembled as one
+recursive level: `_level(x, e)` runs stage e's stack of 3x3x3 convs and
+its SE block; at the bottleneck (e = 5) it stops there. Otherwise it
+runs a stride-2 conv that halves resolution and doubles width, recurses
+into e + 1, deconvolves the result back to e's grid (`dec{5-e}.up`:
+doubling resolution, halving width), fuses it with e's SE output (the
+skip) through the AG filter, and refines with a decoder conv stack.
+Every conv or deconv is followed by the same `_unit`: instance norm,
+ReLU, dropout and a residual add when shapes agree (only the stacks'
+same-shape convs). The head is a 1x1x1 convolution to 4 class channels
+followed by a softmax over channels.
 
 All parameters live in one flat, deterministically ordered name -> array
 dict; `forward` returns a LayerGrad whose backward produces the input
@@ -28,14 +30,13 @@ from .ag import AgParams, ag_forward
 from .layers import (
     Conv3dParams,
     Deconv3dParams,
+    DenseParams,
     LayerGrad,
     activation,
     conv3d_forward,
     deconv3d_forward,
     dropout,
-    he_conv_kernel,
-    he_deconv_kernel,
-    he_dense_weight,
+    he_normal,
     instance_norm,
     load_params,
     save_params,
@@ -75,6 +76,8 @@ class NetConfig:
             raise ValueError(f"base_width must be >= 1, got {self.base_width}")
         if self.depths not in (2, 3):
             raise ValueError(f"depths must be 2 or 3, got {self.depths}")
+        if len(self.patch_shape) != 3:
+            raise ValueError(f"patch_shape must have 3 extents z,h,w, got {self.patch_shape}")
         if any(e % (2 ** HALVINGS) != 0 for e in self.patch_shape):
             raise ValueError(
                 f"patch extents must be divisible by {2 ** HALVINGS}, got {self.patch_shape}"
@@ -130,41 +133,31 @@ def config_from_text(text: str) -> NetConfig:
 # ---------------------------------------------------------------------------
 # parameter construction
 
-def _add_conv(params, rng, name, k, c_in, c_out, with_norm=True):
-    sub = rng.derive(name)
-    params[f"{name}.kernel"] = he_conv_kernel(sub, k, k, k, c_in, c_out)
+def _add_conv(params, rng, name, k, c_in, c_out, with_norm=True, transposed=False):
+    shape = (k, k, k, c_out, c_in) if transposed else (k, k, k, c_in, c_out)
+    params[f"{name}.kernel"] = he_normal(rng.derive(name), shape, k ** 3 * c_in)
     params[f"{name}.bias"] = np.zeros(c_out, dtype=DTYPE)
     if with_norm:
         params[f"{name}.gamma"] = np.ones(c_out, dtype=DTYPE)
         params[f"{name}.beta"] = np.zeros(c_out, dtype=DTYPE)
 
 
-def _add_deconv(params, rng, name, k, c_in, c_out):
-    sub = rng.derive(name)
-    params[f"{name}.kernel"] = he_deconv_kernel(sub, k, k, k, c_out, c_in)
-    params[f"{name}.bias"] = np.zeros(c_out, dtype=DTYPE)
-    params[f"{name}.gamma"] = np.ones(c_out, dtype=DTYPE)
-    params[f"{name}.beta"] = np.zeros(c_out, dtype=DTYPE)
-
-
 def _add_se(params, rng, name, channels, reduction):
     m = effective_reduction(channels, reduction)
     hidden = channels // m
     sub = rng.derive(name)
-    params[f"{name}.fc1.weight"] = he_dense_weight(sub.derive("fc1"), channels, hidden)
+    params[f"{name}.fc1.weight"] = he_normal(sub.derive("fc1"), (channels, hidden), channels)
     params[f"{name}.fc1.bias"] = np.zeros(hidden, dtype=DTYPE)
-    params[f"{name}.fc2.weight"] = he_dense_weight(sub.derive("fc2"), hidden, channels)
+    params[f"{name}.fc2.weight"] = he_normal(sub.derive("fc2"), (hidden, channels), hidden)
     params[f"{name}.fc2.bias"] = np.zeros(channels, dtype=DTYPE)
 
 
 def _add_ag(params, rng, name, channels):
     sub = rng.derive(name)
-    for part, (c_in, c_out) in (
-        ("attn_o", (channels, channels)),
-        ("attn_i", (channels, channels)),
-        ("attn_gate", (channels, 1)),
-    ):
-        params[f"{name}.{part}.kernel"] = he_conv_kernel(sub.derive(part), 1, 1, 1, c_in, c_out)
+    for part, c_out in (("attn_o", channels), ("attn_i", channels), ("attn_gate", 1)):
+        params[f"{name}.{part}.kernel"] = he_normal(
+            sub.derive(part), (1, 1, 1, channels, c_out), channels
+        )
         params[f"{name}.{part}.bias"] = np.zeros(c_out, dtype=DTYPE)
 
 
@@ -183,7 +176,7 @@ def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
     for d in range(1, HALVINGS + 1):
         e = STAGES - d  # encoder stage whose skip this decoder consumes
         w = config.width(e)
-        _add_deconv(params, rng, f"dec{d}.up", 3, config.width(e + 1), w)
+        _add_conv(params, rng, f"dec{d}.up", 3, config.width(e + 1), w, transposed=True)
         _add_ag(params, rng, f"dec{d}.ag", w)
         for j in range(config.depths):
             _add_conv(params, rng, f"dec{d}.conv{j}", 3, w, w)
@@ -191,17 +184,14 @@ def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
     return params
 
 
-def _conv_params(params, name, stride=1, padding=None, k=3):
-    if padding is None:
-        padding = (k - 1) // 2
+def _conv_params(params, name, stride=1):
+    kernel = params[f"{name}.kernel"]
     return Conv3dParams(
-        params[f"{name}.kernel"], params[f"{name}.bias"], stride=stride, padding=padding
+        kernel, params[f"{name}.bias"], stride=stride, padding=(kernel.shape[0] - 1) // 2
     )
 
 
 def _se_params(params, name, reduction) -> SeParams:
-    from .layers import DenseParams
-
     return SeParams(
         reduction,
         DenseParams(params[f"{name}.fc1.weight"], params[f"{name}.fc1.bias"]),
@@ -210,29 +200,29 @@ def _se_params(params, name, reduction) -> SeParams:
 
 
 def _ag_params(params, name, config: NetConfig) -> AgParams:
-    def conv1(part):
-        return Conv3dParams(params[f"{name}.{part}.kernel"], params[f"{name}.{part}.bias"])
-
     return AgParams(
         radius=config.ag_radius,
         eps=config.ag_eps,
-        attn_o=conv1("attn_o"),
-        attn_i=conv1("attn_i"),
-        attn_gate=conv1("attn_gate"),
+        attn_o=_conv_params(params, f"{name}.attn_o"),
+        attn_i=_conv_params(params, f"{name}.attn_i"),
+        attn_gate=_conv_params(params, f"{name}.attn_gate"),
     )
-
-
-def _merge(total: dict, part: dict, prefix: str = ""):
-    for key, val in part.items():
-        name = prefix + key
-        if name in total:
-            total[name] = total[name] + val
-        else:
-            total[name] = val
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
+#
+# Inner backward closures take the `grads` dict of the current
+# `backward` call, record their parameter gradients in it and return
+# only the input gradient.
+
+def _record(grads, prefix, result):
+    """Store a layer's (g, part) parameter gradients under `prefix`; return g."""
+    g, part = result
+    for key, val in part.items():
+        grads[f"{prefix}.{key}"] = val
+    return g
+
 
 def _norm(x, params, name):
     """Instance norm, bypassed on single-voxel grids.
@@ -251,51 +241,78 @@ def _norm(x, params, name):
     return instance_norm(x, params[f"{name}.gamma"], params[f"{name}.beta"], IN_EPS)
 
 
-def _conv_unit(x, params, name, drop_rate, training, rng, stride=1):
-    """conv -> instance norm -> relu -> dropout, plus a residual add when
-    the shapes agree. Returns (y, backward) with backward(gy) -> (gx, grads).
+def _unit(x, lg, params, name, drop_rate, training, rng):
+    """Instance norm -> relu -> dropout on `lg`, the conv or deconv of x,
+    plus a residual add of x when the shapes agree.
     """
-    lg_c = conv3d_forward(x, _conv_params(params, name, stride=stride))
-    lg_n = _norm(lg_c.output, params, name)
+    lg_n = _norm(lg.output, params, name)
     lg_r = activation(lg_n.output, "relu")
     lg_d = dropout(lg_r.output, drop_rate, rng, training)
     residual = lg_d.output.shape == x.shape
     y = lg_d.output + x if residual else lg_d.output
 
-    def backward(gy):
-        gd, _ = lg_d.backward(gy)
-        gr, _ = lg_r.backward(gd)
-        gn, ng = lg_n.backward(gr)
-        gx, cg = lg_c.backward(gn)
-        if residual:
-            gx = gx + gy
-        grads = {
-            f"{name}.kernel": cg["kernel"],
-            f"{name}.bias": cg["bias"],
-            f"{name}.gamma": ng["gamma"],
-            f"{name}.beta": ng["beta"],
-        }
-        return gx, grads
+    def backward(gy, grads):
+        g, _ = lg_d.backward(gy)
+        g, _ = lg_r.backward(g)
+        g = _record(grads, name, lg_n.backward(g))
+        gx = _record(grads, name, lg.backward(g))
+        return gx + gy if residual else gx
 
     return y, backward
 
 
-def _conv_stack(x, params, prefix, depths, drop_rate, training, rng):
+def _stack(x, params, prefix, depths, drop_rate, training, rng):
     backs = []
-    y = x
     for j in range(depths):
-        y, bwd = _conv_unit(
-            y, params, f"{prefix}.conv{j}", drop_rate, training, rng.derive(prefix, j)
-        )
+        name = f"{prefix}.conv{j}"
+        lg = conv3d_forward(x, _conv_params(params, name))
+        x, bwd = _unit(x, lg, params, name, drop_rate, training, rng.derive(prefix, j))
         backs.append(bwd)
 
-    def backward(gy):
-        grads: dict[str, np.ndarray] = {}
-        g = gy
+    def backward(gy, grads):
         for bwd in reversed(backs):
-            g, part = bwd(g)
-            _merge(grads, part)
-        return g, grads
+            gy = bwd(gy, grads)
+        return gy
+
+    return x, backward
+
+
+def _level(x, params, config: NetConfig, e, drop, training, rng):
+    """Stage e and every stage below it, returned on stage e's grid.
+
+    Runs stage e's conv stack and SE block. Above the bottleneck it then
+    runs the stride-2 down unit, the level below, the `dec{5-e}` up unit,
+    the AG fusion with this stage's skip and the decoder stack.
+    """
+    y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, training, rng.derive("enc", e))
+    lg_se = se_forward(y, _se_params(params, f"enc{e}.se", config.se_reduction))
+    skip = lg_se.output
+    if e == STAGES:
+        def bottom_backward(gy, grads):
+            return enc_bwd(_record(grads, f"enc{e}.se", lg_se.backward(gy)), grads)
+
+        return skip, bottom_backward
+
+    down = f"enc{e}.down"
+    lg_down = conv3d_forward(skip, _conv_params(params, down, stride=2))
+    y, down_bwd = _unit(skip, lg_down, params, down, 0.0, training, rng.derive("down", e))
+    y, inner_bwd = _level(y, params, config, e + 1, drop, training, rng)
+    name = f"dec{STAGES - e}"
+    lg_up = deconv3d_forward(y, Deconv3dParams(
+        params[f"{name}.up.kernel"], params[f"{name}.up.bias"],
+        stride=2, padding=1, output_padding=1,
+    ))
+    y, up_bwd = _unit(y, lg_up, params, f"{name}.up", 0.0, training, rng)  # rate 0 draws nothing
+    lg_ag = ag_forward(skip, y, _ag_params(params, f"{name}.ag", config))
+    y, dec_bwd = _stack(
+        lg_ag.output, params, name, config.depths, drop, training, rng.derive("dec", STAGES - e)
+    )
+
+    def backward(gy, grads):
+        gi, go = _record(grads, f"{name}.ag", lg_ag.backward(dec_bwd(gy, grads)))
+        g = down_bwd(inner_bwd(up_bwd(go, grads), grads), grads)
+        g = _record(grads, f"enc{e}.se", lg_se.backward(g + gi))  # the skip's two gradients meet
+        return enc_bwd(g, grads)
 
     return y, backward
 
@@ -320,84 +337,15 @@ def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
         rng = Rng(0)
     drop = config.dropout if training else 0.0
 
-    skips = {}
-    skip_backs = {}
-    down_backs = {}
-    y = x
-    for e in range(1, STAGES + 1):
-        y, stack_bwd = _conv_stack(
-            y, params, f"enc{e}", config.depths, drop, training, rng.derive("enc", e)
-        )
-        lg_se = se_forward(y, _se_params(params, f"enc{e}.se", config.se_reduction))
-        skips[e] = lg_se.output
-        skip_backs[e] = (stack_bwd, lg_se.backward)
-        if e < STAGES:
-            y, down_bwd = _conv_unit(
-                lg_se.output,
-                params,
-                f"enc{e}.down",
-                0.0,
-                training,
-                rng.derive("down", e),
-                stride=2,
-            )
-            down_backs[e] = down_bwd
-        else:
-            y = lg_se.output
-
-    dec_backs = []
-    for d in range(1, HALVINGS + 1):
-        e = STAGES - d
-        name = f"dec{d}"
-        up = Deconv3dParams(
-            params[f"{name}.up.kernel"],
-            params[f"{name}.up.bias"],
-            stride=2,
-            padding=1,
-            output_padding=1,
-        )
-        lg_up = deconv3d_forward(y, up)
-        lg_un = _norm(lg_up.output, params, f"{name}.up")
-        lg_ur = activation(lg_un.output, "relu")
-        lg_ag = ag_forward(skips[e], lg_ur.output, _ag_params(params, f"{name}.ag", config))
-        y, stack_bwd = _conv_stack(
-            lg_ag.output, params, name, config.depths, drop, training, rng.derive("dec", d)
-        )
-        dec_backs.append((d, e, name, lg_up, lg_un, lg_ur, lg_ag, stack_bwd))
-
-    lg_head = conv3d_forward(y, _conv_params(params, "head", k=1))
+    y, level_bwd = _level(x, params, config, 1, drop, training, rng)
+    lg_head = conv3d_forward(y, _conv_params(params, "head"))
     lg_soft = activation(lg_head.output, "softmax_channel")
 
     def backward(g_probs):
         grads: dict[str, np.ndarray] = {}
         g, _ = lg_soft.backward(np.asarray(g_probs, dtype=DTYPE))
-        g, head_grads = lg_head.backward(g)
-        _merge(grads, head_grads, "head.")
-        g_skip = {e: None for e in range(1, STAGES)}
-        for d, e, name, lg_up, lg_un, lg_ur, lg_ag, stack_bwd in reversed(dec_backs):
-            g, part = stack_bwd(g)
-            _merge(grads, part)
-            (gi, go), ag_grads = lg_ag.backward(g)
-            _merge(grads, ag_grads, f"{name}.ag.")
-            g_skip[e] = gi if g_skip[e] is None else g_skip[e] + gi
-            gu, _ = lg_ur.backward(go)
-            gu, n_grads = lg_un.backward(gu)
-            _merge(grads, {f"{name}.up.gamma": n_grads["gamma"], f"{name}.up.beta": n_grads["beta"]})
-            g, up_grads = lg_up.backward(gu)
-            _merge(grads, {f"{name}.up.kernel": up_grads["kernel"], f"{name}.up.bias": up_grads["bias"]})
-        for e in range(STAGES, 0, -1):
-            stack_bwd, se_bwd = skip_backs[e]
-            if e == STAGES:
-                g_se_out = g
-            else:
-                g_down_in, down_grads = down_backs[e](g)
-                _merge(grads, down_grads)
-                g_se_out = g_down_in + (g_skip[e] if g_skip[e] is not None else 0.0)
-            g_stack_out, se_grads = se_bwd(g_se_out)
-            _merge(grads, se_grads, f"enc{e}.se.")
-            g, stack_grads = stack_bwd(g_stack_out)
-            _merge(grads, stack_grads)
-        return g, grads
+        g = _record(grads, "head", lg_head.backward(g))
+        return level_bwd(g, grads), grads
 
     return LayerGrad(lg_soft.output, backward)
 

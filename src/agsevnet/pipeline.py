@@ -51,6 +51,9 @@ class PatchSpec:
     def __post_init__(self):
         self.shape = tuple(int(v) for v in self.shape)
         self.stride = tuple(int(v) for v in self.stride)
+        if len(self.shape) != 3 or len(self.stride) != 3:
+            raise ValueError(f"patch shape {self.shape} and patch_stride {self.stride} "
+                             "must each have 3 extents z,h,w")
         if any(e % 16 != 0 for e in self.shape):
             raise ValueError(f"patch extents must be divisible by 16, got {self.shape}")
         if any(s < 1 for s in self.stride):
@@ -267,6 +270,7 @@ def save_case(directory, case: Case) -> None:
 def load_case(directory, require_labels: bool = False) -> Case:
     """The case's four modalities; its labels too only when `require_labels`,
     so inference never reads (or patches) a label volume it would discard.
+    A NaN or infinite modality voxel raises ValueError.
     """
     directory = Path(directory)
     vols = []
@@ -274,7 +278,11 @@ def load_case(directory, require_labels: bool = False) -> Case:
         path = directory / f"{name}.npy"
         if not path.exists():
             raise FileNotFoundError(f"case {directory.name}: missing modality file {name}.npy")
-        vols.append(read_npy(path))
+        vol = read_npy(path)
+        if not np.isfinite(vol).all():
+            loc = tuple(int(v) for v in np.argwhere(~np.isfinite(vol))[0])
+            raise ValueError(f"case {directory.name}: {name}.npy holds {vol[loc]} at index {loc}")
+        vols.append(vol)
     labels = load_labels(directory) if require_labels else None
     return Case(id=directory.name, modalities=tuple(vols), labels=labels)
 

@@ -66,6 +66,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ValueError("batch_size, max_steps, checkpoint_interval must be >= 1")
+        self.patch_spec()  # rejects a patch_stride without 3 positive extents
 
     def learning_rate(self, step: int) -> float:
         return self.lr_initial if step < self.lr_decay_step else self.lr_decayed

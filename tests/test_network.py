@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(depths=4)
 
+    @pytest.mark.parametrize("shape", [(16,), (16, 16), (16, 16, 16, 16)])
+    def test_patch_shape_needs_three_extents(self, shape):
+        with pytest.raises(ValueError, match="patch_shape must have 3 extents"):
+            tiny_config(patch_shape=shape)
+
     def test_stage_widths_double(self):
         cfg = tiny_config(base_width=4)
         assert [cfg.width(e) for e in range(1, 6)] == [4, 8, 16, 32, 64]
@@ -195,6 +200,25 @@ class TestForward:
             for name in dead_sets[-1]:
                 assert ".se.fc" in name  # only the narrow SE gate may idle
         assert set.intersection(*dead_sets) == set()
+
+
+class TestBackward:
+    # 16^3 at depth 3 reaches the 1x1x1 bottleneck that bypasses the norm
+    @pytest.mark.parametrize("patch, depths", [(32, 2), (16, 3)])
+    def test_repeat_backward_bitwise_and_keyed_by_build(self, patch, depths):
+        cfg = tiny_config(depths=depths, dropout=0.1, patch_shape=(patch,) * 3)
+        params = build(cfg, Rng(30))
+        x = Rng(31).normal((1, patch, patch, patch, 2))
+        lg = forward(x, params, cfg, training=True, rng=Rng(33))
+        _, grad_p = dice_loss(lg.output, one_hot(Rng(32).integers(0, 4, x.shape[:4])), ClassWeights())
+        gx_a, grads_a = lg.backward(grad_p)
+        gx_b, grads_b = lg.backward(grad_p)
+        assert grads_a is not grads_b
+        assert list(grads_a) == list(grads_b) and sorted(grads_a) == sorted(params)
+        assert gx_a.shape == x.shape and gx_a.tobytes() == gx_b.tobytes()
+        for name, p in params.items():
+            assert grads_a[name].shape == p.shape, name
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
 
 
 class TestPredictLabels:

@@ -176,6 +176,13 @@ class TestPatches:
             stitch_patches([x, x], x.shape, spec)
 
 
+    @pytest.mark.parametrize("shape, stride", [((16,), (16, 16, 16)), ((16, 16, 16), (16,)),
+                                               ((16, 16, 16), (16, 16, 16, 16))])
+    def test_spec_needs_three_extents(self, shape, stride):
+        with pytest.raises(ValueError, match="must each have 3 extents"):
+            PatchSpec(shape, stride)
+
+
 class TestPhantom:
     def test_difficulty_zero_is_piecewise_constant(self):
         case = generate_phantom(Rng(9), (24, 24, 24), 0.0)

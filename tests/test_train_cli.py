@@ -363,6 +363,40 @@ class TestCli:
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
         assert main(["phantom-gen", "-n", "1", "--shape", "8", "--out", str(tmp_path / "p")]) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_voxel_exits_one(self, phantom_dir, tmp_path, capsys, bad):
+        cases = tmp_path / "cases"
+        shutil.copytree(phantom_dir, cases)
+        t1 = read_npy(cases / "case000" / "t1.npy")
+        t1[8, 8, 8] = bad
+        write_npy(cases / "case000" / "t1.npy", t1)
+        config = tiny_train_config(max_steps=2, checkpoint_interval=2)
+        save_checkpoint(tmp_path / "ckpt", build(config.net, Rng(5)), config.net, 0)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(train_config_to_text(config))
+        train_args = ["train", "--config", str(cfg_file), "--out"]
+        for argv in (
+            ["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(cases),
+             "--out", str(tmp_path / "pred")],
+            [*train_args, str(tmp_path / "t"), "--data", str(cases)],
+            [*train_args, str(tmp_path / "v"), "--data", str(phantom_dir), "--val", str(cases)],
+        ):
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert f"case000: t1.npy holds {bad} at index (8, 8, 8)" in err, err
+        assert not list((tmp_path / "pred").glob("*.npy"))
+
+    @pytest.mark.parametrize("line, key", [("net.patch_shape=16", "patch_shape"),
+                                           ("patch_stride=16", "patch_stride")])
+    def test_patch_extents_need_three_exit_one(self, phantom_dir, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(train_config_to_text(tiny_train_config()) + line + "\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                     "--out", str(run)]) == 1
+        assert key in capsys.readouterr().err
+        assert not run.exists()
+
     @pytest.mark.parametrize("count", [0, -2])
     def test_non_positive_counts_exit_one(self, tmp_path, capsys, count):
         out = tmp_path / "p"

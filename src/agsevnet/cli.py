@@ -14,11 +14,11 @@ from pathlib import Path
 
 from .gradcheck import run_checks
 from .infer import evaluate_dirs, predict_dir
-from .network import load_checkpoint
+from .network import config_from_text, load_checkpoint
 from .pipeline import generate_phantom, save_case
 from .rng import Rng
 from .tensor import ShapeError
-from .train import TrainConfig, train, train_config_from_text
+from .train import TrainConfig, train
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -46,7 +46,7 @@ def cmd_phantom_gen(args) -> int:
 
 def cmd_train(args) -> int:
     if args.config:
-        config = train_config_from_text(Path(args.config).read_text())
+        config = config_from_text(TrainConfig, Path(args.config).read_text())
     else:
         config = TrainConfig()
     if args.seed is not None:

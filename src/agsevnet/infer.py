@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import case_region_row, derive_regions, format_report
+from .losses import format_report, region_rows
 from .network import NetConfig, forward, predict_labels
 from .npyio import read_npy, write_npy
 from .pipeline import (
@@ -75,10 +75,5 @@ def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
             raise ShapeError(
                 f"{case_id}: prediction shape {pred_labels.shape} != truth {truth_labels.shape}"
             )
-        pred_regions = derive_regions(pred_labels)
-        truth_regions = derive_regions(truth_labels)
-        for region in ("WT", "TC", "ET"):
-            rows.append(
-                case_region_row(case_id, region, pred_regions[region], truth_regions[region], spacing)
-            )
+        rows += region_rows(case_id, pred_labels, truth_labels, spacing)
     return format_report(rows)

@@ -30,8 +30,8 @@ class ClassWeights:
 
     def __post_init__(self):
         self.w = tuple(float(v) for v in self.w)
-        if len(self.w) != 4 or any(v < 0 for v in self.w) or sum(self.w) == 0:
-            raise ValueError(f"class weights must be 4 non-negative floats, not all zero: {self.w}")
+        if len(self.w) != 4 or not all(0 <= v < np.inf for v in self.w) or sum(self.w) == 0:
+            raise ValueError(f"class_weights must be 4 finite floats >= 0, not all zero: {self.w}")
 
 
 @dataclass
@@ -319,16 +319,26 @@ def _fmt(value: Optional[float]) -> str:
     return "undefined" if value is None else f"{value:.6f}"
 
 
-def case_region_row(case_id: str, region: str, pred_mask, truth_mask, spacing) -> dict:
-    c = confusion(pred_mask, truth_mask)
-    return {
-        "case_id": case_id,
-        "region": region,
-        "dice": metric("dice", c),
-        "sensitivity": metric("sensitivity", c),
-        "specificity": metric("specificity", c),
-        "hd95": hausdorff95(pred_mask, truth_mask, spacing),
-    }
+def region_rows(case_id: str, pred_labels, truth_labels, spacing) -> list[dict]:
+    """One metric row per region of a case, in REGION_ORDER."""
+    pred, truth = derive_regions(pred_labels), derive_regions(truth_labels)
+    rows = []
+    for region in REGION_ORDER:
+        c = confusion(pred[region], truth[region])
+        counts = {m: metric(m, c) for m in METRIC_ORDER[:3]}  # dice, sensitivity, specificity
+        hd95 = hausdorff95(pred[region], truth[region], spacing)
+        rows.append({"case_id": case_id, "region": region, **counts, "hd95": hd95})
+    return rows
+
+
+def summary_cells(rows: list[dict], region: str, stat=np.mean) -> list[str]:
+    """`stat` of each metric over the region's rows that define it, or
+    'undefined' when none does."""
+    cells = []
+    for m in METRIC_ORDER:
+        vals = [r[m] for r in rows if r["region"] == region and r[m] is not None]
+        cells.append(_fmt(float(stat(vals)) if vals else None))
+    return cells
 
 
 def format_report(rows: list[dict]) -> str:
@@ -340,21 +350,12 @@ def format_report(rows: list[dict]) -> str:
     """
     region_rank = {r: k for k, r in enumerate(REGION_ORDER)}
     rows = sorted(rows, key=lambda r: (r["case_id"], region_rank[r["region"]]))
-    lines = ["case_id,region,dice,sensitivity,specificity,hd95"]
+    lines = [",".join(["case_id", "region", *METRIC_ORDER])]
     for r in rows:
-        lines.append(
-            ",".join(
-                [r["case_id"], r["region"]]
-                + [_fmt(r[m]) for m in METRIC_ORDER]
-            )
-        )
+        lines.append(",".join([r["case_id"], r["region"], *(_fmt(r[m]) for m in METRIC_ORDER)]))
     lines.append("")
-    lines.append("summary,region,dice,sensitivity,specificity,hd95")
+    lines.append(",".join(["summary", "region", *METRIC_ORDER]))
     for stat, fn in (("mean", np.mean), ("median", np.median)):
         for region in REGION_ORDER:
-            cells = []
-            for m in METRIC_ORDER:
-                vals = [r[m] for r in rows if r["region"] == region and r[m] is not None]
-                cells.append(_fmt(float(fn(vals)) if vals else None))
-            lines.append(",".join([stat, region] + cells))
+            lines.append(",".join([stat, region, *summary_cells(rows, region, fn)]))
     return "\n".join(lines) + "\n"

@@ -21,8 +21,9 @@ gradient and a gradient dict over those same names.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -63,17 +64,22 @@ class NetConfig:
     dropout: float = 0.5
     patch_shape: tuple[int, int, int] = (64, 128, 128)
 
+    TITLE = "# network configuration"
+
     def __post_init__(self):
         self.patch_shape = tuple(int(v) for v in self.patch_shape)
         self.validate()
 
     def validate(self):
+        check_finite_floats(self)
         if self.num_classes != 4:
             raise ValueError(f"num_classes must be 4, got {self.num_classes}")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.base_width < 1:
             raise ValueError(f"base_width must be >= 1, got {self.base_width}")
+        if self.se_reduction < 1:
+            raise ValueError(f"se_reduction must be >= 1, got {self.se_reduction}")
         if self.depths not in (2, 3):
             raise ValueError(f"depths must be 2 or 3, got {self.depths}")
         if len(self.patch_shape) != 3:
@@ -93,41 +99,68 @@ class NetConfig:
         return self.base_width * 2 ** (stage - 1)
 
 
-def config_to_text(config: NetConfig) -> str:
-    lines = ["# network configuration"]
+def check_finite_floats(config) -> None:
+    """Reject a NaN or infinite value in any float field of a config."""
     for f in fields(config):
         v = getattr(config, f.name)
+        if isinstance(v, float) and not np.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v}")
+
+
+def config_to_text(config) -> str:
+    """`key=value` lines of a config dataclass under its title line.
+
+    Tuples are comma-joined and `-` stands for None. A nested config
+    follows after a blank line as its own titled section, each key
+    prefixed with the field name (`net.ag_eps=0.01`).
+    """
+    lines, sections = [config.TITLE], []
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if is_dataclass(v):
+            sections.append("")
+            for line in config_to_text(v).splitlines():
+                sections.append(line if line.startswith("#") else f"{f.name}.{line}")
+            continue
         if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
+        elif v is None:
+            v = "-"
         lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + sections) + "\n"
 
 
-_CONFIG_FLOAT_FIELDS = {"ag_eps", "dropout"}
-
-
-def config_from_text(text: str) -> NetConfig:
-    kv = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    kwargs = {}
-    for f in fields(NetConfig):
-        if f.name not in kv:
-            continue
-        raw = kv.pop(f.name)
-        if f.name == "patch_shape":
-            kwargs[f.name] = tuple(int(v) for v in raw.split(","))
-        elif f.name in _CONFIG_FLOAT_FIELDS:
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = int(raw)
+def config_from_text(cls, text: str):
+    """The `cls` config that `config_to_text` wrote as `text`: each value
+    is parsed by its field's annotation; a key no field claims is an error.
+    """
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    kv = {k.strip(): v.strip() for k, _, v in (line.partition("=") for line in lines if line)}
+    config = _config_from_pairs(cls, kv, "")
     if kv:
-        raise ValueError(f"unknown network config keys: {sorted(kv)}")
-    return NetConfig(**kwargs)
+        raise ValueError(f"unknown config keys: {sorted(kv)}")
+    return config
+
+
+def _config_from_pairs(cls, kv: dict[str, str], prefix: str):
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if is_dataclass(hint):
+            kwargs[f.name] = _config_from_pairs(hint, kv, f"{key}.")
+        elif key in kv:
+            kwargs[f.name] = _parse_value(hint, kv.pop(key))
+    return cls(**kwargs)
+
+
+def _parse_value(hint, raw: str):
+    args = get_args(hint)
+    if type(None) in args:  # `T | None`
+        return None if raw == "-" else _parse_value(args[0], raw)
+    if get_origin(hint) is tuple:
+        return tuple(args[0](v) for v in raw.split(","))
+    return hint(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +427,6 @@ def load_checkpoint(directory):
     blob = load_params(directory)
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
-    config = config_from_text((directory / "config.txt").read_text())
+    config = config_from_text(NetConfig, (directory / "config.txt").read_text())
     step = int((directory / "step.txt").read_text().strip())
     return params, config, step, extra

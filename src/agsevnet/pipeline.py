@@ -60,11 +60,13 @@ class PatchSpec:
             raise ValueError(f"patch stride must be >= 1 per axis, got {self.stride}")
 
 
-def normalize(x: np.ndarray) -> np.ndarray:
+def normalize(x: np.ndarray, source: str = "volume") -> np.ndarray:
     """Standardize over the nonzero voxels; zeros (background) stay zero.
 
     Degenerate inputs (nonzero-region standard deviation below the
-    floor, or no nonzero voxels at all) come back as all zeros.
+    floor, or no nonzero voxels at all) come back as all zeros. Values so
+    large that their statistics overflow float64 raise ValueError naming
+    `source`.
     """
     x = np.asarray(x, dtype=DTYPE)
     mask = x != 0.0
@@ -73,6 +75,8 @@ def normalize(x: np.ndarray) -> np.ndarray:
     vals = x[mask]
     mu = vals.mean()
     sigma = vals.std()
+    if not np.isfinite(sigma):
+        raise ValueError(f"{source}: nonzero-voxel statistics overflow float64 (std {sigma})")
     if sigma < SIGMA_FLOOR:
         return np.zeros_like(x)
     out = np.zeros_like(x)
@@ -309,7 +313,8 @@ def preprocess_case(case: Case, spec: PatchSpec):
     """Normalized, stacked, patched view of one case."""
     normalized = Case(
         id=case.id,
-        modalities=tuple(normalize(m) for m in case.modalities),
+        modalities=tuple(normalize(m, f"case {case.id}: {name}.npy")
+                         for name, m in zip(MODALITIES, case.modalities)),
         labels=case.labels,
     )
     x = stack_modalities(normalized)

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .infer import predict_case
-from .losses import REGION_ORDER, ClassWeights, case_region_row, derive_regions, dice_loss
+from .losses import METRIC_ORDER, REGION_ORDER, ClassWeights, dice_loss, region_rows, summary_cells
 from .network import (
     NetConfig,
     build,
-    config_from_text,
+    check_finite_floats,
     config_to_text,
     forward,
     load_checkpoint,
@@ -51,6 +51,8 @@ class TrainConfig:
     batch_size: int = 1
     patch_stride: tuple[int, int, int] | None = None  # defaults to the patch shape
 
+    TITLE = "# training configuration"
+
     def __post_init__(self):
         self.class_weights = tuple(float(v) for v in self.class_weights)
         if self.patch_stride is not None:
@@ -58,8 +60,14 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
+        check_finite_floats(self)
         if self.lr_initial <= 0 or self.lr_decayed <= 0:
             raise ValueError("learning rates must be positive")
+        if not all(0.0 <= v < 1.0 for v in (self.beta1, self.beta2, self.momentum)):
+            raise ValueError("beta1, beta2 and momentum must lie in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        ClassWeights(self.class_weights)
         if not 0 <= self.lr_decay_step <= self.max_steps:
             raise ValueError("lr_decay_step must lie within [0, max_steps]")
         if self.optimizer not in ("adam", "sgd"):
@@ -76,81 +84,22 @@ class TrainConfig:
         return PatchSpec(self.net.patch_shape, stride)
 
 
-_TRAIN_FLOAT_FIELDS = {
-    "lr_initial", "lr_decayed", "beta1", "beta2", "adam_eps", "momentum",
-}
-
-
-def train_config_to_text(config: TrainConfig) -> str:
-    lines = ["# training configuration"]
-    for f in fields(config):
-        if f.name == "net":
-            continue
-        v = getattr(config, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        elif v is None:
-            v = "-"
-        lines.append(f"{f.name}={v}")
-    lines.append("")
-    for line in config_to_text(config.net).splitlines():
-        if line.startswith("#"):
-            lines.append(line)
-        elif line:
-            lines.append(f"net.{line}")
-    return "\n".join(lines) + "\n"
-
-
-def train_config_from_text(text: str) -> TrainConfig:
-    kv = {}
-    net_lines = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("net."):
-            net_lines.append(f"{key[4:]}={value}")
-        else:
-            kv[key] = value
-    kwargs: dict = {"net": config_from_text("\n".join(net_lines))}
-    for f in fields(TrainConfig):
-        if f.name == "net" or f.name not in kv:
-            continue
-        raw = kv.pop(f.name)
-        if f.name == "optimizer":
-            kwargs[f.name] = raw
-        elif f.name in ("class_weights",):
-            kwargs[f.name] = tuple(float(v) for v in raw.split(","))
-        elif f.name == "patch_stride":
-            kwargs[f.name] = None if raw == "-" else tuple(int(v) for v in raw.split(","))
-        elif f.name in _TRAIN_FLOAT_FIELDS:
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = int(raw)
-    if kv:
-        raise ValueError(f"unknown training config keys: {sorted(kv)}")
-    return TrainConfig(**kwargs)
-
-
 def config_hash(config: TrainConfig) -> str:
-    return hashlib.sha256(train_config_to_text(config).encode()).hexdigest()[:16]
+    return hashlib.sha256(config_to_text(config).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
 # optimizers over flat parameter dicts
 
+def _opt_state_names(config: TrainConfig, params) -> list[str]:
+    """Moment array names: Adam's `m.`/`v.` pair or SGD's `mom.` per parameter."""
+    slots = ("m", "v") if config.optimizer == "adam" else ("mom",)
+    return [f"{slot}.{name}" for name in params for slot in slots]
+
+
 def init_opt_state(config: TrainConfig, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    state = {}
-    if config.optimizer == "adam":
-        for name, p in params.items():
-            state[f"m.{name}"] = np.zeros_like(p)
-            state[f"v.{name}"] = np.zeros_like(p)
-    else:
-        for name, p in params.items():
-            state[f"mom.{name}"] = np.zeros_like(p)
-    return state
+    return {key: np.zeros_like(params[key.split(".", 1)[1]])
+            for key in _opt_state_names(config, params)}
 
 
 def opt_step(config: TrainConfig, params, grads, state, step: int) -> None:
@@ -220,6 +169,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         params, net_config, start_step, state = load_checkpoint(resume)
         if config_to_text(net_config) != config_to_text(config.net):
             raise TrainingError("checkpoint network configuration does not match")
+        if sorted(state) != sorted(_opt_state_names(config, params)):
+            raise TrainingError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
         loss_log = _read_loss_log(out_dir / "losses.txt", start_step)
     else:
         params = build(config.net, rng.derive("init"))
@@ -289,23 +240,13 @@ def _validation_due(config: TrainConfig, step: int, n: int) -> bool:
 
 def _validation_metrics(val_dir, params, config: TrainConfig, traversal: int) -> list[str]:
     """Mean dice/sensitivity/specificity/hd95 per region over val cases."""
-    per_region = {r: [] for r in REGION_ORDER}
-    for case_dir in list_cases(val_dir):
-        truth_regions = derive_regions(load_labels(case_dir))
-        pred_regions = derive_regions(predict_case(case_dir, params, config.net))
-        for region in REGION_ORDER:
-            per_region[region].append(
-                case_region_row(case_dir.name, region, pred_regions[region],
-                                truth_regions[region], (1.0, 1.0, 1.0))
-            )
     rows = []
-    for region in REGION_ORDER:
-        cells = []
-        for m in ("dice", "sensitivity", "specificity", "hd95"):
-            vals = [r[m] for r in per_region[region] if r[m] is not None]
-            cells.append(f"{float(np.mean(vals)):.6f}" if vals else "undefined")
-        rows.append(",".join([str(traversal), region] + cells))
-    return rows
+    for case_dir in list_cases(val_dir):
+        truth = load_labels(case_dir)
+        pred = predict_case(case_dir, params, config.net)
+        rows += region_rows(case_dir.name, pred, truth, (1.0, 1.0, 1.0))
+    return [",".join([str(traversal), region, *summary_cells(rows, region)])
+            for region in REGION_ORDER]
 
 
 def _guard_finite(params, step):
@@ -357,6 +298,6 @@ def _write_report(path: Path, config: TrainConfig, loss_log, val_rows=()):
         lines.append(f"{step},{lr:.8e},{loss:.12f}")
     if val_rows:
         lines.append("")
-        lines.append("traversal,region,dice,sensitivity,specificity,hd95")
+        lines.append(",".join(["traversal", "region", *METRIC_ORDER]))
         lines.extend(val_rows)
     path.write_text("\n".join(lines) + "\n")

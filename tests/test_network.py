@@ -15,6 +15,7 @@ from agsevnet.network import (
     save_checkpoint,
 )
 from agsevnet.rng import Rng
+from agsevnet.train import TrainConfig
 from agsevnet.tensor import ShapeError
 
 
@@ -63,11 +64,14 @@ class TestConfig:
 
     def test_text_round_trip(self):
         cfg = tiny_config(base_width=4, dropout=0.25, patch_shape=(16, 32, 32))
-        assert config_from_text(config_to_text(cfg)) == cfg
+        assert config_from_text(NetConfig, config_to_text(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            config_from_text("bogus=7\n")
+            config_from_text(NetConfig, "bogus=7\n")
+        # a key in the nested network section is named in full
+        with pytest.raises(ValueError, match=r"unknown config keys: \['net\.bogus'\]"):
+            config_from_text(TrainConfig, "seed=1\nnet.base_width=4\nnet.bogus=7\n")
 
 
 class TestBuild:

@@ -5,18 +5,19 @@ import pytest
 
 from agsevnet.cli import build_parser, main
 from agsevnet.infer import predict_case
-from agsevnet.network import NetConfig, build, load_checkpoint, save_checkpoint
+from agsevnet.network import (
+    NetConfig,
+    build,
+    config_from_text,
+    config_to_text,
+    load_checkpoint,
+    save_checkpoint,
+)
 from agsevnet.npyio import read_npy, write_npy
 from agsevnet import pipeline
 from agsevnet.pipeline import MODALITIES, generate_phantom, load_labels, save_case
 from agsevnet.rng import Rng
-from agsevnet.train import (
-    TrainConfig,
-    _validation_metrics,
-    train,
-    train_config_from_text,
-    train_config_to_text,
-)
+from agsevnet.train import TrainConfig, TrainingError, _validation_metrics, config_hash, train
 
 
 def tiny_train_config(**overrides):
@@ -55,7 +56,38 @@ def dir_bytes(path):
 class TestTrainConfig:
     def test_text_round_trip(self):
         cfg = tiny_train_config(optimizer="sgd", class_weights=(0.2, 1.0, 0.5, 1.0))
-        assert train_config_from_text(train_config_to_text(cfg)) == cfg
+        assert config_from_text(TrainConfig, config_to_text(cfg)) == cfg
+        net = NetConfig(in_channels=3, base_width=8, depths=3, se_reduction=2, ag_radius=3,
+                        ag_eps=0.25, dropout=0.125, patch_shape=(16, 32, 48))
+        every_field = TrainConfig(
+            net=net, lr_initial=2e-3, lr_decayed=5e-4, lr_decay_step=7, max_steps=9,
+            checkpoint_interval=4, seed=11, class_weights=(0.5, 2.0, 1.5, 0.25),
+            optimizer="sgd", beta1=0.8, beta2=0.99, adam_eps=1e-6, momentum=0.7,
+            batch_size=2, patch_stride=(8, 16, 24),
+        )
+        defaults, default_net = TrainConfig(), NetConfig()
+        assert all(getattr(every_field, k) != getattr(defaults, k) for k in vars(defaults))
+        assert all(getattr(net, k) != getattr(default_net, k)
+                   for k in vars(default_net) if k != "num_classes")  # num_classes must be 4
+        text = config_to_text(every_field)
+        assert "patch_stride=8,16,24\n" in text and "net.patch_shape=16,32,48\n" in text
+        assert config_from_text(TrainConfig, text) == every_field
+
+    def test_default_text_and_hash_pinned(self):
+        # config.txt and the report's config_hash are stored artifacts: their bytes must not drift
+        assert config_to_text(TrainConfig()) == (
+            "# training configuration\n"
+            "lr_initial=0.0001\nlr_decayed=3e-05\nlr_decay_step=200\nmax_steps=300\n"
+            "checkpoint_interval=100\nseed=0\nclass_weights=0.1,1.0,1.0,1.0\noptimizer=adam\n"
+            "beta1=0.9\nbeta2=0.999\nadam_eps=1e-08\nmomentum=0.9\nbatch_size=1\n"
+            "patch_stride=-\n"
+            "\n"
+            "# network configuration\n"
+            "net.in_channels=4\nnet.num_classes=4\nnet.base_width=16\nnet.depths=2\n"
+            "net.se_reduction=4\nnet.ag_radius=16\nnet.ag_eps=0.01\nnet.dropout=0.5\n"
+            "net.patch_shape=64,128,128\n"
+        )
+        assert config_hash(TrainConfig()) == "9111669c1ddb5214"
 
     def test_learning_rate_schedule(self):
         cfg = tiny_train_config(lr_initial=1e-4, lr_decayed=3e-5, lr_decay_step=10)
@@ -113,6 +145,18 @@ class TestTraining:
         report = (tmp_path / "val" / "part" / "report.txt").read_text()
         wt_rows = [line for line in report.splitlines() if line.split(",")[1:2] == ["WT"]]
         assert [line.split(",")[0] for line in wt_rows] == ["0", "1", "2", "3", "4"]
+
+    def test_resume_rejects_other_optimizer_state(self, phantom_dir, tmp_path):
+        adam = tiny_train_config(max_steps=4, checkpoint_interval=2)
+        train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
+              log=lambda s: None)
+        before = dir_bytes(tmp_path)
+        sgd = tiny_train_config(max_steps=4, checkpoint_interval=2, optimizer="sgd")
+        with pytest.raises(TrainingError, match="optimizer state does not match optimizer=sgd"):
+            train(sgd, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
+        assert dir_bytes(tmp_path) == before
+        train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
+        assert load_checkpoint(tmp_path / "checkpoint")[2] == 4
 
     def test_validation_metrics_in_report(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(max_steps=4, checkpoint_interval=4)
@@ -236,7 +280,7 @@ class TestCli:
         assert "{phantom-gen,train,predict,evaluate,gradcheck}" in build_parser().format_help()
 
     def test_train_predict_evaluate_round_trip(self, phantom_dir, tmp_path):
-        config_text = train_config_to_text(tiny_train_config(max_steps=5, checkpoint_interval=5))
+        config_text = config_to_text(tiny_train_config(max_steps=5, checkpoint_interval=5))
         cfg_file = tmp_path / "train.cfg"
         cfg_file.write_text(config_text)
         assert main([
@@ -373,7 +417,7 @@ class TestCli:
         config = tiny_train_config(max_steps=2, checkpoint_interval=2)
         save_checkpoint(tmp_path / "ckpt", build(config.net, Rng(5)), config.net, 0)
         cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text(train_config_to_text(config))
+        cfg_file.write_text(config_to_text(config))
         train_args = ["train", "--config", str(cfg_file), "--out"]
         for argv in (
             ["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(cases),
@@ -390,12 +434,52 @@ class TestCli:
                                            ("patch_stride=16", "patch_stride")])
     def test_patch_extents_need_three_exit_one(self, phantom_dir, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text(train_config_to_text(tiny_train_config()) + line + "\n")
+        cfg_file.write_text(config_to_text(tiny_train_config()) + line + "\n")
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
         assert key in capsys.readouterr().err
         assert not run.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("lr_initial=nan", "lr_initial"),
+        ("lr_decayed=inf", "lr_decayed"),
+        ("beta1=1.0", "beta1"),
+        ("beta2=-0.5", "beta2"),
+        ("momentum=1.5", "momentum"),
+        ("adam_eps=0", "adam_eps"),
+        ("class_weights=nan,1,1,1", "class_weights"),
+        ("net.ag_eps=nan", "ag_eps"),
+        ("net.se_reduction=0", "se_reduction"),
+        ("net.se_reduction=-1", "se_reduction"),
+    ])
+    def test_config_values_that_train_into_nan_exit_one(self, phantom_dir, tmp_path, capsys,
+                                                        line, key):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2)) + line + "\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                     "--out", str(run)]) == 1
+        assert key in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_overflowing_modality_exits_one(self, phantom_dir, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        shutil.copytree(phantom_dir, cases)
+        # finite voxels whose variance overflows float64
+        write_npy(cases / "case001" / "t2.npy", read_npy(cases / "case001" / "t2.npy") * 1e160)
+        config = tiny_train_config(max_steps=2, checkpoint_interval=2)
+        save_checkpoint(tmp_path / "ckpt", build(config.net, Rng(5)), config.net, 0)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(config))
+        for argv in (
+            ["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(cases),
+             "--out", str(tmp_path / "pred")],
+            ["train", "--config", str(cfg_file), "--data", str(cases), "--out", str(tmp_path / "t")],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert "case case001: t2.npy" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "case001.npy").exists()
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_non_positive_counts_exit_one(self, tmp_path, capsys, count):

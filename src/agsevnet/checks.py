@@ -32,6 +32,7 @@ from .losses import (
     surface_voxels,
 )
 from .network import NetConfig, build, forward
+from .pipeline import PatchSpec, extract_patches, stitch_patches
 from .rng import Rng
 from .se import SeParams, se_forward
 from .tensor import ShapeError
@@ -345,6 +346,14 @@ def deconv3d_oracle(x: np.ndarray, p: Deconv3dParams) -> np.ndarray:
             if 0 <= z < out[0] and 0 <= h < out[1] and 0 <= w < out[2]:
                 y[b, z, h, w] += p.kernel[a, bb, c] @ x[b, i, j, m]
     return y + p.bias
+
+
+def stitched_probs_oracle(x: np.ndarray, params, config: NetConfig, spec: PatchSpec) -> np.ndarray:
+    """The serial path infer.stitched_probs replaces: every patch cut up
+    front, one forward with backward state per patch on the calling
+    thread, the probability patches stitched as a list."""
+    probs = [forward(img, params, config).output for img, _ in extract_patches(x, None, spec)]
+    return stitch_patches(probs, (*x.shape[:4], config.num_classes), spec)
 
 
 def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:

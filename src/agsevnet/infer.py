@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +17,102 @@ from .pipeline import (
     LABEL_FILE,
     PatchSpec,
     check_coverage,
+    cut_patch,
     list_cases,
     load_case,
     load_labels,
+    patch_starts,
     preprocess_case,
     stitch_patches,
 )
 from .tensor import ShapeError
+
+# A no-grad forward's tracemalloc peak measured 25-28 float64 arrays of
+# the patch's voxels at base_width channels for widths 4 to 16 (patches
+# 16^3 to 64^3, depths 2 and 3). About 13 of those arrays are
+# single-channel (the input and the softmax), so below 4 channels the
+# bound counts 4.
+FORWARD_PEAK_ARRAYS = 32
+
+
+def forward_bytes_bound(config: NetConfig) -> int:
+    """Upper bound on the memory one no-grad forward of a patch holds."""
+    channels = max(config.base_width, config.in_channels, config.num_classes)
+    return FORWARD_PEAK_ARRAYS * math.prod(config.patch_shape) * channels * 8
+
+
+def _blas_thread_setters() -> list:
+    """`openblas_set_num_threads_local` of every OpenBLAS loaded in this
+    process, or none when the BLAS is another one or too old to have it.
+    A setter returns the count it replaces. It is meant to set the
+    calling thread's count alone, but in pthreads builds (numpy's
+    bundled OpenBLAS 0.3.31 among them) it sets the process-wide count.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return setters
+
+
+def _worker_count(n_patches: int, config: NetConfig, setters: list) -> int:
+    """Patch forwards to run at once: one per usable CPU and per patch, as
+    many as free memory holds at `forward_bytes_bound` each, and one when
+    the per-thread BLAS setter or the free-memory reading is missing
+    (concurrent forwards would then share the BLAS threads or the memory
+    blindly).
+    """
+    if not setters:
+        return 1
+    try:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, ValueError, OSError):
+        return 1
+    return max(1, min(cpus, n_patches, free // forward_bytes_bound(config)))
+
+
+def stitched_probs(x: np.ndarray, params, config: NetConfig, spec: PatchSpec) -> np.ndarray:
+    """Class probabilities of a stacked (1, z, h, w, c) case volume.
+
+    Patch forwards run without backward state on a thread pool sized by
+    `_worker_count`. Each worker cuts its own zero-padded patch, and the
+    probability patches stream into `stitch_patches` in patch order, so
+    neither the image nor the probability patches are ever all held.
+    With more than one worker, every BLAS call runs on one thread: each
+    worker and the caller set the count to 1, which covers a setter
+    local to its thread and a process-wide one, and the caller's counts
+    are restored once the pool is shut down.
+    """
+    starts = patch_starts(x.shape[1:4], spec)
+    setters = _blas_thread_setters()
+    workers = _worker_count(len(starts), config, setters)
+    pinned = setters if workers > 1 else []
+
+    def pin_blas():
+        return [setter(1) for setter in pinned]
+
+    def predict(start):
+        return forward(cut_patch(x, start, spec), params, config, grad=False).output
+
+    previous = pin_blas()
+    pool = ThreadPoolExecutor(workers, initializer=pin_blas)
+    try:
+        return stitch_patches(pool.map(predict, starts), (*x.shape[:4], config.num_classes), spec)
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for setter, count in zip(pinned, previous):
+            setter(count)
 
 
 def predict_case(case_dir, params, config: NetConfig,
@@ -31,11 +124,9 @@ def predict_case(case_dir, params, config: NetConfig,
     """
     case = load_case(case_dir)
     spec = PatchSpec(config.patch_shape, stride or config.patch_shape)
-    x, patches = preprocess_case(case, spec)
+    x = preprocess_case(case)
     check_coverage(x.shape[1:4], spec)  # before the forward passes, not after
-    prob_patches = [forward(img, params, config, training=False).output for img, _ in patches]
-    probs = stitch_patches(prob_patches, (*x.shape[:4], 4), spec)
-    return predict_labels(probs)[0]
+    return predict_labels(stitched_probs(x, params, config, spec))[0]
 
 
 def predict_dir(data_dir, params, config: NetConfig, out_dir,

@@ -300,15 +300,19 @@ def hausdorff95(pred: np.ndarray, truth: np.ndarray,
 # ---------------------------------------------------------------------------
 # nested regions
 
-def derive_regions(labels: np.ndarray) -> dict[str, np.ndarray]:
-    """WT/TC/ET boolean masks from a {0,1,2,4} label volume."""
-    labels = np.asarray(labels)
+def check_labels(labels: np.ndarray, source: str = "labels") -> None:
+    """Raise ValueError naming `source` at the first value outside {0,1,2,4}."""
     bad = ~np.isin(labels, LABEL_VALUES)
     if bad.any():
         loc = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise ValueError(
-            f"unknown label value {int(labels[loc])} at index {loc} (alphabet is {LABEL_VALUES})"
-        )
+        raise ValueError(f"{source}: unknown label value {int(labels[loc])} at index {loc} "
+                         f"(alphabet is {LABEL_VALUES})")
+
+
+def derive_regions(labels: np.ndarray) -> dict[str, np.ndarray]:
+    """WT/TC/ET boolean masks from a {0,1,2,4} label volume."""
+    labels = np.asarray(labels)
+    check_labels(labels)
     return {name: np.isin(labels, vals) for name, vals in REGION_LABELS.items()}
 
 

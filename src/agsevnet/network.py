@@ -50,6 +50,7 @@ IN_EPS = 1e-5
 STAGES = 5
 HALVINGS = 4
 CHANNEL_TO_LABEL = np.array([0, 1, 2, 4], dtype=np.uint8)
+TRAIN_CONFIG_FILE = "train_config.txt"
 
 
 @dataclass
@@ -150,17 +151,21 @@ def _config_from_pairs(cls, kv: dict[str, str], prefix: str):
         if is_dataclass(hint):
             kwargs[f.name] = _config_from_pairs(hint, kv, f"{key}.")
         elif key in kv:
-            kwargs[f.name] = _parse_value(hint, kv.pop(key))
+            kwargs[f.name] = _parse_value(key, hint, kv.pop(key))
     return cls(**kwargs)
 
 
-def _parse_value(hint, raw: str):
+def _parse_value(key: str, hint, raw: str):
+    """`raw` as a value of type `hint`; a ValueError names `key` and `raw`."""
     args = get_args(hint)
     if type(None) in args:  # `T | None`
-        return None if raw == "-" else _parse_value(args[0], raw)
-    if get_origin(hint) is tuple:
-        return tuple(args[0](v) for v in raw.split(","))
-    return hint(raw)
+        return None if raw == "-" else _parse_value(key, args[0], raw)
+    try:
+        if get_origin(hint) is tuple:
+            return tuple(args[0](v) for v in raw.split(","))
+        return hint(raw)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: cannot parse {raw!r} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +279,44 @@ def _norm(x, params, name):
     return instance_norm(x, params[f"{name}.gamma"], params[f"{name}.beta"], IN_EPS)
 
 
-def _unit(x, lg, params, name, drop_rate, training, rng):
-    """Instance norm -> relu -> dropout on `lg`, the conv or deconv of x,
-    plus a residual add of x when the shapes agree.
+def _take(lg: LayerGrad, grad: bool):
+    """A layer's output and, when `grad` is on, its backward closure. The
+    LayerGrad itself is not kept, so with grad off nothing holds the
+    state the backward would have needed, and the backward closures
+    built over the None are never called: `forward` returns one that
+    raises instead.
     """
-    lg_n = _norm(lg.output, params, name)
-    lg_r = activation(lg_n.output, "relu")
-    lg_d = dropout(lg_r.output, drop_rate, rng, training)
-    residual = lg_d.output.shape == x.shape
-    y = lg_d.output + x if residual else lg_d.output
+    return lg.output, (lg.backward if grad else None)
+
+
+def _unit(x, conv, conv_p, params, name, drop_rate, training, rng, grad):
+    """`conv` (conv3d_forward or deconv3d_forward with `conv_p`) of x ->
+    instance norm -> relu -> dropout, plus a residual add of x when the
+    shapes agree.
+    """
+    y, conv_bwd = _take(conv(x, conv_p), grad)
+    y, norm_bwd = _take(_norm(y, params, name), grad)
+    y, relu_bwd = _take(activation(y, "relu"), grad)
+    y, drop_bwd = _take(dropout(y, drop_rate, rng, training), grad)
+    residual = y.shape == x.shape
+    y = y + x if residual else y
 
     def backward(gy, grads):
-        g, _ = lg_d.backward(gy)
-        g, _ = lg_r.backward(g)
-        g = _record(grads, name, lg_n.backward(g))
-        gx = _record(grads, name, lg.backward(g))
+        g, _ = drop_bwd(gy)
+        g, _ = relu_bwd(g)
+        g = _record(grads, name, norm_bwd(g))
+        gx = _record(grads, name, conv_bwd(g))
         return gx + gy if residual else gx
 
     return y, backward
 
 
-def _stack(x, params, prefix, depths, drop_rate, training, rng):
+def _stack(x, params, prefix, depths, drop_rate, training, rng, grad):
     backs = []
     for j in range(depths):
         name = f"{prefix}.conv{j}"
-        lg = conv3d_forward(x, _conv_params(params, name))
-        x, bwd = _unit(x, lg, params, name, drop_rate, training, rng.derive(prefix, j))
+        x, bwd = _unit(x, conv3d_forward, _conv_params(params, name), params, name,
+                       drop_rate, training, rng.derive(prefix, j), grad)
         backs.append(bwd)
 
     def backward(gy, grads):
@@ -310,53 +327,58 @@ def _stack(x, params, prefix, depths, drop_rate, training, rng):
     return x, backward
 
 
-def _level(x, params, config: NetConfig, e, drop, training, rng):
+def _level(x, params, config: NetConfig, e, drop, training, rng, grad):
     """Stage e and every stage below it, returned on stage e's grid.
 
     Runs stage e's conv stack and SE block. Above the bottleneck it then
     runs the stride-2 down unit, the level below, the `dec{5-e}` up unit,
     the AG fusion with this stage's skip and the decoder stack.
     """
-    y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, training, rng.derive("enc", e))
-    lg_se = se_forward(y, _se_params(params, f"enc{e}.se", config.se_reduction))
-    skip = lg_se.output
+    y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, training,
+                        rng.derive("enc", e), grad)
+    skip, se_bwd = _take(se_forward(y, _se_params(params, f"enc{e}.se", config.se_reduction)), grad)
     if e == STAGES:
         def bottom_backward(gy, grads):
-            return enc_bwd(_record(grads, f"enc{e}.se", lg_se.backward(gy)), grads)
+            return enc_bwd(_record(grads, f"enc{e}.se", se_bwd(gy)), grads)
 
         return skip, bottom_backward
 
     down = f"enc{e}.down"
-    lg_down = conv3d_forward(skip, _conv_params(params, down, stride=2))
-    y, down_bwd = _unit(skip, lg_down, params, down, 0.0, training, rng.derive("down", e))
-    y, inner_bwd = _level(y, params, config, e + 1, drop, training, rng)
+    y, down_bwd = _unit(skip, conv3d_forward, _conv_params(params, down, stride=2), params, down,
+                        0.0, training, rng.derive("down", e), grad)
+    y, inner_bwd = _level(y, params, config, e + 1, drop, training, rng, grad)
     name = f"dec{STAGES - e}"
-    lg_up = deconv3d_forward(y, Deconv3dParams(
-        params[f"{name}.up.kernel"], params[f"{name}.up.bias"],
-        stride=2, padding=1, output_padding=1,
-    ))
-    y, up_bwd = _unit(y, lg_up, params, f"{name}.up", 0.0, training, rng)  # rate 0 draws nothing
-    lg_ag = ag_forward(skip, y, _ag_params(params, f"{name}.ag", config))
-    y, dec_bwd = _stack(
-        lg_ag.output, params, name, config.depths, drop, training, rng.derive("dec", STAGES - e)
-    )
+    up_p = Deconv3dParams(params[f"{name}.up.kernel"], params[f"{name}.up.bias"],
+                          stride=2, padding=1, output_padding=1)
+    # rate 0 draws nothing
+    y, up_bwd = _unit(y, deconv3d_forward, up_p, params, f"{name}.up", 0.0, training, rng, grad)
+    y, ag_bwd = _take(ag_forward(skip, y, _ag_params(params, f"{name}.ag", config)), grad)
+    y, dec_bwd = _stack(y, params, name, config.depths, drop, training,
+                        rng.derive("dec", STAGES - e), grad)
 
     def backward(gy, grads):
-        gi, go = _record(grads, f"{name}.ag", lg_ag.backward(dec_bwd(gy, grads)))
+        gi, go = _record(grads, f"{name}.ag", ag_bwd(dec_bwd(gy, grads)))
         g = down_bwd(inner_bwd(up_bwd(go, grads), grads), grads)
-        g = _record(grads, f"enc{e}.se", lg_se.backward(g + gi))  # the skip's two gradients meet
+        g = _record(grads, f"enc{e}.se", se_bwd(g + gi))  # the skip's two gradients meet
         return enc_bwd(g, grads)
 
     return y, backward
 
 
+def _no_backward(g_probs):
+    raise RuntimeError("this forward ran with grad=False and kept no backward state")
+
+
 def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
-            training: bool = False, rng: Rng | None = None) -> LayerGrad:
+            training: bool = False, rng: Rng | None = None, grad: bool = True) -> LayerGrad:
     """Per-voxel class probabilities for a (n, z, h, w, in_channels) batch.
 
     backward(g_probs) returns (g_input, grads) with grads keyed by the
     flat parameter names from `build`. Dropout is active only when
-    `training` is true, in which case `rng` must be supplied.
+    `training` is true, in which case `rng` must be supplied. With
+    `grad` false each layer's backward state is dropped as soon as its
+    output is taken, which at least halves the peak memory, and
+    backward raises.
     """
     x = as_tensor5(x, "network input")
     if x.shape[1:4] != config.patch_shape or x.shape[4] != config.in_channels:
@@ -370,17 +392,19 @@ def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
         rng = Rng(0)
     drop = config.dropout if training else 0.0
 
-    y, level_bwd = _level(x, params, config, 1, drop, training, rng)
-    lg_head = conv3d_forward(y, _conv_params(params, "head"))
-    lg_soft = activation(lg_head.output, "softmax_channel")
+    y, level_bwd = _level(x, params, config, 1, drop, training, rng, grad)
+    y, head_bwd = _take(conv3d_forward(y, _conv_params(params, "head")), grad)
+    probs, soft_bwd = _take(activation(y, "softmax_channel"), grad)
+    if not grad:
+        return LayerGrad(probs, _no_backward)
 
     def backward(g_probs):
         grads: dict[str, np.ndarray] = {}
-        g, _ = lg_soft.backward(np.asarray(g_probs, dtype=DTYPE))
-        g = _record(grads, "head", lg_head.backward(g))
+        g, _ = soft_bwd(np.asarray(g_probs, dtype=DTYPE))
+        g = _record(grads, "head", head_bwd(g))
         return level_bwd(g, grads), grads
 
-    return LayerGrad(lg_soft.output, backward)
+    return LayerGrad(probs, backward)
 
 
 def predict_labels(probs: np.ndarray) -> np.ndarray:
@@ -398,11 +422,14 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
 # checkpoints
 
 def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
-                    step: int, extra: dict[str, np.ndarray] | None = None) -> None:
+                    step: int, extra: dict[str, np.ndarray] | None = None,
+                    train_config=None) -> None:
     """Parameter directory + config text + step counter; reload resumes
-    bitwise-identically. `extra` carries optimizer state arrays. The files
-    go to a sibling `<name>.tmp` directory that then replaces `directory`,
-    so a save cut short leaves the previous checkpoint whole.
+    bitwise-identically. `extra` carries optimizer state arrays and
+    `train_config`, the run's training config, goes to TRAIN_CONFIG_FILE
+    so a resume can be checked against it. The files go to a sibling
+    `<name>.tmp` directory that then replaces `directory`, so a save cut
+    short leaves the previous checkpoint whole.
     """
     directory = Path(directory)
     tmp, old = (directory.with_name(directory.name + ext) for ext in (".tmp", ".old"))
@@ -414,6 +441,8 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
         blob[f"opt.{key}"] = val
     save_params(tmp, blob)
     (tmp / "config.txt").write_text(config_to_text(config))
+    if train_config is not None:
+        (tmp / TRAIN_CONFIG_FILE).write_text(config_to_text(train_config))
     (tmp / "step.txt").write_text(f"{step}\n")
     if directory.exists():
         directory.rename(old)

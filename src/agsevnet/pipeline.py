@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -104,11 +104,39 @@ def one_hot_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _patch_starts(extent: int, patch: int, stride: int) -> list[int]:
+def _axis_starts(extent: int, patch: int, stride: int) -> list[int]:
     if extent <= patch:
         return [0]
     n = -(-(extent - patch) // stride) + 1  # ceil division
     return [k * stride for k in range(n)]
+
+
+def patch_starts(volume_shape: tuple, spec: PatchSpec) -> list[tuple[int, int, int]]:
+    """(z0, h0, w0) corner of every patch tiling a (z, h, w) volume, in
+    z-major order: the patch order of extract_patches and stitch_patches."""
+    z, h, w = volume_shape
+    return [
+        (z0, h0, w0)
+        for z0 in _axis_starts(z, spec.shape[0], spec.stride[0])
+        for h0 in _axis_starts(h, spec.shape[1], spec.stride[1])
+        for w0 in _axis_starts(w, spec.shape[2], spec.stride[2])
+    ]
+
+
+def _window(volume_shape: tuple, start: tuple, spec: PatchSpec):
+    """Slices of the patch at `start` that lie inside the volume: the
+    volume's (z, h, w) slices and the patch's, which skip the padding."""
+    extents = [min(p, v - s0) for p, v, s0 in zip(spec.shape, volume_shape, start)]
+    inside = tuple(slice(s0, s0 + e) for s0, e in zip(start, extents))
+    return inside, tuple(slice(0, e) for e in extents)
+
+
+def cut_patch(x: np.ndarray, start: tuple, spec: PatchSpec) -> np.ndarray:
+    """The zero-padded (n, *spec.shape, c) patch of x at corner `start`."""
+    inside, part = _window(x.shape[1:4], start, spec)
+    img = np.zeros((x.shape[0], *spec.shape, x.shape[4]), dtype=DTYPE)
+    img[(slice(None), *part)] = x[(slice(None), *inside)]
+    return img
 
 
 def check_coverage(volume_shape: tuple, spec: PatchSpec) -> None:
@@ -133,58 +161,49 @@ def extract_patches(x: np.ndarray, labels: Optional[np.ndarray],
     when no label volume is supplied. Label padding uses background.
     """
     x = as_tensor5(x, "patch source")
-    pz, ph, pw = spec.shape
     onehot = None
     if labels is not None:
         if labels.shape != x.shape[1:4]:
             raise ShapeError(f"label shape {labels.shape} != volume {x.shape[1:4]}")
         onehot = one_hot_labels(labels)
     out = []
-    for z0 in _patch_starts(x.shape[1], pz, spec.stride[0]):
-        for h0 in _patch_starts(x.shape[2], ph, spec.stride[1]):
-            for w0 in _patch_starts(x.shape[3], pw, spec.stride[2]):
-                img = np.zeros((x.shape[0], pz, ph, pw, x.shape[4]), dtype=DTYPE)
-                zs = min(pz, x.shape[1] - z0)
-                hs = min(ph, x.shape[2] - h0)
-                ws = min(pw, x.shape[3] - w0)
-                img[:, :zs, :hs, :ws, :] = x[:, z0 : z0 + zs, h0 : h0 + hs, w0 : w0 + ws, :]
-                lbl = None
-                if onehot is not None:
-                    lbl = np.zeros((x.shape[0], pz, ph, pw, 4), dtype=DTYPE)
-                    lbl[..., 0] = 1.0  # padding is background
-                    lbl[:, :zs, :hs, :ws, :] = onehot[z0 : z0 + zs, h0 : h0 + hs, w0 : w0 + ws, :]
-                out.append((img, lbl))
+    for start in patch_starts(x.shape[1:4], spec):
+        lbl = None
+        if onehot is not None:
+            inside, part = _window(x.shape[1:4], start, spec)
+            lbl = np.zeros((x.shape[0], *spec.shape, 4), dtype=DTYPE)
+            lbl[..., 0] = 1.0  # padding is background
+            lbl[(slice(None), *part)] = onehot[inside]
+        out.append((cut_patch(x, start, spec), lbl))
     return out
 
 
-def stitch_patches(patches: list[np.ndarray], original_shape: tuple,
+def stitch_patches(patches: Iterable[np.ndarray], original_shape: tuple,
                    spec: PatchSpec) -> np.ndarray:
     """Inverse of extract_patches on per-voxel values: overlaps averaged,
     padding cropped. `original_shape` is the full (n, z, h, w, c) shape.
+
+    `patches` may be any iterable in patch order, a stream included:
+    each patch is added as it arrives and none is kept, and the patch
+    count is checked once the stream ends.
     """
-    n, z, h, w, c = original_shape
-    starts = [
-        (z0, h0, w0)
-        for z0 in _patch_starts(z, spec.shape[0], spec.stride[0])
-        for h0 in _patch_starts(h, spec.shape[1], spec.stride[1])
-        for w0 in _patch_starts(w, spec.shape[2], spec.stride[2])
-    ]
-    if len(patches) != len(starts):
-        raise ShapeError(
-            f"stitch_patches: got {len(patches)} patches, tiling needs {len(starts)}"
-        )
+    z, h, w = original_shape[1:4]
+    starts = patch_starts((z, h, w), spec)
     check_coverage((z, h, w), spec)
     acc = np.zeros(original_shape, dtype=DTYPE)
     cnt = np.zeros((1, z, h, w, 1), dtype=DTYPE)
-    for patch, (z0, h0, w0) in zip(patches, starts):
+    count = 0
+    for count, patch in enumerate(patches, start=1):
+        if count > len(starts):
+            continue  # counted, then refused below
         patch = as_tensor5(patch, "patch")
         if patch.shape[1:4] != spec.shape:
             raise ShapeError(f"patch shape {patch.shape[1:4]} != spec {spec.shape}")
-        zs = min(spec.shape[0], z - z0)
-        hs = min(spec.shape[1], h - h0)
-        ws = min(spec.shape[2], w - w0)
-        acc[:, z0 : z0 + zs, h0 : h0 + hs, w0 : w0 + ws, :] += patch[:, :zs, :hs, :ws, :]
-        cnt[:, z0 : z0 + zs, h0 : h0 + hs, w0 : w0 + ws, :] += 1.0
+        inside, part = _window((z, h, w), starts[count - 1], spec)
+        acc[(slice(None), *inside)] += patch[(slice(None), *part)]
+        cnt[(slice(None), *inside)] += 1.0
+    if count != len(starts):
+        raise ShapeError(f"stitch_patches: got {count} patches, tiling needs {len(starts)}")
     return acc / cnt
 
 
@@ -309,13 +328,12 @@ def list_cases(root, marker: str = "t1.npy") -> list[Path]:
     return dirs
 
 
-def preprocess_case(case: Case, spec: PatchSpec):
-    """Normalized, stacked, patched view of one case."""
+def preprocess_case(case: Case) -> np.ndarray:
+    """The case's modalities normalized and stacked: a (1, z, h, w, 4) tensor."""
     normalized = Case(
         id=case.id,
         modalities=tuple(normalize(m, f"case {case.id}: {name}.npy")
                          for name, m in zip(MODALITIES, case.modalities)),
         labels=case.labels,
     )
-    x = stack_modalities(normalized)
-    return x, extract_patches(x, case.labels, spec)
+    return stack_modalities(normalized)

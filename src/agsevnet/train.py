@@ -18,18 +18,36 @@ from pathlib import Path
 import numpy as np
 
 from .infer import predict_case
-from .losses import METRIC_ORDER, REGION_ORDER, ClassWeights, dice_loss, region_rows, summary_cells
+from .losses import (
+    METRIC_ORDER,
+    REGION_ORDER,
+    ClassWeights,
+    check_labels,
+    dice_loss,
+    region_rows,
+    summary_cells,
+)
 from .network import (
+    TRAIN_CONFIG_FILE,
     NetConfig,
     build,
     check_finite_floats,
+    config_from_text,
     config_to_text,
     forward,
     load_checkpoint,
     save_checkpoint,
 )
 from .npyio import write_npy
-from .pipeline import PatchSpec, list_cases, load_case, load_labels, preprocess_case
+from .pipeline import (
+    LABEL_FILE,
+    PatchSpec,
+    extract_patches,
+    list_cases,
+    load_case,
+    load_labels,
+    preprocess_case,
+)
 from .rng import Rng
 
 
@@ -139,9 +157,8 @@ def _load_training_patches(data_dir, spec: PatchSpec):
     patches = []
     for case_dir in list_cases(data_dir):
         case = load_case(case_dir, require_labels=True)
-        _, case_patches = preprocess_case(case, spec)
-        for img, lbl in case_patches:
-            patches.append((img, lbl))
+        check_labels(case.labels, f"case {case_dir}: {LABEL_FILE}")
+        patches += extract_patches(preprocess_case(case), case.labels, spec)
     return patches
 
 
@@ -164,13 +181,15 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     patches = _load_training_patches(data_dir, spec)
     if not patches:
         raise TrainingError(f"no training patches found under {data_dir}")
+    if val_dir is not None:  # a bad label fails before step 0, not after a traversal
+        for case_dir in list_cases(val_dir):
+            check_labels(load_labels(case_dir), f"case {case_dir}: {LABEL_FILE}")
 
     if resume is not None:
-        params, net_config, start_step, state = load_checkpoint(resume)
-        if config_to_text(net_config) != config_to_text(config.net):
-            raise TrainingError("checkpoint network configuration does not match")
+        params, _, start_step, state = load_checkpoint(resume)
         if sorted(state) != sorted(_opt_state_names(config, params)):
             raise TrainingError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
+        _check_resumable(resume, config, start_step)
         loss_log = _read_loss_log(out_dir / "losses.txt", start_step)
     else:
         params = build(config.net, rng.derive("init"))
@@ -223,12 +242,36 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
             _write_loss_log(out_dir / "losses.txt", loss_log)
             if val_dir is not None:
                 _write_val_log(out_dir / "val.txt", val_rows)
-            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state)
+            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state,
+                            train_config=config)
 
     _write_loss_log(out_dir / "losses.txt", loss_log)
     _write_report(out_dir / "report.txt", config, loss_log, [row for _, row in val_rows])
     log(f"trained {config.max_steps - start_step} steps in {time.time() - started:.1f}s")
     return checkpoint_dir
+
+
+def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> None:
+    """Refuse to resume unless the run replays the one the checkpoint's
+    stored training config began: every key must match except max_steps
+    and checkpoint_interval, and lr_decay_step may move only among the
+    steps not yet taken.
+    """
+    path = Path(checkpoint) / TRAIN_CONFIG_FILE
+    if not path.exists():
+        raise TrainingError(f"checkpoint {checkpoint} stores no training configuration "
+                            f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
+    stored = config_from_text(TrainConfig, path.read_text())
+    old, new = ([line.partition("=") for line in config_to_text(c).splitlines()]
+                for c in (stored, config))
+    changed = [k for (k, _, a), (_, _, b) in zip(old, new) if a != b and k not in
+               ("max_steps", "checkpoint_interval", "lr_decay_step")]
+    decay_steps = {stored.lr_decay_step, config.lr_decay_step}
+    if len(decay_steps) == 2 and min(decay_steps) < start_step:
+        changed.append("lr_decay_step")
+    if changed:
+        raise TrainingError(f"training config differs from the checkpoint's in "
+                            f"{', '.join(changed)}; resume with the stored config or start a new run")
 
 
 def _validation_due(config: TrainConfig, step: int, n: int) -> bool:

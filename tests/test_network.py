@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,25 @@ class TestForward:
         c = forward(x, params, cfg, training=True, rng=Rng(1)).output
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
+
+    @pytest.mark.parametrize("depths", [2, 3])
+    def test_no_grad_forward_bitwise_and_half_the_memory(self, depths):
+        cfg = tiny_config(base_width=4, depths=depths, patch_shape=(32, 32, 32))
+        params = build(cfg, Rng(40))
+        x = Rng(41).normal((1, 32, 32, 32, 2))
+        runs = {}
+        for grad in (True, False):
+            tracemalloc.start()
+            try:
+                lg = forward(x, params, cfg, grad=grad)
+                runs[grad] = lg, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (with_grad, peak_grad), (no_grad, peak_no_grad) = runs[True], runs[False]
+        assert no_grad.output.tobytes() == with_grad.output.tobytes()
+        assert peak_no_grad <= peak_grad / 2
+        with pytest.raises(RuntimeError, match="grad=False"):
+            no_grad.backward(np.ones_like(no_grad.output))
 
     def test_shape_mismatch_rejected(self):
         cfg = tiny_config()

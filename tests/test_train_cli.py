@@ -158,6 +158,52 @@ class TestTraining:
         train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
         assert load_checkpoint(tmp_path / "checkpoint")[2] == 4
 
+    def test_resume_refuses_changed_training_config(self, phantom_dir, tmp_path):
+        train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
+              log=lambda s: None)
+        checkpoint = tmp_path / "checkpoint"
+        before = dir_bytes(tmp_path)
+        wider_dropout = NetConfig(**{**vars(tiny_train_config().net), "dropout": 0.2})
+        for change, keys in (
+            (dict(lr_initial=0.5), "lr_initial"),
+            (dict(class_weights=(1.0, 1.0, 1.0, 1.0)), "class_weights"),
+            (dict(lr_initial=0.5, seed=4), "lr_initial, seed"),
+            (dict(net=wider_dropout), "net.dropout"),
+            (dict(lr_decay_step=1), "lr_decay_step"),  # step 1 ran at lr_initial
+        ):
+            with pytest.raises(TrainingError, match=f"differs from the checkpoint's in {keys};"):
+                train(tiny_train_config(max_steps=4, checkpoint_interval=2, **change), phantom_dir,
+                      tmp_path, resume=checkpoint, log=lambda s: None)
+            assert dir_bytes(tmp_path) == before
+        (checkpoint / "train_config.txt").unlink()
+        with pytest.raises(TrainingError, match="stores no training configuration"):
+            train(tiny_train_config(max_steps=4, checkpoint_interval=2), phantom_dir, tmp_path,
+                  resume=checkpoint, log=lambda s: None)
+        shutil.rmtree(tmp_path)
+        train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
+              log=lambda s: None)
+        # a longer run with another checkpoint interval, whose decay step moves
+        # only steps not yet taken, replays the stored one
+        train(tiny_train_config(max_steps=4, checkpoint_interval=1, lr_decay_step=3), phantom_dir,
+              tmp_path, resume=checkpoint, log=lambda s: None)
+        assert load_checkpoint(checkpoint)[2] == 4
+
+    @pytest.mark.parametrize("bad_in", ["data", "val"])
+    def test_bad_label_named_before_step_zero(self, phantom_dir, tmp_path, bad_in):
+        bad = tmp_path / "bad"
+        shutil.copytree(phantom_dir, bad)
+        seg = read_npy(bad / "case001" / "seg.npy")
+        seg[3, 4, 5] = 3
+        write_npy(bad / "case001" / "seg.npy", seg)
+        data, val = (bad, phantom_dir) if bad_in == "data" else (phantom_dir, bad)
+        logged = []
+        with pytest.raises(ValueError, match="unknown label value 3 at index \\(3, 4, 5\\)") as info:
+            train(tiny_train_config(max_steps=4, checkpoint_interval=2), data,
+                  tmp_path / "run", val_dir=val, log=logged.append)
+        assert f"case {bad / 'case001'}: seg.npy" in str(info.value)
+        assert not [line for line in logged if line.startswith("step")]
+        assert not (tmp_path / "run" / "losses.txt").exists()
+
     def test_validation_metrics_in_report(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(max_steps=4, checkpoint_interval=4)
         for sub in ("va", "vb"):
@@ -461,6 +507,20 @@ class TestCli:
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
         assert key in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("line, key", [("seed=abc", "seed"),
+                                           ("net.ag_eps=0.o1", "net.ag_eps"),
+                                           ("patch_stride=16,x,16", "patch_stride")])
+    def test_unparsable_config_value_names_key_exit_one(self, phantom_dir, tmp_path, capsys,
+                                                        line, key):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(line + "\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                     "--out", str(run)]) == 1
+        raw = line.split("=", 1)[1]
+        assert f"config key {key}: cannot parse {raw!r}" in capsys.readouterr().err
         assert not run.exists()
 
     def test_overflowing_modality_exits_one(self, phantom_dir, tmp_path, capsys):

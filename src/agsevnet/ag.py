@@ -22,7 +22,6 @@ only), computed by one band-matrix GEMM per axis (see box_sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +46,6 @@ class AgParams:
             raise ValueError(f"AG eps must be > 0, got {self.eps}")
         if self.attn_gate.kernel.shape[4] != 1:
             raise ShapeError("AG attention gate must produce exactly 1 channel")
-
-
-class AgCoefficients(NamedTuple):
-    """Per-voxel affine coefficients of the filter."""
-
-    A: np.ndarray  # slope, same shape as the guidance
-    B: np.ndarray  # intercept
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +213,6 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
         return g_i, g_o, g_t
 
     return coeff_a, coeff_b, backward
-
-
-def ag_fit(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float) -> AgCoefficients:
-    """Per-voxel filter coefficients from the attention-weighted fit.
-
-    Minimizes, per window and channel, the squared reconstruction error
-    of O from the guidance weighted by the (globally mean-normalized)
-    squared attention, ridge-regularized per in-window voxel, then
-    averages each voxel's coefficients over all windows covering it.
-    """
-    i = as_tensor5(i, "ag_fit guidance")
-    o = as_tensor5(o, "ag_fit target")
-    t = as_tensor5(t, "ag_fit attention")
-    if i.shape[:4] != o.shape[:4] or i.shape[:4] != t.shape[:4]:
-        raise ShapeError(f"ag_fit: spatial mismatch i={i.shape} o={o.shape} t={t.shape}")
-    if i.shape[4] != o.shape[4]:
-        raise ShapeError(f"ag_fit: channel mismatch i={i.shape[4]} vs o={o.shape[4]}")
-    if t.shape[4] != 1:
-        raise ShapeError(f"ag_fit: attention must be single-channel, got {t.shape}")
-    if r < 1:
-        raise ValueError(f"ag_fit radius must be >= 1, got {r}")
-    if eps <= 0:
-        raise ValueError(f"ag_fit eps must be > 0, got {eps}")
-    coeff_a, coeff_b, _ = _fit_forward(i, o, t, r, eps)
-    return AgCoefficients(coeff_a, coeff_b)
 
 
 def effective_radius(radius: int, spatial: tuple[int, int, int]) -> int:

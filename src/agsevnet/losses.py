@@ -2,7 +2,7 @@
 
 The loss uses the squared-denominator soft Dice per class,
 D_c = 2*sum(p*g) / (sum(p^2) + sum(g^2) + s), whose gradient has the
-closed form implemented in `dice_grad_closed_form`; the evaluation-side
+closed form the oracle `checks.dice_grad_closed_form` implements; the evaluation-side
 Dice uses the plain confusion-count form 2TP/(FN+FP+2TP). Region masks
 follow the nested label alphabet: whole tumor {1,2,4}, tumor core
 {1,4}, enhancing tumor {4}.
@@ -84,24 +84,6 @@ def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights,
     ddice_dp = coef_g * g - coef_p * p
     grad = -(w / wsum) * ddice_dp
     return loss, grad
-
-
-def dice_grad_closed_form(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
-    """Closed-form per-voxel gradient of the soft Dice score itself:
-
-        dD_c/dp_j = 2 [ g_j (sum p^2 + sum g^2) - 2 p_j (sum p g) ]
-                      / (sum p^2 + sum g^2)^2
-
-    evaluated with the same smoothing in the denominator as the loss.
-    Kept as an independent code path from `dice_loss` for cross-checks.
-    """
-    p, g = _check_pair(p, g)
-    inter = (p * g).sum(axis=(0, 1, 2, 3))
-    pp = (p * p).sum(axis=(0, 1, 2, 3))
-    gg = (g * g).sum(axis=(0, 1, 2, 3))
-    denom = pp + gg + smooth
-    grad = 2.0 * (g * denom - 2.0 * p * inter) / (denom * denom)
-    return np.where(gg > 0.0, grad, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ IN_EPS = 1e-5
 STAGES = 5
 HALVINGS = 4
 CHANNEL_TO_LABEL = np.array([0, 1, 2, 4], dtype=np.uint8)
-TRAIN_CONFIG_FILE = "train_config.txt"
 
 
 @dataclass
@@ -423,13 +422,14 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
                     step: int, extra: dict[str, np.ndarray] | None = None,
-                    train_config=None) -> None:
+                    texts: dict[str, str] | None = None) -> None:
     """Parameter directory + config text + step counter; reload resumes
     bitwise-identically. `extra` carries optimizer state arrays and
-    `train_config`, the run's training config, goes to TRAIN_CONFIG_FILE
-    so a resume can be checked against it. The files go to a sibling
-    `<name>.tmp` directory that then replaces `directory`, so a save cut
-    short leaves the previous checkpoint whole.
+    `texts` maps further file names to their content, such as a
+    trainer's own records. The files go to a sibling `<name>.tmp`
+    directory that then replaces `directory`, so a save cut short leaves
+    the previous checkpoint whole or, between the two renames, no
+    `directory` but its `.old` and `.tmp` siblings.
     """
     directory = Path(directory)
     tmp, old = (directory.with_name(directory.name + ext) for ext in (".tmp", ".old"))
@@ -441,8 +441,8 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
         blob[f"opt.{key}"] = val
     save_params(tmp, blob)
     (tmp / "config.txt").write_text(config_to_text(config))
-    if train_config is not None:
-        (tmp / TRAIN_CONFIG_FILE).write_text(config_to_text(train_config))
+    for name, text in (texts or {}).items():
+        (tmp / name).write_text(text)
     (tmp / "step.txt").write_text(f"{step}\n")
     if directory.exists():
         directory.rename(old)
@@ -453,6 +453,10 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
 
 def load_checkpoint(directory):
     directory = Path(directory)
+    left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
+    if left and not directory.exists():
+        raise FileNotFoundError(f"no checkpoint at {directory}: a save was cut short and left "
+                                f"{' and '.join(left)}")
     blob = load_params(directory)
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}

@@ -1,4 +1,5 @@
-"""Minimal `.npy` (format version 1.0) reader and writer.
+"""Minimal `.npy` (format version 1.0) reader, and a writer that is
+`np.save` restricted to the same dtypes.
 
 Only the two dtypes the kit stores are supported: little-endian 8-byte
 floats ("<f8") for tensors and 1-byte unsigned integers ("|u1") for
@@ -20,31 +21,12 @@ MAGIC = b"\x93NUMPY"
 SUPPORTED_DESCRS = {"<f8": np.dtype("<f8"), "|u1": np.dtype("|u1")}
 
 
-def _descr_for(arr: np.ndarray) -> str:
-    if arr.dtype == np.float64:
-        return "<f8"
-    if arr.dtype == np.uint8:
-        return "|u1"
-    raise ValueError(f"unsupported dtype for .npy output: {arr.dtype} (use float64 or uint8)")
-
-
 def write_npy(path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
-    descr = _descr_for(arr)
-    header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (
-        descr,
-        repr(arr.shape),
-    )
-    # magic(6) + version(2) + hlen(2) + header must be a multiple of 64
-    unpadded = len(MAGIC) + 2 + 2 + len(header) + 1
-    pad = (64 - unpadded % 64) % 64
-    header = header + " " * pad + "\n"
+    if arr.dtype not in SUPPORTED_DESCRS.values():
+        raise ValueError(f"unsupported dtype for .npy output: {arr.dtype} (use float64 or uint8)")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([1, 0]))
-        fh.write(struct.pack("<H", len(header)))
-        fh.write(header.encode("latin1"))
-        fh.write(arr.tobytes(order="C"))
+        np.save(fh, arr, allow_pickle=False)
 
 
 def read_npy(path) -> np.ndarray:

@@ -5,12 +5,15 @@ checkpoints.
 All randomness is derived from (seed, step/traversal) rather than from
 mutable generator state, so resuming from a checkpoint replays exactly
 the run that would have happened without the interruption. Optimizer
-moment arrays ride along in the checkpoint under the `opt.` prefix.
+moment arrays ride along in the checkpoint under the `opt.` prefix, and
+the run's training config and history (loss and validation rows) as
+text files, so a checkpoint alone holds everything a resume replays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +31,6 @@ from .losses import (
     summary_cells,
 )
 from .network import (
-    TRAIN_CONFIG_FILE,
     NetConfig,
     build,
     check_finite_floats,
@@ -49,6 +51,11 @@ from .pipeline import (
     preprocess_case,
 )
 from .rng import Rng
+
+# training files inside a checkpoint; the history files are copied to the out dir
+TRAIN_CONFIG_FILE = "train_config.txt"
+LOSS_FILE, LOSS_LINE = "losses.txt", "{} {:.8e} {:.17e}\n"  # step, learning rate, loss
+VAL_FILE, VAL_LINE = "val.txt", "{} {}\n"  # step, validation row
 
 
 @dataclass
@@ -170,9 +177,12 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     report under out_dir/report.txt (loss per step, learning rate,
     seed, config hash, and, when `val_dir` is given, per-traversal
     validation metrics in the evaluation-table layout; no wall-clock
-    inside the report so reruns are byte-identical). The loss rows
-    (losses.txt) and validation rows (val.txt) carry their step, so a
-    resume keeps exactly those taken before its checkpoint.
+    inside the report so reruns are byte-identical). Each checkpoint
+    holds the run's history: the loss rows (losses.txt) and, with
+    `val_dir`, the validation rows (val.txt), each row carrying its
+    step. A resume reads that history from the checkpoint alone; the
+    out_dir copies of both logs and the report are derived from it at
+    each checkpoint and when a resume loads one.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,29 +191,24 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     patches = _load_training_patches(data_dir, spec)
     if not patches:
         raise TrainingError(f"no training patches found under {data_dir}")
-    if val_dir is not None:  # a bad label fails before step 0, not after a traversal
+    n = len(patches)
+    with_val = val_dir is not None
+    if with_val:  # a bad label fails before step 0, not after a traversal
         for case_dir in list_cases(val_dir):
             check_labels(load_labels(case_dir), f"case {case_dir}: {LABEL_FILE}")
 
     if resume is not None:
         params, _, start_step, state = load_checkpoint(resume)
         if sorted(state) != sorted(_opt_state_names(config, params)):
-            raise TrainingError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
-        _check_resumable(resume, config, start_step)
-        loss_log = _read_loss_log(out_dir / "losses.txt", start_step)
+            raise ValueError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
+        stored = _check_resumable(resume, config, start_step)
+        loss_log, val_rows = _read_history(Path(resume), stored, config, start_step, n, with_val)
+        _write_derived(out_dir, config, loss_log, val_rows, with_val)
     else:
         params = build(config.net, rng.derive("init"))
         state = init_opt_state(config, params)
         start_step = 0
-        loss_log = []
-    n = len(patches)
-    val_rows = []
-    if resume is not None and val_dir is not None:
-        # rows the uninterrupted run would hold: not the extra final-step
-        # row of an earlier run configured to stop sooner
-        val_rows = _read_val_log(
-            out_dir / "val.txt", lambda s: s < start_step and _validation_due(config, s, n)
-        )
+        loss_log, val_rows = [], []
 
     weights = ClassWeights(config.class_weights)
     started = time.time()
@@ -232,35 +237,30 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         checkpoint_due = (step + 1) % config.checkpoint_interval == 0 or step + 1 == config.max_steps
         if checkpoint_due:
             _guard_finite(params, step)
-        if val_dir is not None and _validation_due(config, step, n):
+        if with_val and _validation_due(config, step, n):
             rows = _validation_metrics(val_dir, params, config, traversal)
             val_rows.extend((step, row) for row in rows)
             log(f"traversal {traversal}: " + "; ".join(rows[-3:]))
         if checkpoint_due:
-            # logs before the checkpoint: a run cut in between resumes from
-            # the previous checkpoint, which truncates the logs back to it
-            _write_loss_log(out_dir / "losses.txt", loss_log)
-            if val_dir is not None:
-                _write_val_log(out_dir / "val.txt", val_rows)
-            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state,
-                            train_config=config)
+            texts = {TRAIN_CONFIG_FILE: config_to_text(config),
+                     **_history_texts(loss_log, val_rows, with_val)}
+            save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state, texts=texts)
+            _write_derived(out_dir, config, loss_log, val_rows, with_val)
 
-    _write_loss_log(out_dir / "losses.txt", loss_log)
-    _write_report(out_dir / "report.txt", config, loss_log, [row for _, row in val_rows])
     log(f"trained {config.max_steps - start_step} steps in {time.time() - started:.1f}s")
     return checkpoint_dir
 
 
-def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> None:
+def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainConfig:
     """Refuse to resume unless the run replays the one the checkpoint's
     stored training config began: every key must match except max_steps
     and checkpoint_interval, and lr_decay_step may move only among the
-    steps not yet taken.
+    steps not yet taken. Returns the stored config.
     """
     path = Path(checkpoint) / TRAIN_CONFIG_FILE
     if not path.exists():
-        raise TrainingError(f"checkpoint {checkpoint} stores no training configuration "
-                            f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
+        raise ValueError(f"checkpoint {checkpoint} stores no training configuration "
+                         f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
     stored = config_from_text(TrainConfig, path.read_text())
     old, new = ([line.partition("=") for line in config_to_text(c).splitlines()]
                 for c in (stored, config))
@@ -270,8 +270,43 @@ def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> None:
     if len(decay_steps) == 2 and min(decay_steps) < start_step:
         changed.append("lr_decay_step")
     if changed:
-        raise TrainingError(f"training config differs from the checkpoint's in "
-                            f"{', '.join(changed)}; resume with the stored config or start a new run")
+        raise ValueError(f"training config differs from the checkpoint's in "
+                         f"{', '.join(changed)}; resume with the stored config or start a new run")
+    return stored
+
+
+def _read_history(checkpoint: Path, stored: TrainConfig, config: TrainConfig,
+                  start_step: int, n: int, with_val: bool):
+    """The loss rows of steps 0..start_step-1 and, `with_val`, the
+    validation rows, read from the checkpoint. The stored rows must be
+    exactly those its own run (`stored`) took; the validation rows this
+    run would not take, the final-step rows of a run configured to stop
+    sooner, are dropped.
+    """
+    loss_log = _history_rows(checkpoint / LOSS_FILE, _loss_row, LOSS_LINE, list(range(start_step)))
+    if not with_val:
+        return loss_log, []
+    taken = [s for s in range(start_step) if _validation_due(stored, s, n) for _ in REGION_ORDER]
+    val_rows = _history_rows(checkpoint / VAL_FILE, _val_row, VAL_LINE, taken)
+    return loss_log, [row for row in val_rows if _validation_due(config, row[0], n)]
+
+
+def _history_rows(path: Path, parse, line: str, steps: list[int]) -> list[tuple]:
+    """Rows of a checkpoint history file, refused unless their steps are
+    exactly `steps` and each row re-formats to its own line, so a row
+    cut short or edited is caught."""
+    if not path.exists():
+        raise ValueError(f"checkpoint history {path} is missing, so a resume cannot replay "
+                         f"the run before the checkpoint; start a new run")
+    text = path.read_text()
+    try:
+        rows = [parse(row) for row in text.splitlines()]
+    except ValueError:
+        rows = []
+    if "".join(line.format(*row) for row in rows) != text or [row[0] for row in rows] != steps:
+        raise ValueError(f"checkpoint history {path} does not hold exactly the rows of the run "
+                         f"before the checkpoint; resume from an intact checkpoint or start a new run")
+    return rows
 
 
 def _validation_due(config: TrainConfig, step: int, n: int) -> bool:
@@ -298,34 +333,35 @@ def _guard_finite(params, step):
             raise TrainingError(f"non-finite parameter {name} at step {step}; checkpoint withheld")
 
 
-def _write_loss_log(path: Path, loss_log):
-    lines = [f"{step} {lr:.8e} {loss:.17e}" for step, lr, loss in loss_log]
-    path.write_text("\n".join(lines) + "\n")
+def _loss_row(line: str):
+    step, lr, loss = line.split(" ")
+    return int(step), float(lr), float(loss)
 
 
-def _read_loss_log(path: Path, upto_step: int):
-    if not path.exists():
-        return []
-    out = []
-    for line in path.read_text().splitlines():
-        s, lr, loss = line.split()
-        if int(s) < upto_step:
-            out.append((int(s), float(lr), float(loss)))
-    return out
+def _val_row(line: str):
+    step, text = line.split(" ", 1)
+    return int(step), text
 
 
-def _write_val_log(path: Path, val_rows):
-    path.write_text("".join(f"{step} {row}\n" for step, row in val_rows))
+def _history_texts(loss_log, val_rows, with_val: bool) -> dict[str, str]:
+    texts = {LOSS_FILE: "".join(LOSS_LINE.format(*row) for row in loss_log)}
+    if with_val:
+        texts[VAL_FILE] = "".join(VAL_LINE.format(*row) for row in val_rows)
+    return texts
 
 
-def _read_val_log(path: Path, keep):
-    if not path.exists():
-        return []
-    rows = [line.split(" ", 1) for line in path.read_text().splitlines()]
-    return [(int(s), row) for s, row in rows if keep(int(s))]
+def _write_derived(out_dir: Path, config: TrainConfig, loss_log, val_rows, with_val: bool):
+    """The out-dir logs and report, derived from the in-memory history;
+    each goes to a temp file that then replaces it."""
+    texts = {**_history_texts(loss_log, val_rows, with_val),
+             "report.txt": _report_text(config, loss_log, val_rows)}
+    for name, text in texts.items():
+        tmp = out_dir / f"{name}.tmp"
+        tmp.write_text(text)
+        os.replace(tmp, out_dir / name)
 
 
-def _write_report(path: Path, config: TrainConfig, loss_log, val_rows=()):
+def _report_text(config: TrainConfig, loss_log, val_rows) -> str:
     lines = [
         "# training report",
         f"seed={config.seed}",
@@ -342,5 +378,5 @@ def _write_report(path: Path, config: TrainConfig, loss_log, val_rows=()):
     if val_rows:
         lines.append("")
         lines.append(",".join(["traversal", "region", *METRIC_ORDER]))
-        lines.extend(val_rows)
-    path.write_text("\n".join(lines) + "\n")
+        lines.extend(row for _, row in val_rows)
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ import pytest
 
 from agsevnet.ag import (
     AgParams,
-    ag_fit,
+    _fit_forward,
     ag_forward,
     attention_map,
     box_sum,
@@ -159,30 +159,30 @@ class TestAgFit:
     def test_perfect_self_guidance(self):
         x = rand(16, (1, 5, 5, 5, 1))
         t = np.ones((1, 5, 5, 5, 1))
-        coeff = ag_fit(x, x, t, r=2, eps=1e-12)
-        assert np.abs(coeff.A - 1.0).max() < 1e-6
-        assert np.abs(coeff.B).max() < 1e-6
+        coeff_a, coeff_b = _fit_forward(x, x, t, r=2, eps=1e-12)[:2]
+        assert np.abs(coeff_a - 1.0).max() < 1e-6
+        assert np.abs(coeff_b).max() < 1e-6
 
     def test_constant_guidance_gives_window_mean(self):
         i = np.full((1, 5, 5, 5, 1), 2.0)
         o = rand(17, (1, 5, 5, 5, 1))
         t = np.ones((1, 5, 5, 5, 1))
-        coeff = ag_fit(i, o, t, r=1, eps=0.01)
+        coeff_a, coeff_b = _fit_forward(i, o, t, r=1, eps=0.01)[:2]
         counts = window_counts((5, 5, 5), 1)
         window_mean_o = box_sum(o, 1) / counts
         expect_b = box_sum(window_mean_o, 1) / counts
-        assert np.abs(coeff.A).max() < 1e-9
-        assert np.abs(coeff.B - expect_b).max() < 1e-9
+        assert np.abs(coeff_a).max() < 1e-9
+        assert np.abs(coeff_b - expect_b).max() < 1e-9
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_matches_normal_equations_oracle(self, r):
         i = rand(18, (1, 6, 6, 6, 1))
         o = rand(19, (1, 6, 6, 6, 1))
         t = Rng(20).uniform(0.05, 1.0, (1, 6, 6, 6, 1))
-        got = ag_fit(i, o, t, r, 0.01)
+        got_a, got_b = _fit_forward(i, o, t, r, 0.01)[:2]
         want_a, want_b = fit_oracle(i[0, ..., 0], o[0, ..., 0], t[0, ..., 0], r, 0.01)
-        assert np.abs(got.A[0, ..., 0] - want_a).max() < 1e-10
-        assert np.abs(got.B[0, ..., 0] - want_b).max() < 1e-10
+        assert np.abs(got_a[0, ..., 0] - want_a).max() < 1e-10
+        assert np.abs(got_b[0, ..., 0] - want_b).max() < 1e-10
 
     def test_constant_attention_reduces_to_classical_filter(self):
         i = rand(21, (1, 6, 6, 6, 1))
@@ -190,7 +190,7 @@ class TestAgFit:
         r, eps = 2, 0.01
         for const in (1.0, 0.3, 2.5):
             t = np.full((1, 6, 6, 6, 1), const)
-            got = ag_fit(i, o, t, r, eps)
+            got_a, got_b = _fit_forward(i, o, t, r, eps)[:2]
             counts = window_counts((6, 6, 6), r)
             mean_i = box_sum(i, r) / counts
             mean_o = box_sum(o, r) / counts
@@ -200,26 +200,26 @@ class TestAgFit:
             b = mean_o - a * mean_i
             want_a = box_sum(a, r) / counts
             want_b = box_sum(b, r) / counts
-            assert np.abs(got.A - want_a).max() < 1e-10
-            assert np.abs(got.B - want_b).max() < 1e-10
+            assert np.abs(got_a - want_a).max() < 1e-10
+            assert np.abs(got_b - want_b).max() < 1e-10
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_invariant_to_attention_rescale(self, c):
         i = rand(23, (1, 6, 6, 6, 2))
         o = rand(24, (1, 6, 6, 6, 2))
         t = Rng(25).uniform(0.1, 0.9, (1, 6, 6, 6, 1))
-        base = ag_fit(i, o, t, 2, 0.01)
-        scaled = ag_fit(i, o, c * t, 2, 0.01)
-        assert np.abs(base.A - scaled.A).max() < 1e-10
-        assert np.abs(base.B - scaled.B).max() < 1e-10
+        base_a, base_b = _fit_forward(i, o, t, 2, 0.01)[:2]
+        scaled_a, scaled_b = _fit_forward(i, o, c * t, 2, 0.01)[:2]
+        assert np.abs(base_a - scaled_a).max() < 1e-10
+        assert np.abs(base_b - scaled_b).max() < 1e-10
 
     def test_constant_volume_constant_coefficients_at_borders(self):
         i = np.full((1, 6, 6, 6, 1), 1.7)
         o = np.full((1, 6, 6, 6, 1), -0.4)
         t = Rng(26).uniform(0.2, 1.0, (1, 6, 6, 6, 1))
-        coeff = ag_fit(i, o, t, 2, 0.01)
-        assert np.abs(coeff.A - coeff.A[0, 3, 3, 3, 0]).max() < 1e-12
-        assert np.abs(coeff.B - coeff.B[0, 3, 3, 3, 0]).max() < 1e-12
+        coeff_a, coeff_b = _fit_forward(i, o, t, 2, 0.01)[:2]
+        assert np.abs(coeff_a - coeff_a[0, 3, 3, 3, 0]).max() < 1e-12
+        assert np.abs(coeff_b - coeff_b[0, 3, 3, 3, 0]).max() < 1e-12
 
     def test_locality_radius_2r(self):
         r = 1
@@ -227,12 +227,12 @@ class TestAgFit:
         i = rand(27, (1, n, n, n, 1))
         o = rand(28, (1, n, n, n, 1))
         t = Rng(29).uniform(0.2, 1.0, (1, n, n, n, 1))
-        base = ag_fit(i, o, t, r, 0.01)
+        base_a, base_b = _fit_forward(i, o, t, r, 0.01)[:2]
         bumped = o.copy()
         bumped[0, 4, 4, 4, 0] += 3.0
-        moved = ag_fit(i, bumped, t, r, 0.01)
-        delta_a = np.abs(moved.A - base.A)[0, ..., 0]
-        delta_b = np.abs(moved.B - base.B)[0, ..., 0]
+        moved_a, moved_b = _fit_forward(i, bumped, t, r, 0.01)[:2]
+        delta_a = np.abs(moved_a - base_a)[0, ..., 0]
+        delta_b = np.abs(moved_b - base_b)[0, ..., 0]
         zz, hh, ww = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
         outside = np.maximum.reduce([np.abs(zz - 4), np.abs(hh - 4), np.abs(ww - 4)]) > 2 * r
         assert outside.any() and not outside.all()
@@ -244,19 +244,12 @@ class TestAgFit:
         i = rand(30, (1, 4, 4, 4, 1))
         o = rand(31, (1, 4, 4, 4, 1))
         t = np.zeros((1, 4, 4, 4, 1))
-        coeff = ag_fit(i, o, t, 1, 0.01)
+        coeff_a, coeff_b = _fit_forward(i, o, t, 1, 0.01)[:2]
         counts = window_counts((4, 4, 4), 1)
         mean_o = box_sum(o, 1) / counts
         expect_b = box_sum(mean_o, 1) / counts
-        assert np.all(coeff.A == 0.0)
-        assert np.abs(coeff.B - expect_b).max() < 1e-12
-
-    def test_shape_validation(self):
-        ok = np.ones((1, 4, 4, 4, 1))
-        with pytest.raises(ShapeError, match="single-channel"):
-            ag_fit(ok, ok, np.ones((1, 4, 4, 4, 2)), 1, 0.01)
-        with pytest.raises(ShapeError, match="channel mismatch"):
-            ag_fit(np.ones((1, 4, 4, 4, 2)), ok, np.ones((1, 4, 4, 4, 1)), 1, 0.01)
+        assert np.all(coeff_a == 0.0)
+        assert np.abs(coeff_b - expect_b).max() < 1e-12
 
 
 class TestAgForward:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from agsevnet.checks import hd95_all_pairs, soft_dice_per_class, surface_distance_pool
+from agsevnet.checks import (
+    dice_grad_closed_form,
+    hd95_all_pairs,
+    soft_dice_per_class,
+    surface_distance_pool,
+)
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet import losses
 from agsevnet.layers import activation
@@ -10,7 +15,6 @@ from agsevnet.losses import (
     ConfusionCounts,
     confusion,
     derive_regions,
-    dice_grad_closed_form,
     dice_loss,
     format_report,
     hausdorff95,

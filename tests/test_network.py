@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +307,24 @@ class TestCheckpoint:
         assert step == 8
         assert all(params[k].tobytes() == second[k].tobytes() for k in second)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_save_cut_between_renames_names_the_siblings(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ck", build(cfg, Rng(19)), cfg, 4)
+        real_rename = Path.rename
+
+        def failing_rename(path, target):
+            if path.name == "ck.tmp":
+                raise OSError("killed")
+            return real_rename(path, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(tmp_path / "ck", build(cfg, Rng(20)), cfg, 8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.old", "ck.tmp"]
+        with pytest.raises(FileNotFoundError, match="a save was cut short") as info:
+            load_checkpoint(tmp_path / "ck")
+        assert f"{tmp_path / 'ck.tmp'} and {tmp_path / 'ck.old'}" in str(info.value)
 
     def test_flipped_byte_names_the_file(self, tmp_path):
         cfg = tiny_config()

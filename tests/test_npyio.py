@@ -81,3 +81,27 @@ def test_rejects_truncated_data(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_npy(path)
+
+
+def _npy_v1_bytes(arr):
+    """The format-1.0 file written by hand: the reference for write_npy."""
+    descr = {"float64": "<f8", "uint8": "|u1"}[arr.dtype.name]
+    header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (descr, repr(arr.shape))
+    header += " " * ((64 - (10 + len(header) + 1) % 64) % 64) + "\n"
+    return (b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header.encode("latin1")
+            + np.ascontiguousarray(arr).tobytes())
+
+
+@pytest.mark.parametrize("arr", [
+    Rng(7).normal((3, 4)),
+    Rng(8).normal((2, 3, 4, 5, 6)),
+    Rng(9).normal((5, 7)).T,
+    (Rng(10).random((7, 9, 3)) * 255).astype(np.uint8),
+    np.zeros((0, 5)),
+    np.zeros((0,)),
+    np.ones((1,)),
+], ids=["2d", "5d", "transposed", "uint8", "empty_rows", "empty", "one"])
+def test_bytes_match_hand_written_format(tmp_path, arr):
+    path = tmp_path / "a.npy"
+    write_npy(path, arr)
+    assert path.read_bytes() == _npy_v1_bytes(arr)

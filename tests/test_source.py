@@ -2,9 +2,11 @@
 
 A function, class or constant defined at the top of a `src/agsevnet`
 module must be referenced somewhere in `src/` outside its own
-definition; an API kept alive only by its own tests fails here.
-`checks.py` is exempt as a definer because it holds the oracles and
-registered checks that the tests and `gradcheck` call.
+definition and outside `checks.py`; an API kept alive only by its own
+tests or by the oracles fails here. `checks.py` and `gradcheck.py` are
+exempt as definers because they hold the oracles, registered checks and
+finite-difference helpers that the tests and the `gradcheck` command
+call.
 """
 
 import ast
@@ -12,7 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agsevnet"
-EXEMPT_MODULES = {"checks.py"}
+EXEMPT_MODULES = {"checks.py", "gradcheck.py"}
+NOT_USES = {"checks.py"}
 EXEMPT_NAMES = {"__version__"}
 
 
@@ -41,8 +44,9 @@ def _references(node) -> Counter:
 def unused_names(root: Path) -> list[str]:
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
     total = Counter()
-    for tree in trees.values():
-        total += _references(tree)
+    for module, tree in trees.items():
+        if module not in NOT_USES:
+            total += _references(tree)
     unused = []
     for module, tree in trees.items():
         if module in EXEMPT_MODULES:
@@ -67,6 +71,11 @@ def test_guard_flags_names_used_only_by_themselves(tmp_path):
     (tmp_path / "b.py").write_text(
         "def helper(x):\n    return x\n"
         "class Orphan:\n    pass\n"
+        "def checked_only():\n    return 1\n"
     )
-    (tmp_path / "checks.py").write_text("def oracle():\n    return 0\n")
-    assert unused_names(tmp_path) == ["a.py:countdown", "b.py:Orphan"]
+    (tmp_path / "checks.py").write_text(
+        "from .b import checked_only\n"
+        "def oracle():\n    return checked_only()\n"
+    )
+    (tmp_path / "gradcheck.py").write_text("def numeric():\n    return 0\n")
+    assert unused_names(tmp_path) == ["a.py:countdown", "b.py:Orphan", "b.py:checked_only"]

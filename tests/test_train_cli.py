@@ -1,4 +1,6 @@
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from agsevnet.network import (
     save_checkpoint,
 )
 from agsevnet.npyio import read_npy, write_npy
-from agsevnet import pipeline
+from agsevnet import layers, pipeline
 from agsevnet.pipeline import MODALITIES, generate_phantom, load_labels, save_case
 from agsevnet.rng import Rng
-from agsevnet.train import TrainConfig, TrainingError, _validation_metrics, config_hash, train
+from agsevnet.train import TrainConfig, _validation_metrics, config_hash, train
+
+LOGS = ("losses.txt", "val.txt", "report.txt")
 
 
 def tiny_train_config(**overrides):
@@ -135,8 +139,9 @@ class TestTraining:
                 full, phantom_dir, run / "part", val_dir=val,
                 resume=run / "part" / "checkpoint", log=lambda s: None,
             )
-            for name in ("losses.txt", "report.txt"):
+            for name in LOGS if val else ("losses.txt", "report.txt"):
                 assert (run / "full" / name).read_bytes() == (run / "part" / name).read_bytes()
+            assert dir_bytes(run / "full" / "checkpoint") == dir_bytes(run / "part" / "checkpoint")
             a = load_checkpoint(run / "full" / "checkpoint")
             b = load_checkpoint(run / "part" / "checkpoint")
             assert a[2] == b[2] == 10
@@ -146,13 +151,124 @@ class TestTraining:
         wt_rows = [line for line in report.splitlines() if line.split(",")[1:2] == ["WT"]]
         assert [line.split(",")[0] for line in wt_rows] == ["0", "1", "2", "3", "4"]
 
+    @pytest.mark.parametrize("damage", ["fresh_out", "truncated_log", "first_row_deleted"])
+    def test_resume_ignores_out_dir_logs(self, phantom_dir, tmp_path, damage):
+        full = tiny_train_config(max_steps=4, checkpoint_interval=2)
+        train(full, phantom_dir, tmp_path / "full", log=lambda s: None)
+        part = tmp_path / "part"
+        train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, part,
+              log=lambda s: None)
+        out, log = part, part / "losses.txt"
+        if damage == "fresh_out":
+            out = tmp_path / "fresh"
+        elif damage == "truncated_log":
+            log.write_bytes(log.read_bytes()[:20])
+        else:
+            log.write_text("".join(log.read_text().splitlines(keepends=True)[1:]))
+        train(full, phantom_dir, out, resume=part / "checkpoint", log=lambda s: None)
+        for name in ("losses.txt", "report.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert dir_bytes(out / "checkpoint") == dir_bytes(tmp_path / "full" / "checkpoint")
+
+    def test_resume_refuses_missing_or_damaged_history(self, phantom_dir, tmp_path):
+        cfg = tiny_train_config(max_steps=2, checkpoint_interval=2)
+        train(cfg, phantom_dir, tmp_path, val_dir=phantom_dir, log=lambda s: None)
+        checkpoint = tmp_path / "checkpoint"
+        longer = tiny_train_config(max_steps=4, checkpoint_interval=2)
+        for name, damage, message in (
+            ("losses.txt", lambda t: None, "is missing"),
+            ("losses.txt", lambda t: t[:20], "does not hold exactly"),
+            ("losses.txt", lambda t: t.split("\n", 1)[1], "does not hold exactly"),
+            ("losses.txt", lambda t: t + t.splitlines(keepends=True)[-1], "does not hold exactly"),
+            ("val.txt", lambda t: None, "is missing"),
+            ("val.txt", lambda t: t.split("\n", 1)[1], "does not hold exactly"),
+        ):
+            original = (checkpoint / name).read_text()
+            damaged = damage(original)
+            if damaged is None:
+                (checkpoint / name).unlink()
+            else:
+                (checkpoint / name).write_text(damaged)
+            before = dir_bytes(tmp_path)
+            with pytest.raises(ValueError, match=message) as info:
+                train(longer, phantom_dir, tmp_path, val_dir=phantom_dir, resume=checkpoint,
+                      log=lambda s: None)
+            assert f"checkpoint history {checkpoint / name} " in str(info.value)
+            assert dir_bytes(tmp_path) == before
+            (checkpoint / name).write_text(original)
+        # without --val the checkpoint's val.txt is not needed
+        (checkpoint / "val.txt").unlink()
+        train(longer, phantom_dir, tmp_path, resume=checkpoint, log=lambda s: None)
+        assert load_checkpoint(checkpoint)[2] == 4
+
+    def test_every_crash_point_replays_or_refuses(self, phantom_dir, tmp_path, monkeypatch, capsys):
+        cfg = tiny_train_config(max_steps=2, checkpoint_interval=1)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(cfg))
+        whole = tmp_path / "whole"
+        train(cfg, phantom_dir, whole, val_dir=phantom_dir, log=lambda s: None)
+        want = [(whole / name).read_bytes() for name in LOGS], dir_bytes(whole / "checkpoint")
+        npys_per_save = len(list((whole / "checkpoint").glob("*.npy")))
+
+        class Crash(Exception):
+            pass
+
+        def crash_at(k, calls):
+            def wrap(real):
+                def call(*args, **kwargs):
+                    calls.append(args)
+                    if len(calls) == k:
+                        raise Crash
+                    return real(*args, **kwargs)
+                return call
+            return wrap
+
+        def run_crashed(out, patch, k):
+            calls = []
+            with monkeypatch.context() as m:
+                patch(m, crash_at(k, calls))
+                with pytest.raises(Crash):
+                    train(cfg, phantom_dir, out, val_dir=phantom_dir, log=lambda s: None)
+
+        def file_ops(m, wrap):
+            m.setattr(Path, "write_text", wrap(Path.write_text))
+            m.setattr(Path, "rename", wrap(Path.rename))
+            m.setattr(os, "replace", wrap(os.replace))
+
+        def first_npy_of_save(m, wrap):
+            m.setattr(layers, "write_npy", wrap(layers.write_npy))
+
+        with monkeypatch.context() as m:
+            calls = []
+            file_ops(m, crash_at(0, calls))
+            train(cfg, phantom_dir, tmp_path / "count", val_dir=phantom_dir, log=lambda s: None)
+        crashes = [(file_ops, k) for k in range(1, len(calls) + 1)]
+        crashes += [(first_npy_of_save, 1), (first_npy_of_save, npys_per_save + 1)]
+        refused = 0
+        for patch, k in crashes:
+            out = tmp_path / f"{patch.__name__}{k}"
+            run_crashed(out, patch, k)
+            left_whole = (out / "checkpoint").exists()
+            rc = main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                       "--val", str(phantom_dir), "--out", str(out),
+                       "--checkpoint", str(out / "checkpoint")])
+            err = capsys.readouterr().err
+            if left_whole:
+                assert rc == 0, (patch.__name__, k, err)
+                got = [(out / name).read_bytes() for name in LOGS], dir_bytes(out / "checkpoint")
+                assert got == want, (patch.__name__, k)
+            else:
+                assert rc == 1 and f"{out / 'checkpoint.tmp'}" in err, (patch.__name__, k, err)
+                refused += 1
+        assert 0 < refused < len(crashes)
+
     def test_resume_rejects_other_optimizer_state(self, phantom_dir, tmp_path):
         adam = tiny_train_config(max_steps=4, checkpoint_interval=2)
         train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
               log=lambda s: None)
         before = dir_bytes(tmp_path)
         sgd = tiny_train_config(max_steps=4, checkpoint_interval=2, optimizer="sgd")
-        with pytest.raises(TrainingError, match="optimizer state does not match optimizer=sgd"):
+        with pytest.raises(ValueError, match="optimizer state does not match optimizer=sgd"):
             train(sgd, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
         assert dir_bytes(tmp_path) == before
         train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
@@ -171,12 +287,12 @@ class TestTraining:
             (dict(net=wider_dropout), "net.dropout"),
             (dict(lr_decay_step=1), "lr_decay_step"),  # step 1 ran at lr_initial
         ):
-            with pytest.raises(TrainingError, match=f"differs from the checkpoint's in {keys};"):
+            with pytest.raises(ValueError, match=f"differs from the checkpoint's in {keys};"):
                 train(tiny_train_config(max_steps=4, checkpoint_interval=2, **change), phantom_dir,
                       tmp_path, resume=checkpoint, log=lambda s: None)
             assert dir_bytes(tmp_path) == before
         (checkpoint / "train_config.txt").unlink()
-        with pytest.raises(TrainingError, match="stores no training configuration"):
+        with pytest.raises(ValueError, match="stores no training configuration"):
             train(tiny_train_config(max_steps=4, checkpoint_interval=2), phantom_dir, tmp_path,
                   resume=checkpoint, log=lambda s: None)
         shutil.rmtree(tmp_path)
@@ -448,6 +564,21 @@ class TestCli:
         assert main(["gradcheck", "--scope", "loss", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max_rel_err" in out
+
+    def test_refused_resume_exits_one(self, phantom_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "train.cfg"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(tmp_path / "run")]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        resume = [*train_args, "--checkpoint", str(tmp_path / "run" / "checkpoint")]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, lr_initial=0.5)))
+        assert main(resume) == 1
+        assert "differs from the checkpoint's in lr_initial" in capsys.readouterr().err
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4)))
+        (tmp_path / "run" / "checkpoint" / "losses.txt").unlink()
+        assert main(resume) == 1
+        assert "losses.txt is missing" in capsys.readouterr().err
 
     def test_bad_inputs_exit_one(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1

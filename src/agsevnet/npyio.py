@@ -30,17 +30,29 @@ def write_npy(path, arr: np.ndarray) -> None:
 
 
 def read_npy(path) -> np.ndarray:
+    """Read a format-1.0 `.npy` file; a short, cut or unsupported file
+    raises ValueError naming `path`."""
     path = Path(path)
     with open(path, "rb") as fh:
+
+        def read(size: int, part: str) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated {part}")
+            return data
+
         magic = fh.read(6)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a .npy file (bad magic {magic!r})")
-        major, minor = fh.read(2)
+        major, minor = read(2, "version")
         if (major, minor) != (1, 0):
             raise ValueError(f"{path}: unsupported .npy version {major}.{minor}")
-        (hlen,) = struct.unpack("<H", fh.read(2))
-        header = fh.read(hlen).decode("latin1")
-        meta = ast.literal_eval(header)
+        (hlen,) = struct.unpack("<H", read(2, "header length"))
+        header = read(hlen, "header").decode("latin1")
+        try:
+            meta = ast.literal_eval(header)
+        except (ValueError, SyntaxError) as exc:
+            raise ValueError(f"{path}: malformed header {header.strip()!r}") from exc
         descr = meta["descr"]
         if descr not in SUPPORTED_DESCRS:
             raise ValueError(f"{path}: unsupported descr {descr!r} (need <f8 or |u1)")
@@ -49,7 +61,5 @@ def read_npy(path) -> np.ndarray:
         shape = tuple(int(s) for s in meta["shape"])
         dtype = SUPPORTED_DESCRS[descr]
         count = int(np.prod(shape)) if shape else 1
-        data = fh.read(count * dtype.itemsize)
-        if len(data) != count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated data section")
+        data = read(count * dtype.itemsize, "data section")
     return np.frombuffer(data, dtype=dtype).reshape(shape).copy()

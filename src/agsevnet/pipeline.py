@@ -228,6 +228,16 @@ REGION_MEANS = np.array(
 NOISE_SCALE = 0.12
 
 
+def _ellipsoid(shape, center, semi) -> np.ndarray:
+    """Voxels i with sum_a ((i_a - center_a) / semi_a)**2 <= 1, summed
+    over the axes in order from per-axis squared terms, so no coordinate
+    grid is built.
+    """
+    d0, d1, d2 = (np.square((np.arange(n, dtype=DTYPE) - c) / s)
+                  for n, c, s in zip(shape, center, semi))
+    return (d0[:, None, None] + d1[None, :, None]) + d2[None, None, :] <= 1.0
+
+
 def generate_phantom(rng: Rng, shape: tuple[int, int, int], difficulty: float) -> Case:
     """Nested-ellipsoid phantom: enhancing core inside a necrotic shell
     inside an edema shell inside healthy brain tissue, with per-region
@@ -240,13 +250,6 @@ def generate_phantom(rng: Rng, shape: tuple[int, int, int], difficulty: float) -
     if min(z, h, w) < 16:
         raise ValueError(f"phantom shape must be at least 16 per axis, got {shape}")
     ext = np.array([z, h, w], dtype=DTYPE)
-    grid = np.stack(
-        np.meshgrid(np.arange(z), np.arange(h), np.arange(w), indexing="ij"), axis=-1
-    ).astype(DTYPE)
-
-    def inside(center, semi):
-        d = (grid - center) / semi
-        return (d * d).sum(axis=-1) <= 1.0
 
     brain_center = ext / 2.0 + rng.uniform(-0.02, 0.02, 3) * ext
     brain_semi = ext * rng.uniform(0.40, 0.46, 3)
@@ -255,10 +258,10 @@ def generate_phantom(rng: Rng, shape: tuple[int, int, int], difficulty: float) -
     tc_semi = np.maximum(wt_semi * rng.uniform(0.60, 0.75, 3), 3.5)
     et_semi = np.maximum(tc_semi * rng.uniform(0.55, 0.70, 3), 2.5)
 
-    brain = inside(brain_center, brain_semi)
-    wt = inside(tumor_center, wt_semi) & brain
-    tc = inside(tumor_center, tc_semi) & brain
-    et = inside(tumor_center, et_semi) & brain
+    brain = _ellipsoid((z, h, w), brain_center, brain_semi)
+    wt = _ellipsoid((z, h, w), tumor_center, wt_semi) & brain
+    tc = _ellipsoid((z, h, w), tumor_center, tc_semi) & brain
+    et = _ellipsoid((z, h, w), tumor_center, et_semi) & brain
 
     labels = np.zeros((z, h, w), dtype=np.uint8)
     labels[wt] = 2  # edema shell

@@ -171,7 +171,8 @@ def _load_training_patches(data_dir, spec: PatchSpec):
 
 def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
           val_dir=None, log=print) -> Path:
-    """Run (or resume) a training job; returns the final checkpoint path.
+    """Run (or resume) a training job; returns the final checkpoint path
+    (the resumed one when the resume has no step left to run).
 
     Writes checkpoints under out_dir/checkpoint and a deterministic
     report under out_dir/report.txt (loss per step, learning rate,
@@ -248,7 +249,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
             _write_derived(out_dir, config, loss_log, val_rows, with_val)
 
     log(f"trained {config.max_steps - start_step} steps in {time.time() - started:.1f}s")
-    return checkpoint_dir
+    # the last step always saves: only a resume with no step left ends on the loaded checkpoint
+    return checkpoint_dir if start_step < config.max_steps else Path(resume)
 
 
 def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainConfig:

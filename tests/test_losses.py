@@ -340,8 +340,11 @@ class TestHausdorffOracle:
         pred = _random_mask(rng, (9, 11, 7), 0.3)
         truth = _face_touching(rng, (9, 11, 7))
         whole = [hausdorff95(pred, truth, spacing) for spacing in SPACINGS]
-        for block in (1, 50, 200):  # one line, a partial slab, a few slabs
+        # envelope: one line, a partial slab, a few slabs; sampled pass:
+        # one query voxel, a few, then tens per block
+        for block, sample in ((1, 1), (50, 20), (200, 200)):
             monkeypatch.setattr(losses, "_ENVELOPE_BLOCK", block)
+            monkeypatch.setattr(losses, "_SAMPLE_BLOCK", sample)
             assert [hausdorff95(pred, truth, spacing) for spacing in SPACINGS] == whole
         for got, spacing in zip(whole, SPACINGS):
             assert abs(got - hd95_all_pairs(pred, truth, spacing)) <= 1e-12
@@ -356,7 +359,63 @@ class TestHausdorffOracle:
             assert abs(got - want) <= 1e-12
 
 
+def _surface_uncropped(mask):
+    """surface_voxels as it ran over the whole volume: the oracle for the
+    bounding-box version."""
+    padded = np.pad(mask, 1, constant_values=False)
+    interior = np.ones_like(mask)
+    for axis in range(3):
+        lo = [slice(1, -1)] * 3
+        hi = [slice(1, -1)] * 3
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        interior &= padded[tuple(lo)] & padded[tuple(hi)]
+    return np.argwhere(mask & ~interior)
+
+
+class TestSurfaceVoxels:
+    def test_matches_uncropped_oracle(self):
+        rng = Rng(41)
+        for trial in range(30):
+            shape = tuple(int(v) for v in rng.integers(1, 14, 3))
+            makers = (
+                lambda: _random_mask(rng, shape, float(rng.uniform(0.01, 0.9))),
+                lambda: _single_voxel(rng, shape),
+                lambda: _face_touching(rng, shape),
+                lambda: np.zeros(shape, dtype=bool),
+                lambda: np.ones(shape, dtype=bool),
+                lambda: np.pad(_random_mask(rng, shape, 0.5),  # box off the volume faces
+                               [[int(v) for v in rng.integers(1, 4, 2)] for _ in range(3)]),
+            )
+            mask = makers[trial % 6]()
+            got = surface_voxels(mask)
+            want = _surface_uncropped(mask)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)  # same rows in the same order
+
+
 class TestRegions:
+    def test_masks_match_isin(self):
+        rng = Rng(43)
+        alphabet = np.array([0, 1, 2, 4], dtype=np.uint8)
+        for shape in ((1, 1, 1), (5, 7, 3), (16, 16, 16)):
+            lbl = alphabet[rng.integers(0, 4, shape)]
+            masks = derive_regions(lbl)
+            for name, vals in losses.REGION_LABELS.items():
+                assert masks[name].dtype == bool
+                assert np.array_equal(masks[name], np.isin(lbl, vals))
+
+    def test_check_labels_flags_what_isin_flags(self):
+        rng = Rng(44)
+        for dtype in (np.uint8, np.int64, np.float64):
+            lbl = rng.integers(0, 7, (6, 5, 4)).astype(dtype)
+            bad = ~np.isin(lbl, losses.LABEL_VALUES)
+            loc = tuple(int(v) for v in np.argwhere(bad)[0])
+            with pytest.raises(ValueError, match=rf"label value {int(lbl[loc])} at index \({loc[0]}, "):
+                losses.check_labels(lbl)
+            lbl[bad] = 4
+            losses.check_labels(lbl)
+
     def test_all_zero(self):
         masks = derive_regions(np.zeros((4, 4, 4), dtype=np.uint8))
         assert all(not m.any() for m in masks.values())

@@ -83,6 +83,28 @@ def test_rejects_truncated_data(tmp_path):
         read_npy(path)
 
 
+def test_cut_at_every_byte_names_the_file(tmp_path):
+    full = tmp_path / "full.npy"
+    write_npy(full, (Rng(11).random((16, 16, 16)) * 5).astype(np.uint8))
+    raw = full.read_bytes()
+    path = tmp_path / "cut.npy"
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as err:
+            read_npy(path)
+        assert str(path) in str(err.value), f"cut at byte {cut}: {err.value}"
+
+
+def test_malformed_header_names_the_file(tmp_path):
+    path = tmp_path / "bad.npy"
+    header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (4,"
+    header += b" " * (63 - 10 - len(header)) + b"\n"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(4))
+    with pytest.raises(ValueError, match="malformed header") as err:
+        read_npy(path)
+    assert str(path) in str(err.value)
+
+
 def _npy_v1_bytes(arr):
     """The format-1.0 file written by hand: the reference for write_npy."""
     descr = {"float64": "<f8", "uint8": "|u1"}[arr.dtype.name]

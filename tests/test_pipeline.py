@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agsevnet import pipeline
 from agsevnet.losses import derive_regions
 from agsevnet.pipeline import (
     Case,
@@ -18,7 +19,7 @@ from agsevnet.pipeline import (
     stitch_patches,
 )
 from agsevnet.rng import Rng
-from agsevnet.tensor import ShapeError
+from agsevnet.tensor import DTYPE, ShapeError
 
 
 def volume(seed, shape=(8, 8, 8)):
@@ -212,6 +213,36 @@ class TestPhantom:
         for vol in case.modalities:
             assert np.all(vol[outside] == 0.0)
             assert np.all(vol[~outside] > 0.0)
+
+    @staticmethod
+    def grid_ellipsoid(shape, center, semi):
+        """The (z, h, w, 3) coordinate-grid test the phantom used to run:
+        the byte oracle for the per-axis `_ellipsoid`."""
+        grid = np.stack(
+            np.meshgrid(*(np.arange(n) for n in shape), indexing="ij"), axis=-1
+        ).astype(DTYPE)
+        d = (grid - center) / semi
+        return (d * d).sum(axis=-1) <= 1.0
+
+    def test_ellipsoid_matches_grid_oracle(self):
+        rng = Rng(14)
+        for trial in range(20):
+            shape = tuple(int(v) for v in rng.integers(1, 24, 3))
+            ext = np.array(shape, dtype=DTYPE)
+            center = ext * rng.uniform(-0.2, 1.2, 3)
+            semi = np.maximum(ext * rng.uniform(0.05, 0.8, 3), 0.5)
+            got = pipeline._ellipsoid(shape, center, semi)
+            assert np.array_equal(got, self.grid_ellipsoid(shape, center, semi))
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (20, 24, 18), (32, 32, 32)])
+    def test_phantom_bytes_match_grid_oracle(self, shape, monkeypatch):
+        fast = [generate_phantom(Rng(seed), shape, 0.3) for seed in range(3)]
+        monkeypatch.setattr(pipeline, "_ellipsoid", self.grid_ellipsoid)
+        for seed, a in enumerate(fast):
+            b = generate_phantom(Rng(seed), shape, 0.3)
+            assert a.labels.tobytes() == b.labels.tobytes()
+            for va, vb in zip(a.modalities, b.modalities):
+                assert va.tobytes() == vb.tobytes()
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="16"):

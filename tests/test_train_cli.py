@@ -529,6 +529,39 @@ class TestCli:
             "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "r.csv"),
         ]) == 1
 
+    def test_cut_prediction_file_exits_one_naming_it(self, phantom_dir, tmp_path, capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(phantom_dir / "case000", truth / "case000")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        write_npy(pred / "case000.npy", load_labels(phantom_dir / "case001"))
+        raw = (pred / "case000.npy").read_bytes()
+        evaluate = ["evaluate", "--pred", str(pred), "--truth", str(truth),
+                    "--out", str(tmp_path / "r.csv")]
+        assert main(evaluate) == 0
+        capsys.readouterr()
+        header = raw.index(b"\n") + 1
+        for cut in [*range(header + 2), len(raw) // 2, len(raw) - 1]:
+            (pred / "case000.npy").write_bytes(raw[:cut])
+            assert main(evaluate) == 1, f"cut at byte {cut}"
+            assert str(pred / "case000.npy") in capsys.readouterr().err, f"cut at byte {cut}"
+
+    def test_resume_with_no_step_left_prints_existing_checkpoint(self, phantom_dir, tmp_path,
+                                                                 capsys):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir)]
+        assert main([*train_args, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert main([*train_args, "--out", str(tmp_path / "fresh"),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint")]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed.startswith("final checkpoint: ")
+        final = Path(printed.removeprefix("final checkpoint: "))
+        assert final.is_dir()
+        _, _, step, _ = load_checkpoint(final)
+        assert step == 2
+
     def test_evaluate_accepts_label_only_truth(self, phantom_dir, tmp_path):
         truth = tmp_path / "truth"
         pred = tmp_path / "pred"

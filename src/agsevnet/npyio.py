@@ -29,6 +29,17 @@ def write_npy(path, arr: np.ndarray) -> None:
         np.save(fh, arr, allow_pickle=False)
 
 
+def _header_ok(meta) -> bool:
+    """Whether a parsed header is a dict holding a string descr, a bool
+    fortran_order and a shape tuple of non-negative ints."""
+    if not isinstance(meta, dict) or not {"descr", "fortran_order", "shape"} <= meta.keys():
+        return False
+    shape = meta["shape"]
+    return (isinstance(meta["descr"], str) and isinstance(meta["fortran_order"], bool)
+            and isinstance(shape, tuple)
+            and all(type(s) is int and s >= 0 for s in shape))
+
+
 def read_npy(path) -> np.ndarray:
     """Read a format-1.0 `.npy` file; a short, cut or unsupported file
     raises ValueError naming `path`."""
@@ -53,12 +64,14 @@ def read_npy(path) -> np.ndarray:
             meta = ast.literal_eval(header)
         except (ValueError, SyntaxError) as exc:
             raise ValueError(f"{path}: malformed header {header.strip()!r}") from exc
+        if not _header_ok(meta):
+            raise ValueError(f"{path}: malformed header {header.strip()!r}")
         descr = meta["descr"]
         if descr not in SUPPORTED_DESCRS:
             raise ValueError(f"{path}: unsupported descr {descr!r} (need <f8 or |u1)")
         if meta["fortran_order"]:
             raise ValueError(f"{path}: fortran_order arrays are not supported")
-        shape = tuple(int(s) for s in meta["shape"])
+        shape = meta["shape"]
         dtype = SUPPORTED_DESCRS[descr]
         count = int(np.prod(shape)) if shape else 1
         data = read(count * dtype.itemsize, "data section")

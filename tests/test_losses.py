@@ -349,6 +349,33 @@ class TestHausdorffOracle:
         for got, spacing in zip(whole, SPACINGS):
             assert abs(got - hd95_all_pairs(pred, truth, spacing)) <= 1e-12
 
+    @pytest.mark.parametrize("per_line", [0, 2, 10**9])
+    def test_both_axis2_passes_match_all_pairs(self, monkeypatch, per_line):
+        # 0: the axis-2 envelope always; 10**9: the sampled pass always;
+        # 2: either, by the density of each directed set
+        monkeypatch.setattr(losses, "_SAMPLED_PER_LINE", per_line)
+        rng = Rng(43)
+        for trial in range(12):
+            shape = tuple(int(v) for v in rng.integers(2, 12, 3))
+            pred = _random_mask(rng, shape, float(rng.uniform(0.05, 0.8)))
+            truth = _face_touching(rng, shape)
+            if not pred.any():
+                continue
+            for spacing in SPACINGS:
+                got = hausdorff95(pred, truth, spacing)
+                assert abs(got - hd95_all_pairs(pred, truth, spacing)) <= 1e-12
+
+    def test_dense_surfaces_take_the_axis2_envelope(self):
+        # the sampled pass costs the box width per src voxel, so a noisy
+        # prediction whose surface fills most of each line takes the envelope
+        rng = Rng(47)
+        noisy = surface_voxels(_random_mask(rng, (64, 64, 128), 0.5))
+        assert not losses._sample_last_axis(len(noisy), (64, 64, 128))
+        truth = derive_regions(generate_phantom(Rng(31).derive("t"), (48, 48, 48), 0.3).labels)
+        smooth = surface_voxels(truth["WT"])
+        extent = smooth.max(axis=0) + 1 - smooth.min(axis=0)
+        assert losses._sample_last_axis(len(smooth), extent)
+
     @pytest.mark.parametrize("spacing", SPACINGS[:2])
     def test_phantom_pair_48(self, spacing):
         truth = derive_regions(generate_phantom(Rng(31).derive("t"), (48, 48, 48), 0.3).labels)

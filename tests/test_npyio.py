@@ -95,9 +95,22 @@ def test_cut_at_every_byte_names_the_file(tmp_path):
         assert str(path) in str(err.value), f"cut at byte {cut}: {err.value}"
 
 
-def test_malformed_header_names_the_file(tmp_path):
+@pytest.mark.parametrize("header", [
+    b"{'descr': '|u1', 'fortran_order': False, 'shape': (4,",
+    b"[1, 2]",
+    b"{'descr': '|u1', 'shape': (4,)}",
+    b"{'fortran_order': False, 'shape': (4,)}",
+    b"{'descr': '|u1', 'fortran_order': False}",
+    b"{'descr': ['|u1'], 'fortran_order': False, 'shape': (4,)}",
+    b"{'descr': '|u1', 'fortran_order': 0, 'shape': (4,)}",
+    b"{'descr': '|u1', 'fortran_order': False, 'shape': None}",
+    b"{'descr': '|u1', 'fortran_order': False, 'shape': ('4',)}",
+    b"{'descr': '|u1', 'fortran_order': False, 'shape': (4.0,)}",
+    b"{'descr': '|u1', 'fortran_order': False, 'shape': (-4,)}",
+], ids=["cut", "list", "no_descr", "no_order", "no_shape", "list_descr", "int_order",
+        "none_shape", "str_dim", "float_dim", "negative_dim"])
+def test_malformed_header_names_the_file(tmp_path, header):
     path = tmp_path / "bad.npy"
-    header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (4,"
     header += b" " * (63 - 10 - len(header)) + b"\n"
     path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(4))
     with pytest.raises(ValueError, match="malformed header") as err:

@@ -31,7 +31,7 @@ from .losses import (
     surface_voxels,
 )
 from .network import NetConfig, build, forward
-from .pipeline import PatchSpec, extract_patches, stitch_patches
+from .pipeline import PatchSpec, cut_patch, patch_starts, stitch_patches
 from .rng import Rng
 from .se import SeParams, se_forward
 from .tensor import ShapeError
@@ -369,7 +369,8 @@ def stitched_probs_oracle(x: np.ndarray, params, config: NetConfig, spec: PatchS
     """The serial path infer.stitched_probs replaces: every patch cut up
     front, one forward with backward state per patch on the calling
     thread, the probability patches stitched as a list."""
-    probs = [forward(img, params, config).output for img, _ in extract_patches(x, None, spec)]
+    probs = [forward(cut_patch(x, start, spec), params, config).output
+             for start in patch_starts(x.shape[1:4], spec)]
     return stitch_patches(probs, (*x.shape[:4], config.num_classes), spec)
 
 

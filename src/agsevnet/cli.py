@@ -21,6 +21,14 @@ from .tensor import ShapeError
 from .train import TrainConfig, train
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the validation code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parse_triple(text: str) -> tuple[int, int, int]:
     parts = [int(v) for v in text.split(",")]
     if len(parts) == 1:
@@ -91,7 +99,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="agsevnet",
         description="Volumetric segmentation kit: phantoms, training, inference, "
         "evaluation, and gradient verification.",

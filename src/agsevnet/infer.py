@@ -166,5 +166,6 @@ def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
             raise ShapeError(
                 f"{case_id}: prediction shape {pred_labels.shape} != truth {truth_labels.shape}"
             )
-        rows += region_rows(case_id, pred_labels, truth_labels, spacing)
+        sources = (str(pred_file), str(truth_cases[case_id] / LABEL_FILE))
+        rows += region_rows(case_id, pred_labels, truth_labels, spacing, sources)
     return format_report(rows)

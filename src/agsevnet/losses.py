@@ -350,10 +350,11 @@ def check_labels(labels: np.ndarray, source: str = "labels") -> None:
                          f"(alphabet is {LABEL_VALUES})")
 
 
-def derive_regions(labels: np.ndarray) -> dict[str, np.ndarray]:
-    """WT/TC/ET boolean masks from a {0,1,2,4} label volume."""
+def derive_regions(labels: np.ndarray, source: str = "labels") -> dict[str, np.ndarray]:
+    """WT/TC/ET boolean masks from a {0,1,2,4} label volume; another value
+    raises ValueError naming `source`."""
     labels = np.asarray(labels)
-    check_labels(labels)
+    check_labels(labels, source)
     return {name: _any_equal(labels, vals) for name, vals in REGION_LABELS.items()}
 
 
@@ -364,9 +365,11 @@ def _fmt(value: Optional[float]) -> str:
     return "undefined" if value is None else f"{value:.6f}"
 
 
-def region_rows(case_id: str, pred_labels, truth_labels, spacing) -> list[dict]:
-    """One metric row per region of a case, in REGION_ORDER."""
-    pred, truth = derive_regions(pred_labels), derive_regions(truth_labels)
+def region_rows(case_id: str, pred_labels, truth_labels, spacing,
+                sources=("prediction", "truth")) -> list[dict]:
+    """One metric row per region of a case, in REGION_ORDER. `sources`
+    name the prediction and the truth volume in label errors."""
+    pred, truth = derive_regions(pred_labels, sources[0]), derive_regions(truth_labels, sources[1])
     rows = []
     for region in REGION_ORDER:
         c = confusion(pred[region], truth[region])

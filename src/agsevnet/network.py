@@ -42,6 +42,7 @@ from .layers import (
     load_params,
     save_params,
 )
+from .losses import LABEL_VALUES
 from .rng import Rng
 from .se import SeParams, effective_reduction, se_forward
 from .tensor import DTYPE, ShapeError, as_tensor5
@@ -49,7 +50,7 @@ from .tensor import DTYPE, ShapeError, as_tensor5
 IN_EPS = 1e-5
 STAGES = 5
 HALVINGS = 4
-CHANNEL_TO_LABEL = np.array([0, 1, 2, 4], dtype=np.uint8)
+CHANNEL_TO_LABEL = np.array(LABEL_VALUES, dtype=np.uint8)
 
 
 @dataclass

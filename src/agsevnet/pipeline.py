@@ -2,11 +2,11 @@
 
 Cases are directories of `.npy` volumes, one per modality plus an
 optional label volume. Preprocessing is z-score normalization over the
-nonzero (brain) voxels, channel stacking in the fixed modality order,
-and sliding-window patch extraction with zero-padded borders. The
-phantom generator builds nested-ellipsoid label volumes with
-modality-like intensities so training and evaluation can run at desk
-scale.
+nonzero (brain) voxels and channel stacking in the fixed modality order;
+patches are cut from the stacked volume on a sliding window with
+zero-padded borders. The phantom generator builds nested-ellipsoid label
+volumes with modality-like intensities so training and evaluation can
+run at desk scale.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .tensor import DTYPE, ShapeError, as_tensor5
 MODALITIES = ("t1", "t1ce", "t2", "flair")
 LABEL_FILE = "seg.npy"
 SIGMA_FLOOR = 1e-8
-LABEL_TO_CHANNEL = {0: 0, 1: 1, 2: 2, 4: 3}
 
 
 @dataclass
@@ -54,8 +53,6 @@ class PatchSpec:
         if len(self.shape) != 3 or len(self.stride) != 3:
             raise ValueError(f"patch shape {self.shape} and patch_stride {self.stride} "
                              "must each have 3 extents z,h,w")
-        if any(e % 16 != 0 for e in self.shape):
-            raise ValueError(f"patch extents must be divisible by 16, got {self.shape}")
         if any(s < 1 for s in self.stride):
             raise ValueError(f"patch stride must be >= 1 per axis, got {self.stride}")
 
@@ -84,26 +81,6 @@ def normalize(x: np.ndarray, source: str = "volume") -> np.ndarray:
     return out
 
 
-def stack_modalities(case: Case) -> np.ndarray:
-    """(1, z, h, w, 4) tensor in the fixed t1, t1ce, t2, flair order."""
-    stacked = np.stack(case.modalities, axis=-1).astype(DTYPE)
-    return as_tensor5(stacked[None, ...], f"case {case.id}")
-
-
-def one_hot_labels(labels: np.ndarray) -> np.ndarray:
-    """(z, h, w, 4) one-hot encoding with the 4 -> channel 3 remap."""
-    labels = np.asarray(labels)
-    out = np.zeros(labels.shape + (4,), dtype=DTYPE)
-    for value, channel in LABEL_TO_CHANNEL.items():
-        out[..., channel] = labels == value
-    covered = out.sum(axis=-1)
-    if not np.all(covered == 1.0):
-        bad = np.argwhere(covered != 1.0)[0]
-        loc = tuple(int(v) for v in bad)
-        raise ValueError(f"unknown label value {int(labels[loc])} at index {loc}")
-    return out
-
-
 def _axis_starts(extent: int, patch: int, stride: int) -> list[int]:
     if extent <= patch:
         return [0]
@@ -113,7 +90,7 @@ def _axis_starts(extent: int, patch: int, stride: int) -> list[int]:
 
 def patch_starts(volume_shape: tuple, spec: PatchSpec) -> list[tuple[int, int, int]]:
     """(z0, h0, w0) corner of every patch tiling a (z, h, w) volume, in
-    z-major order: the patch order of extract_patches and stitch_patches."""
+    z-major order: the patch order of training and of stitch_patches."""
     z, h, w = volume_shape
     return [
         (z0, h0, w0)
@@ -132,9 +109,10 @@ def _window(volume_shape: tuple, start: tuple, spec: PatchSpec):
 
 
 def cut_patch(x: np.ndarray, start: tuple, spec: PatchSpec) -> np.ndarray:
-    """The zero-padded (n, *spec.shape, c) patch of x at corner `start`."""
+    """The zero-padded (n, *spec.shape, c) patch of x at corner `start`,
+    in x's dtype."""
     inside, part = _window(x.shape[1:4], start, spec)
-    img = np.zeros((x.shape[0], *spec.shape, x.shape[4]), dtype=DTYPE)
+    img = np.zeros((x.shape[0], *spec.shape, x.shape[4]), dtype=x.dtype)
     img[(slice(None), *part)] = x[(slice(None), *inside)]
     return img
 
@@ -153,35 +131,10 @@ def check_coverage(volume_shape: tuple, spec: PatchSpec) -> None:
         )
 
 
-def extract_patches(x: np.ndarray, labels: Optional[np.ndarray],
-                    spec: PatchSpec) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Sliding-window tiling in z-major order; borders zero-padded.
-
-    Returns (patch, one-hot label patch) pairs; the label member is None
-    when no label volume is supplied. Label padding uses background.
-    """
-    x = as_tensor5(x, "patch source")
-    onehot = None
-    if labels is not None:
-        if labels.shape != x.shape[1:4]:
-            raise ShapeError(f"label shape {labels.shape} != volume {x.shape[1:4]}")
-        onehot = one_hot_labels(labels)
-    out = []
-    for start in patch_starts(x.shape[1:4], spec):
-        lbl = None
-        if onehot is not None:
-            inside, part = _window(x.shape[1:4], start, spec)
-            lbl = np.zeros((x.shape[0], *spec.shape, 4), dtype=DTYPE)
-            lbl[..., 0] = 1.0  # padding is background
-            lbl[(slice(None), *part)] = onehot[inside]
-        out.append((cut_patch(x, start, spec), lbl))
-    return out
-
-
 def stitch_patches(patches: Iterable[np.ndarray], original_shape: tuple,
                    spec: PatchSpec) -> np.ndarray:
-    """Inverse of extract_patches on per-voxel values: overlaps averaged,
-    padding cropped. `original_shape` is the full (n, z, h, w, c) shape.
+    """Inverse of cutting every patch_starts patch, on per-voxel values:
+    overlaps averaged, padding cropped. `original_shape` is the full (n, z, h, w, c) shape.
 
     `patches` may be any iterable in patch order, a stream included:
     each patch is added as it arrives and none is kept, and the patch
@@ -293,10 +246,9 @@ def save_case(directory, case: Case) -> None:
         write_npy(directory / LABEL_FILE, np.asarray(case.labels, dtype=np.uint8))
 
 
-def load_case(directory, require_labels: bool = False) -> Case:
-    """The case's four modalities; its labels too only when `require_labels`,
-    so inference never reads (or patches) a label volume it would discard.
-    A NaN or infinite modality voxel raises ValueError.
+def load_case(directory) -> Case:
+    """The case's four modalities, without its labels (`load_labels`
+    reads those). A NaN or infinite modality voxel raises ValueError.
     """
     directory = Path(directory)
     vols = []
@@ -309,8 +261,7 @@ def load_case(directory, require_labels: bool = False) -> Case:
             loc = tuple(int(v) for v in np.argwhere(~np.isfinite(vol))[0])
             raise ValueError(f"case {directory.name}: {name}.npy holds {vol[loc]} at index {loc}")
         vols.append(vol)
-    labels = load_labels(directory) if require_labels else None
-    return Case(id=directory.name, modalities=tuple(vols), labels=labels)
+    return Case(id=directory.name, modalities=tuple(vols))
 
 
 def load_labels(directory) -> np.ndarray:
@@ -332,11 +283,8 @@ def list_cases(root, marker: str = "t1.npy") -> list[Path]:
 
 
 def preprocess_case(case: Case) -> np.ndarray:
-    """The case's modalities normalized and stacked: a (1, z, h, w, 4) tensor."""
-    normalized = Case(
-        id=case.id,
-        modalities=tuple(normalize(m, f"case {case.id}: {name}.npy")
-                         for name, m in zip(MODALITIES, case.modalities)),
-        labels=case.labels,
-    )
-    return stack_modalities(normalized)
+    """The case's modalities normalized and stacked in the fixed t1, t1ce,
+    t2, flair order: a (1, z, h, w, 4) tensor."""
+    stacked = np.stack([normalize(m, f"case {case.id}: {name}.npy")
+                        for name, m in zip(MODALITIES, case.modalities)], axis=-1)
+    return as_tensor5(stacked[None], f"case {case.id}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .infer import predict_case
 from .losses import (
+    LABEL_VALUES,
     METRIC_ORDER,
     REGION_ORDER,
     ClassWeights,
@@ -43,14 +44,17 @@ from .network import (
 from .npyio import write_npy
 from .pipeline import (
     LABEL_FILE,
+    Case,
     PatchSpec,
-    extract_patches,
+    cut_patch,
     list_cases,
     load_case,
     load_labels,
+    patch_starts,
     preprocess_case,
 )
 from .rng import Rng
+from .tensor import DTYPE
 
 # training files inside a checkpoint; the history files are copied to the out dir
 TRAIN_CONFIG_FILE = "train_config.txt"
@@ -160,13 +164,26 @@ class TrainingError(RuntimeError):
     pass
 
 
-def _load_training_patches(data_dir, spec: PatchSpec):
-    patches = []
+def _load_training_cases(data_dir, spec: PatchSpec):
+    """Every case's stacked (1, z, h, w, 4) tensor and (1, z, h, w, 1)
+    uint8 labels, and one (case index, patch corner) entry per training
+    patch, in case order and patch_starts order."""
+    cases, patches = [], []
     for case_dir in list_cases(data_dir):
-        case = load_case(case_dir, require_labels=True)
+        case = Case(case_dir.name, load_case(case_dir).modalities, load_labels(case_dir))
         check_labels(case.labels, f"case {case_dir}: {LABEL_FILE}")
-        patches += extract_patches(preprocess_case(case), case.labels, spec)
-    return patches
+        patches += [(len(cases), start) for start in patch_starts(case.labels.shape, spec)]
+        cases.append((preprocess_case(case), case.labels[None, ..., None]))
+    return cases, patches
+
+
+def _batch(cases, chosen, spec: PatchSpec):
+    """The image and one-hot label patches of the chosen (case, corner)
+    entries, stacked on the batch axis. Label padding is 0, the
+    background channel."""
+    img = np.concatenate([cut_patch(cases[c][0], start, spec) for c, start in chosen], axis=0)
+    lbl = np.concatenate([cut_patch(cases[c][1], start, spec) for c, start in chosen], axis=0)
+    return img, (lbl == np.array(LABEL_VALUES)).astype(DTYPE)
 
 
 def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
@@ -189,7 +206,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = Rng(config.seed)
     spec = config.patch_spec()
-    patches = _load_training_patches(data_dir, spec)
+    cases, patches = _load_training_cases(data_dir, spec)
     if not patches:
         raise TrainingError(f"no training patches found under {data_dir}")
     n = len(patches)
@@ -218,9 +235,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         order_pos = (step * config.batch_size) % n
         traversal = (step * config.batch_size) // n
         order = rng.derive("shuffle", traversal).permutation(n)
-        chosen = [order[(order_pos + k) % n] for k in range(config.batch_size)]
-        img = np.concatenate([patches[i][0] for i in chosen], axis=0)
-        lbl = np.concatenate([patches[i][1] for i in chosen], axis=0)
+        chosen = [patches[order[(order_pos + k) % n]] for k in range(config.batch_size)]
+        img, lbl = _batch(cases, chosen, spec)
 
         lg = forward(img, params, config.net, training=True, rng=rng.derive("step", step))
         loss, grad_p = dice_loss(lg.output, lbl, weights)
@@ -256,14 +272,18 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
 def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainConfig:
     """Refuse to resume unless the run replays the one the checkpoint's
     stored training config began: every key must match except max_steps
-    and checkpoint_interval, and lr_decay_step may move only among the
-    steps not yet taken. Returns the stored config.
+    and checkpoint_interval, max_steps may not fall below the steps
+    already taken, and lr_decay_step may move only among the steps not
+    yet taken. Returns the stored config.
     """
     path = Path(checkpoint) / TRAIN_CONFIG_FILE
     if not path.exists():
         raise ValueError(f"checkpoint {checkpoint} stores no training configuration "
                          f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
     stored = config_from_text(TrainConfig, path.read_text())
+    if config.max_steps < start_step:
+        raise ValueError(f"max_steps={config.max_steps} is below the {start_step} steps the "
+                         f"checkpoint {checkpoint} has taken; resume with max_steps >= {start_step}")
     old, new = ([line.partition("=") for line in config_to_text(c).splitlines()]
                 for c in (stored, config))
     changed = [k for (k, _, a), (_, _, b) in zip(old, new) if a != b and k not in

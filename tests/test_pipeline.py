@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from agsevnet import pipeline
-from agsevnet.losses import derive_regions
+from agsevnet import pipeline, train
+from agsevnet.losses import check_labels, derive_regions
 from agsevnet.pipeline import (
     Case,
     PatchSpec,
     check_coverage,
-    extract_patches,
+    cut_patch,
     generate_phantom,
     list_cases,
     load_case,
     load_labels,
     normalize,
-    one_hot_labels,
+    patch_starts,
+    preprocess_case,
     save_case,
-    stack_modalities,
     stitch_patches,
 )
 from agsevnet.rng import Rng
@@ -33,6 +33,17 @@ def make_case(seed, shape=(8, 8, 8), with_labels=True):
     if with_labels:
         labels = np.array([0, 1, 2, 4], dtype=np.uint8)[rng.integers(0, 4, shape)]
     return Case(id=f"case{seed}", modalities=mods, labels=labels)
+
+
+def cut_all(x, spec):
+    """Every patch of x's tiling, in patch order."""
+    return [cut_patch(x, start, spec) for start in patch_starts(x.shape[1:4], spec)]
+
+
+def one_hot_patches(labels, spec):
+    """The training one-hot of every patch of a (z, h, w) label volume."""
+    cases = [(np.zeros((1, *labels.shape, 1)), labels[None, ..., None])]
+    return [train._batch(cases, [(0, start)], spec)[1] for start in patch_starts(labels.shape, spec)]
 
 
 class TestNormalize:
@@ -69,12 +80,12 @@ class TestNormalize:
 
 class TestStack:
     def test_fixed_modality_order(self):
-        mods = tuple(np.full((2, 2, 2), float(k + 1)) for k in range(4))
-        case = Case(id="c", modalities=mods, labels=None)
-        x = stack_modalities(case)
+        # modality k peaks at flat voxel k, so each channel shows its source
+        mods = tuple(np.where(np.arange(8).reshape(2, 2, 2) == k, 3.0, 1.0) for k in range(4))
+        x = preprocess_case(Case(id="c", modalities=mods, labels=None))
         assert x.shape == (1, 2, 2, 2, 4)
         for ch in range(4):
-            assert np.all(x[..., ch] == ch + 1)
+            assert np.argmax(x[0, ..., ch]) == ch
 
     def test_mismatched_shapes_rejected(self):
         mods = (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
@@ -83,68 +94,63 @@ class TestStack:
 
     def test_split_stack_round_trip(self):
         case = make_case(2)
-        x = stack_modalities(case)
+        x = preprocess_case(case)
+        assert x.dtype == DTYPE and x.flags.c_contiguous
         for ch in range(4):
-            assert np.array_equal(x[0, ..., ch], case.modalities[ch])
+            assert x[0, ..., ch].tobytes() == normalize(case.modalities[ch]).tobytes()
 
 
 class TestPatches:
     def test_single_patch_when_volume_fits(self):
         case = make_case(3, shape=(16, 16, 16))
-        x = stack_modalities(case)
-        patches = extract_patches(x, case.labels, PatchSpec((16, 16, 16), (16, 16, 16)))
+        x = preprocess_case(case)
+        patches = cut_all(x, PatchSpec((16, 16, 16), (16, 16, 16)))
         assert len(patches) == 1
-        assert np.array_equal(patches[0][0], x)
+        assert np.array_equal(patches[0], x)
 
     def test_tiling_arithmetic(self):
-        x = np.zeros((1, 64, 256, 256, 1))
-        patches = extract_patches(x, None, PatchSpec((64, 128, 128), (64, 128, 128)))
-        assert len(patches) == 4
+        assert len(patch_starts((64, 256, 256), PatchSpec((64, 128, 128), (64, 128, 128)))) == 4
 
     def test_one_hot_every_voxel(self):
         case = make_case(4, shape=(20, 20, 20))
-        x = stack_modalities(case)
-        patches = extract_patches(x, case.labels, PatchSpec((16, 16, 16), (16, 16, 16)))
+        patches = one_hot_patches(case.labels, PatchSpec((16, 16, 16), (16, 16, 16)))
         assert len(patches) == 8
-        for _, lbl in patches:
-            assert lbl.shape[-1] == 4
+        for lbl in patches:
+            assert lbl.shape == (1, 16, 16, 16, 4)
             assert np.all(lbl.sum(axis=-1) == 1.0)
 
     def test_label_remap_channel3_is_label4(self):
-        lbl = np.full((2, 2, 2), 4, dtype=np.uint8)
-        oh = one_hot_labels(lbl)
+        lbl = np.full((16, 16, 16), 4, dtype=np.uint8)
+        (oh,) = one_hot_patches(lbl, PatchSpec((16, 16, 16), (16, 16, 16)))
         assert np.all(oh[..., 3] == 1.0)
 
     def test_unknown_label_rejected(self):
         lbl = np.full((2, 2, 2), 3, dtype=np.uint8)
-        with pytest.raises(ValueError, match="unknown label"):
-            one_hot_labels(lbl)
+        with pytest.raises(ValueError, match="seg.npy: unknown label value 3"):
+            check_labels(lbl, "seg.npy")
 
     def test_non_overlapping_round_trip_exact(self):
         x = Rng(5).normal((1, 32, 16, 48, 3))
         spec = PatchSpec((16, 16, 16), (16, 16, 16))
-        patches = extract_patches(x, None, spec)
-        back = stitch_patches([p for p, _ in patches], x.shape, spec)
+        back = stitch_patches(cut_all(x, spec), x.shape, spec)
         assert np.array_equal(back, x)
 
     def test_padded_round_trip_exact(self):
         x = Rng(6).normal((1, 20, 20, 20, 2))
         spec = PatchSpec((16, 16, 16), (16, 16, 16))
-        patches = extract_patches(x, None, spec)
-        back = stitch_patches([p for p, _ in patches], x.shape, spec)
+        back = stitch_patches(cut_all(x, spec), x.shape, spec)
         assert np.array_equal(back, x)
 
     def test_overlapping_constant_patches_average_to_constant(self):
         spec = PatchSpec((16, 16, 16), (8, 8, 8))
         x = np.full((1, 32, 32, 32, 1), 3.25)
-        patches = extract_patches(x, None, spec)
-        back = stitch_patches([p for p, _ in patches], x.shape, spec)
+        back = stitch_patches(cut_all(x, spec), x.shape, spec)
         assert np.abs(back - 3.25).max() < 1e-12
 
     def test_overlap_matches_scalar_accumulate_oracle(self):
         x = Rng(7).normal((1, 16, 16, 24, 1))
         spec = PatchSpec((16, 16, 16), (16, 16, 8))
-        patches = [p for p, _ in extract_patches(x, None, spec)]
+        patches = cut_all(x, spec)
         got = stitch_patches(patches, x.shape, spec)
         acc = np.zeros_like(x)
         cnt = np.zeros_like(x)
@@ -166,9 +172,8 @@ class TestPatches:
     def test_stitch_refuses_uncovered_voxels(self):
         spec = PatchSpec((16, 16, 16), (24, 16, 16))
         x = Rng(9).normal((1, 40, 16, 16, 1))
-        patches = [p for p, _ in extract_patches(x, None, spec)]
         with pytest.raises(ValueError, match="gaps"):
-            stitch_patches(patches, x.shape, spec)
+            stitch_patches(cut_all(x, spec), x.shape, spec)
 
     def test_patch_count_mismatch_rejected(self):
         x = Rng(8).normal((1, 16, 16, 16, 1))
@@ -176,6 +181,31 @@ class TestPatches:
         with pytest.raises(ShapeError, match="patches"):
             stitch_patches([x, x], x.shape, spec)
 
+
+    def test_training_patches_match_padded_case(self, tmp_path):
+        spec = PatchSpec((16, 16, 16), (8, 12, 16))
+        rng = Rng(18)
+        for k in range(2):
+            case = generate_phantom(rng.derive("case", k), (20, 24, 18), 0.3)
+            save_case(tmp_path / f"case{k}", case)
+        cases, patches = train._load_training_cases(tmp_path, spec)
+        starts = patch_starts((20, 24, 18), spec)
+        assert len(starts) == 8
+        assert patches == [(c, start) for c in range(2) for start in starts]
+        pads = [(0, 0), (0, 4), (0, 4), (0, 14), (0, 0)]  # last starts 8, 12, 16 plus 16
+        for c in range(2):
+            x = np.pad(preprocess_case(load_case(tmp_path / f"case{c}")), pads)
+            labels = load_labels(tmp_path / f"case{c}")
+            # one-hot of the unpadded volume, its padding set to background
+            onehot = np.stack([np.pad(labels == v, pads[1:4], constant_values=v == 0)
+                               for v in (0, 1, 2, 4)], axis=-1)[None].astype(DTYPE)
+            for z0, h0, w0 in starts:
+                window = (slice(None), slice(z0, z0 + 16), slice(h0, h0 + 16),
+                          slice(w0, w0 + 16))
+                img, lbl = train._batch(cases, [(c, (z0, h0, w0))], spec)
+                assert img.tobytes() == x[window].tobytes()
+                assert lbl.tobytes() == onehot[window].tobytes()
+        assert any(train._batch(cases, [p], spec)[1][..., 3].any() for p in patches)
 
     @pytest.mark.parametrize("shape, stride", [((16,), (16, 16, 16)), ((16, 16, 16), (16,)),
                                                ((16, 16, 16), (16, 16, 16, 16))])
@@ -263,7 +293,6 @@ class TestCaseIO:
             assert a.tobytes() == b.tobytes()
         assert loaded.labels is None  # labels are read only on request
         assert np.array_equal(case.labels, load_labels(tmp_path / "caseX"))
-        assert np.array_equal(case.labels, load_case(tmp_path / "caseX", require_labels=True).labels)
 
     def test_missing_modality_named(self, tmp_path):
         case = make_case(15)
@@ -277,7 +306,7 @@ class TestCaseIO:
         save_case(tmp_path / "caseZ", case)
         assert load_case(tmp_path / "caseZ").labels is None
         with pytest.raises(FileNotFoundError, match="seg"):
-            load_case(tmp_path / "caseZ", require_labels=True)
+            load_labels(tmp_path / "caseZ")
 
     def test_list_cases_sorted(self, tmp_path):
         for name in ("b_case", "a_case"):

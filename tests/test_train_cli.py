@@ -546,6 +546,24 @@ class TestCli:
             assert main(evaluate) == 1, f"cut at byte {cut}"
             assert str(pred / "case000.npy") in capsys.readouterr().err, f"cut at byte {cut}"
 
+    def test_unknown_label_value_names_its_file(self, phantom_dir, tmp_path, capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(phantom_dir / "case000", truth / "case000")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        labels = load_labels(phantom_dir / "case001")
+        evaluate = ["evaluate", "--pred", str(pred), "--truth", str(truth),
+                    "--out", str(tmp_path / "r.csv")]
+        for bad_file in (pred / "case000.npy", truth / "case000" / "seg.npy"):
+            bad = labels.copy()
+            bad[0, 0, 0] = 3
+            write_npy(pred / "case000.npy", labels)
+            write_npy(bad_file, bad)
+            assert main(evaluate) == 1
+            err = capsys.readouterr().err
+            assert f"{bad_file}: unknown label value 3 at index (0, 0, 0)" in err, err
+            write_npy(truth / "case000" / "seg.npy", load_labels(phantom_dir / "case000"))
+
     def test_resume_with_no_step_left_prints_existing_checkpoint(self, phantom_dir, tmp_path,
                                                                  capsys):
         cfg_file = tmp_path / "train.cfg"
@@ -613,9 +631,33 @@ class TestCli:
         assert main(resume) == 1
         assert "losses.txt is missing" in capsys.readouterr().err
 
-    def test_bad_inputs_exit_one(self, tmp_path):
+    def test_resume_below_checkpoint_step_exits_one(self, phantom_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "train.cfg"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(tmp_path / "run")]
+        cfg_file.write_text(config_to_text(
+            tiny_train_config(max_steps=4, checkpoint_interval=2, lr_decay_step=1)))
+        assert main(train_args) == 0
+        before = dir_bytes(tmp_path / "run")
+        cfg_file.write_text(config_to_text(
+            tiny_train_config(max_steps=2, checkpoint_interval=2, lr_decay_step=1)))
+        capsys.readouterr()
+        assert main([*train_args, "--checkpoint", str(tmp_path / "run" / "checkpoint")]) == 1
+        assert "max_steps=2 is below the 4 steps" in capsys.readouterr().err
+        assert dir_bytes(tmp_path / "run") == before
+
+    def test_bad_inputs_exit_one(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
         assert main(["phantom-gen", "-n", "1", "--shape", "8", "--out", str(tmp_path / "p")]) == 1
+        for argv in (["predict", "--checkpoint", "c", "--data", "d", "--out", "o", "--stride", "1,2"],
+                     ["train", "--data", "x"], ["phantom-gen", "--count", "two", "--out", "p"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 1, argv
+            assert "usage: agsevnet" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--help"])
+        assert info.value.code == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_voxel_exits_one(self, phantom_dir, tmp_path, capsys, bad):

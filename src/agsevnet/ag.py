@@ -125,10 +125,12 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
     Returns (A, B, backward) where backward(gA, gB) -> (gI, gO, gT).
     Windows whose normalized weight mass falls below a floor get the
     documented fallback: slope 0 and the unweighted window mean of O.
+    Full-size terms live in a few reused buffers, updated with the
+    operators of `checks.fit_forward_oracle` in its order, so results are
+    bitwise equal; `a += (-b) * c` runs as `a -= b * c`, the same number.
     """
-    n, z, h, w, c = i.shape
-    spatial = (z, h, w)
-    voxels = float(z * h * w)
+    spatial = i.shape[1:4]
+    voxels = float(np.prod(spatial))
 
     q0 = t * t
     s2 = q0.sum(axis=(1, 2, 3, 4), keepdims=True)  # per batch item
@@ -138,74 +140,66 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
 
     counts = window_counts(spatial, r)
     s = box_sum(q, r)
-    p1 = box_sum(q * i, r)
-    p2 = box_sum(q * o, r)
-    p3 = box_sum(q * i * i, r)
-    p4 = box_sum(q * i * o, r)
+    qi, buf = q * i, np.empty_like(i)
+    p1 = box_sum(qi, r)
+    p2 = box_sum(np.multiply(q, o, out=buf), r)
+    p3 = box_sum(np.multiply(qi, i, out=buf), r)
+    p4 = box_sum(np.multiply(qi, o, out=buf), r)
 
     degenerate = s < DEGENERATE_WEIGHT_SUM  # (n,z,h,w,1)
     s_safe = np.where(degenerate, 1.0, s)
-    mean_i = p1 / s_safe
-    mean_o = p2 / s_safe
-    e_ii = p3 / s_safe
-    e_io = p4 / s_safe
-    var = e_ii - mean_i * mean_i
-    cov = e_io - mean_i * mean_o
-    denom = var + eps * counts / s_safe
-    a_w = cov / denom
-    b_w = mean_o - a_w * mean_i
-
+    mean_i, mean_o, e_ii, e_io = (np.divide(p, s_safe, out=p) for p in (p1, p2, p3, p4))
+    denom = np.subtract(e_ii, np.multiply(mean_i, mean_i, out=qi), out=qi)  # var
+    denom += eps * counts / s_safe
+    a_w = np.subtract(e_io, np.multiply(mean_i, mean_o, out=buf), out=buf)  # cov
+    a_w /= denom
+    b = a_w * mean_i
+    np.subtract(mean_o, b, out=b)  # b_w; degenerate windows: the window mean of O
     box_o = box_sum(o, r)
-    a = np.where(degenerate, 0.0, a_w)
-    b = np.where(degenerate, box_o / counts, b_w)
-
-    coeff_a = box_sum(a, r) / counts
-    coeff_b = box_sum(b, r) / counts
+    np.copyto(b, np.divide(box_o, counts, out=box_o), where=degenerate)
+    coeff_a, coeff_b = (np.divide(v, counts, out=v)
+                        for v in (box_sum(np.where(degenerate, 0.0, a_w), r), box_sum(b, r)))
 
     def backward(g_a: np.ndarray, g_b: np.ndarray):
         da = box_sum(g_a / counts, r)
         db = box_sum(g_b / counts, r)
+        # db reaches the fit on fitted windows and the mean of O on degenerate ones
+        d_mean_o = np.where(degenerate, 0.0, db)
+        np.copyto(db, 0.0, where=~degenerate)
+        g_deg = box_sum(np.divide(db, counts, out=db), r)
+        da_n = np.subtract(da, np.multiply(d_mean_o, mean_i, out=db), out=da)
+        np.copyto(da_n, 0.0, where=degenerate)
+        d_mean_i = np.multiply(np.negative(d_mean_o, out=db), a_w)
+        ddenom = np.divide(np.multiply(np.negative(da_n, out=db), a_w, out=db), denom)
+        dcov = np.divide(da_n, denom, out=da_n)
+        d_mean_i -= np.multiply(dcov, mean_o, out=db)
+        d_mean_o -= np.multiply(dcov, mean_i, out=db)
+        d_mean_i -= np.multiply(np.multiply(ddenom, 2.0, out=db), mean_i, out=db)
 
-        ok = ~degenerate
-        da_n = np.where(ok, da - db * mean_i, 0.0)
-        db_n = np.where(ok, db, 0.0)
-        d_mean_o = db_n.copy()
-        d_mean_i = -db_n * a_w
-        dcov = da_n / denom
-        ddenom = -da_n * a_w / denom
-        d_mean_i += -dcov * mean_o
-        d_mean_o += -dcov * mean_i
-        d_e_io = dcov
-        d_e_ii = ddenom
-        d_mean_i += -2.0 * ddenom * mean_i
-        ds_eps = ddenom * (-eps * counts / (s_safe * s_safe))
+        # ds = ds_eps - (the four moment terms) / s_safe, on the fitted windows
+        ds = d_mean_i * mean_i
+        for d, m in ((d_mean_o, mean_o), (ddenom, e_ii), (dcov, e_io)):
+            ds += np.multiply(d, m, out=db)
+        ds /= s_safe
+        ds = np.subtract(np.multiply(ddenom, -eps * counts / (s_safe * s_safe), out=db), ds, out=ds)
+        np.copyto(ds, 0.0, where=degenerate)
+        w1, w2, w3, w4 = (box_sum(np.divide(d, s_safe, out=d), r)
+                          for d in (d_mean_i, d_mean_o, ddenom, dcov))
+        ws = box_sum(ds.sum(axis=4, keepdims=True), r)
 
-        dp1 = d_mean_i / s_safe
-        dp2 = d_mean_o / s_safe
-        dp3 = d_e_ii / s_safe
-        dp4 = d_e_io / s_safe
-        ds = (
-            -(d_mean_i * mean_i + d_mean_o * mean_o + d_e_ii * e_ii + d_e_io * e_io)
-            / s_safe
-            + ds_eps
-        )
-        ds = np.where(ok, ds, 0.0).sum(axis=4, keepdims=True)
+        g_i = np.multiply(np.multiply(i, 2.0, out=d_mean_i), w3, out=d_mean_i)
+        g_i += w1
+        g_i += np.multiply(o, w4, out=db)
+        g_i *= q
+        g_o = np.add(w2, np.multiply(i, w4, out=d_mean_o), out=d_mean_o)
+        g_o *= q
+        g_o += g_deg
 
-        w1 = box_sum(dp1, r)
-        w2 = box_sum(dp2, r)
-        w3 = box_sum(dp3, r)
-        w4 = box_sum(dp4, r)
-        ws = box_sum(ds, r)
-
-        g_i = q * (w1 + 2.0 * i * w3 + o * w4)
-        g_o = q * (w2 + i * w4)
-        # degenerate windows: b is the unweighted window mean of O
-        db_deg = np.where(degenerate, db, 0.0)
-        g_o += box_sum(db_deg / counts, r)
-
-        dq = (i * w1 + o * w2 + i * i * w3 + i * o * w4).sum(
-            axis=4, keepdims=True
-        ) + ws
+        dq = np.multiply(i, w1, out=ds)
+        dq += np.multiply(o, w2, out=db)
+        dq += np.multiply(np.multiply(i, i, out=db), w3, out=db)
+        dq += np.multiply(np.multiply(i, o, out=db), w4, out=db)
+        dq = dq.sum(axis=4, keepdims=True) + ws
         # q = q0 * voxels / sum(q0): distribute through the normalization
         inner = (dq * q0).sum(axis=(1, 2, 3, 4), keepdims=True)
         dq0 = np.where(live, (voxels / s2_safe) * (dq - inner / s2_safe), 0.0)

@@ -27,12 +27,14 @@ from .pipeline import (
 )
 from .tensor import ShapeError
 
-# A no-grad forward's tracemalloc peak measured 25-28 float64 arrays of
-# the patch's voxels at base_width channels for widths 4 to 16 (patches
-# 16^3 to 64^3, depths 2 and 3). About 13 of those arrays are
-# single-channel (the input and the softmax), so below 4 channels the
-# bound counts 4.
-FORWARD_PEAK_ARRAYS = 32
+# A no-grad forward's tracemalloc peak measured 17.5-18.9 float64 arrays
+# of the patch's voxels at base_width channels for widths 4 to 16
+# (patches 32^3 and 64^3, depths 2 and 3) and 20.7 at width 2 (16x32x48),
+# where the input and the softmax keep 4 channels, so below 4 channels
+# the bound counts 4 (10.4 arrays of 4 channels there). 25
+# leaves a third over the largest peak and keeps one worker for the
+# default configuration at 6 GiB free, where two have not been measured.
+FORWARD_PEAK_ARRAYS = 25
 
 
 def forward_bytes_bound(config: NetConfig) -> int:

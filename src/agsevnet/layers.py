@@ -308,7 +308,8 @@ def activation(x: np.ndarray, kind: str) -> LayerGrad:
 def instance_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> LayerGrad:
     """Normalize each (batch, channel) slab over its spatial voxels.
 
-    backward(gy) returns (gx, {"gamma": gg, "beta": gb}).
+    backward(gy) returns (gx, {"gamma": gg, "beta": gb}). Each pass works
+    in two full-size buffers, bitwise equal to `checks.instance_norm_oracle`.
     """
     x = as_tensor5(x, "instance_norm input")
     if eps <= 0:
@@ -316,21 +317,22 @@ def instance_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
     gamma = np.asarray(gamma, dtype=DTYPE)
     beta = np.asarray(beta, dtype=DTYPE)
     axes = (1, 2, 3)
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    y = gamma * xhat + beta
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=axes, keepdims=True) + eps)  # x.var's arithmetic
+    xhat *= inv
+    y = np.add(np.multiply(xhat, gamma, out=y), beta, out=y)
 
     def backward(gy):
         gy = np.asarray(gy, dtype=DTYPE)
-        gg = (gy * xhat).sum(axis=(0, 1, 2, 3))
-        gb = gy.sum(axis=(0, 1, 2, 3))
-        gxhat = gy * gamma
-        m1 = gxhat.mean(axis=axes, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=axes, keepdims=True)
-        gx = inv * (gxhat - m1 - xhat * m2)
-        return gx, {"gamma": gg, "beta": gb}
+        gx = gy * gamma
+        buf = gx * xhat
+        m2 = buf.mean(axis=axes, keepdims=True)
+        gx -= gx.mean(axis=axes, keepdims=True)
+        gx -= np.multiply(xhat, m2, out=buf)
+        gx *= inv
+        gg = np.multiply(gy, xhat, out=buf).sum(axis=(0, 1, 2, 3))
+        return gx, {"gamma": gg, "beta": gy.sum(axis=(0, 1, 2, 3))}
 
     return LayerGrad(y, backward)
 

@@ -10,7 +10,7 @@ from agsevnet.ag import (
     effective_radius,
     window_counts,
 )
-from agsevnet.checks import box_sum_oracle, fit_oracle
+from agsevnet.checks import box_sum_oracle, closure_arrays, fit_forward_oracle, fit_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import Conv3dParams
 from agsevnet.rng import Rng
@@ -250,6 +250,66 @@ class TestAgFit:
         expect_b = box_sum(mean_o, 1) / counts
         assert np.all(coeff_a == 0.0)
         assert np.abs(coeff_b - expect_b).max() < 1e-12
+
+
+def fit_attention(kind, shape, seed):
+    """Single-channel attention of the fit's oracle tests: random, all zero
+    (every window degenerate), or zero on the first half of the z axis."""
+    t = Rng(seed).uniform(0.05, 1.0, (*shape[:4], 1))
+    if kind == "zero":
+        t[:] = 0.0
+    elif kind == "half":
+        t[:, : shape[1] // 2] = 0.0
+    return t
+
+
+class TestAgFitArithmetic:
+    # batch 2: the network's 32^3 x 4 and 16^3 x 8 geometries, an
+    # anisotropic grid with 1 and 3 channels; radius 1 and the network's
+    @pytest.mark.parametrize("shape", [(2, 32, 32, 32, 4), (2, 16, 16, 16, 8),
+                                       (2, 6, 4, 5, 1), (2, 6, 4, 5, 3)])
+    @pytest.mark.parametrize("kind", ["random", "zero", "half"])
+    def test_matches_allocating_oracle_bitwise(self, shape, kind):
+        i, o = rand(70, shape), rand(71, shape)
+        t = fit_attention(kind, shape, 72)
+        g_a, g_b = rand(73, shape), rand(74, shape)
+        for r in sorted({1, effective_radius(16, shape[1:4])}):
+            *got, got_bwd = _fit_forward(i, o, t, r, 0.01)
+            *want, want_bwd = fit_forward_oracle(i, o, t, r, 0.01)
+            for a, b in zip(got + list(got_bwd(g_a, g_b)), want + list(want_bwd(g_a, g_b))):
+                assert a.tobytes() == b.tobytes(), r
+
+    @pytest.mark.parametrize("kind", ["random", "half"])
+    def test_fit_backward_repeatable_and_leaves_its_state(self, kind):
+        shape = (2, 6, 4, 5, 3)
+        i, o, t = rand(75, shape), rand(76, shape), fit_attention(kind, shape, 77)
+        g_a, g_b = rand(78, shape), rand(79, shape)
+        inputs = (i, o, t, g_a, g_b)
+        before = [a.copy() for a in inputs]
+        coeff_a, coeff_b, backward = _fit_forward(i, o, t, 1, 0.01)
+        kept = closure_arrays(backward) + [coeff_a, coeff_b]
+        kept_before = [a.copy() for a in kept]
+        first, second = backward(g_a, g_b), backward(g_a, g_b)
+        for a, b in zip(first, second):
+            assert a is not b and a.tobytes() == b.tobytes()
+        for a, b in zip(inputs + tuple(kept), before + kept_before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_ag_backward_repeatable_and_leaves_its_state(self):
+        shape = (2, 6, 4, 5, 3)
+        i, o, gy = rand(80, shape), rand(81, shape), rand(82, shape)
+        inputs = (i, o, gy)
+        before = [a.copy() for a in inputs]
+        lg = ag_forward(i, o, ag_params(83, 3))
+        kept = closure_arrays(lg.backward) + [lg.output]
+        kept_before = [a.copy() for a in kept]
+        ((gi1, go1), gp1), ((gi2, go2), gp2) = lg.backward(gy), lg.backward(gy)
+        assert gi1.tobytes() == gi2.tobytes() and go1.tobytes() == go2.tobytes()
+        assert sorted(gp1) == sorted(gp2)
+        for name in gp1:
+            assert gp1[name].tobytes() == gp2[name].tobytes(), name
+        for a, b in zip(inputs + tuple(kept), before + kept_before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAgForward:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agsevnet.checks import conv3d_oracle, deconv3d_oracle
+from agsevnet.checks import closure_arrays, conv3d_oracle, deconv3d_oracle, instance_norm_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import (
     Conv3dParams,
@@ -307,6 +307,37 @@ class TestInstanceNorm:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             instance_norm(np.zeros((1, 2, 2, 2, 1)), np.ones(1), np.zeros(1), 0.0)
+
+    # batch 2: the network's 32^3 x 4 and 16^3 x 8 geometries, an
+    # anisotropic grid with 1 and 3 channels
+    @pytest.mark.parametrize("shape", [(2, 32, 32, 32, 4), (2, 16, 16, 16, 8),
+                                       (2, 6, 4, 5, 1), (2, 6, 4, 5, 3)])
+    def test_matches_allocating_oracle_bitwise(self, shape):
+        x = rand(60, shape, 3.0) + 1.0
+        gamma, beta = rand(61, shape[-1:]) + 1.5, rand(62, shape[-1:])
+        gy = rand(63, shape)
+        got, want = instance_norm(x, gamma, beta, 1e-5), instance_norm_oracle(x, gamma, beta, 1e-5)
+        assert got.output.tobytes() == want.output.tobytes()
+        (gx, gp), (wx, wp) = got.backward(gy), want.backward(gy)
+        assert gx.tobytes() == wx.tobytes()
+        for name in ("gamma", "beta"):
+            assert gp[name].tobytes() == wp[name].tobytes(), name
+
+    def test_backward_repeatable_and_leaves_its_state(self):
+        # the in-place passes must not write into what the closure retains
+        x, gy = rand(64, (2, 6, 4, 5, 3), 2.0), rand(65, (2, 6, 4, 5, 3))
+        gamma, beta = rand(66, (3,)) + 1.5, rand(67, (3,))
+        inputs = (x, gamma, beta, gy)
+        before = [a.copy() for a in inputs]
+        lg = instance_norm(x, gamma, beta, 1e-5)
+        kept = closure_arrays(lg.backward) + [lg.output]
+        kept_before = [a.copy() for a in kept]
+        (gx1, gp1), (gx2, gp2) = lg.backward(gy), lg.backward(gy)
+        assert gx1 is not gx2 and gx1.tobytes() == gx2.tobytes()
+        for name in ("gamma", "beta"):
+            assert gp1[name].tobytes() == gp2[name].tobytes(), name
+        for a, b in zip(inputs + tuple(kept), before + kept_before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDropout:

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import agsevnet.ag as ag
+import agsevnet.checks as checks
 import agsevnet.layers as layers
 import agsevnet.network as network
 from agsevnet.losses import ClassWeights, dice_loss
@@ -245,6 +247,26 @@ class TestBackward:
         for name, p in params.items():
             assert grads_a[name].shape == p.shape, name
             assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
+    def test_matches_the_allocating_oracles_bitwise(self, monkeypatch):
+        # the in-place instance norm and AG fit against the arithmetic they
+        # replaced, through a whole training forward and backward
+        cfg = tiny_config(base_width=4, dropout=0.1, patch_shape=(32, 32, 32))
+        params = build(cfg, Rng(34))
+        x = Rng(35).normal((2, 32, 32, 32, 2))
+        g = one_hot(Rng(36).integers(0, 4, x.shape[:4]))
+
+        def run():
+            lg = forward(x, params, cfg, training=True, rng=Rng(37))
+            return lg.output, *lg.backward(dice_loss(lg.output, g, ClassWeights())[1])
+
+        y, gx, grads = run()
+        monkeypatch.setattr(network, "instance_norm", checks.instance_norm_oracle)
+        monkeypatch.setattr(ag, "_fit_forward", checks.fit_forward_oracle)
+        want_y, want_gx, want_grads = run()
+        assert y.tobytes() == want_y.tobytes() and gx.tobytes() == want_gx.tobytes()
+        for name in params:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
 class TestPredictLabels:

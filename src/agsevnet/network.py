@@ -20,8 +20,10 @@ gradient and a gradient dict over those same names.
 
 from __future__ import annotations
 
+import re
 import shutil
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -171,54 +173,69 @@ def _parse_value(key: str, hint, raw: str):
 # ---------------------------------------------------------------------------
 # parameter construction
 
-def _add_conv(params, rng, name, k, c_in, c_out, with_norm=True, transposed=False):
+# Each layout entry is (name, shape, init): init is a constant fill, or
+# the `Rng.derive` path below the build rng and the fan-in of a He draw.
+
+def _add_conv(layout, name, k, c_in, c_out, with_norm=True, transposed=False):
     shape = (k, k, k, c_out, c_in) if transposed else (k, k, k, c_in, c_out)
-    params[f"{name}.kernel"] = he_normal(rng.derive(name), shape, k ** 3 * c_in)
-    params[f"{name}.bias"] = np.zeros(c_out, dtype=DTYPE)
+    layout.append((f"{name}.kernel", shape, ((name,), k ** 3 * c_in)))
+    layout.append((f"{name}.bias", (c_out,), 0.0))
     if with_norm:
-        params[f"{name}.gamma"] = np.ones(c_out, dtype=DTYPE)
-        params[f"{name}.beta"] = np.zeros(c_out, dtype=DTYPE)
+        layout.append((f"{name}.gamma", (c_out,), 1.0))
+        layout.append((f"{name}.beta", (c_out,), 0.0))
 
 
-def _add_se(params, rng, name, channels, reduction):
-    m = effective_reduction(channels, reduction)
-    hidden = channels // m
-    sub = rng.derive(name)
-    params[f"{name}.fc1.weight"] = he_normal(sub.derive("fc1"), (channels, hidden), channels)
-    params[f"{name}.fc1.bias"] = np.zeros(hidden, dtype=DTYPE)
-    params[f"{name}.fc2.weight"] = he_normal(sub.derive("fc2"), (hidden, channels), hidden)
-    params[f"{name}.fc2.bias"] = np.zeros(channels, dtype=DTYPE)
+def _add_se(layout, name, channels, reduction):
+    hidden = channels // effective_reduction(channels, reduction)
+    layout.append((f"{name}.fc1.weight", (channels, hidden), ((name, "fc1"), channels)))
+    layout.append((f"{name}.fc1.bias", (hidden,), 0.0))
+    layout.append((f"{name}.fc2.weight", (hidden, channels), ((name, "fc2"), hidden)))
+    layout.append((f"{name}.fc2.bias", (channels,), 0.0))
 
 
-def _add_ag(params, rng, name, channels):
-    sub = rng.derive(name)
+def _add_ag(layout, name, channels):
     for part, c_out in (("attn_o", channels), ("attn_i", channels), ("attn_gate", 1)):
-        params[f"{name}.{part}.kernel"] = he_normal(
-            sub.derive(part), (1, 1, 1, channels, c_out), channels
-        )
-        params[f"{name}.{part}.bias"] = np.zeros(c_out, dtype=DTYPE)
+        layout.append((f"{name}.{part}.kernel", (1, 1, 1, channels, c_out),
+                       ((name, part), channels)))
+        layout.append((f"{name}.{part}.bias", (c_out,), 0.0))
 
 
-def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
-    """Deterministic parameter tree for the configured network."""
+def param_layout(config: NetConfig) -> list[tuple[str, tuple[int, ...], object]]:
+    """(name, shape, init) of every parameter of the configured network,
+    in the order `build` creates them."""
     config.validate()
-    params: dict[str, np.ndarray] = {}
+    layout = []
     for e in range(1, STAGES + 1):
         w = config.width(e)
         c_in = config.in_channels if e == 1 else w
         for j in range(config.depths):
-            _add_conv(params, rng, f"enc{e}.conv{j}", 3, c_in if j == 0 else w, w)
-        _add_se(params, rng, f"enc{e}.se", w, config.se_reduction)
+            _add_conv(layout, f"enc{e}.conv{j}", 3, c_in if j == 0 else w, w)
+        _add_se(layout, f"enc{e}.se", w, config.se_reduction)
         if e < STAGES:
-            _add_conv(params, rng, f"enc{e}.down", 3, w, config.width(e + 1))
+            _add_conv(layout, f"enc{e}.down", 3, w, config.width(e + 1))
     for d in range(1, HALVINGS + 1):
         e = STAGES - d  # encoder stage whose skip this decoder consumes
         w = config.width(e)
-        _add_conv(params, rng, f"dec{d}.up", 3, config.width(e + 1), w, transposed=True)
-        _add_ag(params, rng, f"dec{d}.ag", w)
+        _add_conv(layout, f"dec{d}.up", 3, config.width(e + 1), w, transposed=True)
+        _add_ag(layout, f"dec{d}.ag", w)
         for j in range(config.depths):
-            _add_conv(params, rng, f"dec{d}.conv{j}", 3, w, w)
-    _add_conv(params, rng, "head", 1, config.width(1), config.num_classes, with_norm=False)
+            _add_conv(layout, f"dec{d}.conv{j}", 3, w, w)
+    _add_conv(layout, "head", 1, config.width(1), config.num_classes, with_norm=False)
+    return layout
+
+
+def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """Deterministic parameter tree for the configured network."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape, init in param_layout(config):
+        if isinstance(init, float):
+            params[name] = np.full(shape, init, dtype=DTYPE)
+            continue
+        path, fan_in = init
+        sub = rng
+        for token in path:
+            sub = sub.derive(token)
+        params[name] = he_normal(sub, shape, fan_in)
     return params
 
 
@@ -453,6 +470,10 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], config: NetConfig,
 
 
 def load_checkpoint(directory):
+    """(params, config, step, extra) that `save_checkpoint` wrote. The
+    parameter names and shapes must be the ones `build` makes for the
+    stored config; a checkpoint that differs raises ValueError naming it
+    and the first parameter that differs."""
     directory = Path(directory)
     left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
     if left and not directory.exists():
@@ -462,5 +483,14 @@ def load_checkpoint(directory):
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
     config = config_from_text(NetConfig, (directory / "config.txt").read_text())
-    step = int((directory / "step.txt").read_text().strip())
-    return params, config, step, extra
+    want = [f"{name} {shape}" for name, shape, _ in param_layout(config)]
+    got = [f"{name} {arr.shape}" for name, arr in params.items()]
+    for found, built in zip_longest(got, want, fillvalue="nothing"):
+        if found != built:
+            raise ValueError(f"checkpoint {directory} holds {found} where the network of its "
+                             f"config.txt has {built}")
+    step_file = directory / "step.txt"
+    text = step_file.read_text()
+    if not re.fullmatch(r"[0-9]+\n?", text):
+        raise ValueError(f"{step_file}: step {text!r} is not a non-negative integer")
+    return params, config, int(text), extra

@@ -219,6 +219,11 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         params, _, start_step, state = load_checkpoint(resume)
         if sorted(state) != sorted(_opt_state_names(config, params)):
             raise ValueError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
+        for key, moment in state.items():
+            shape = params[key.split(".", 1)[1]].shape
+            if moment.shape != shape:
+                raise ValueError(f"checkpoint {resume}: optimizer state {key} has shape "
+                                 f"{moment.shape}, its parameter {shape}")
         stored = _check_resumable(resume, config, start_step)
         loss_log, val_rows = _read_history(Path(resume), stored, config, start_step, n, with_val)
         _write_derived(out_dir, config, loss_log, val_rows, with_val)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,87 @@ class TestParamSerialization:
             assert params[name].tobytes() == loaded[name].tobytes()
 
     def test_manifest_lists_name_shape_file(self, tmp_path):
-        save_params(tmp_path / "p", {"w": rand(39, (2, 3))})
+        save_params(tmp_path / "p", {"w": rand(39, (2, 3)), "b": rand(40, (3,))})
         text = (tmp_path / "p" / "manifest.txt").read_text()
-        assert "name=w" in text and "shape=2x3" in text and "file=w.npy" in text
+        digest = hashlib.sha256((tmp_path / "p" / "params.npy").read_bytes()).hexdigest()
+        assert text == f"name=w shape=2x3\nname=b shape=3\nsha256={digest}\n"
+        assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["manifest.txt", "params.npy"]
+
+    def test_np_load_sliced_by_manifest_is_every_tensor(self, tmp_path):
+        params = {
+            "enc1.conv0.kernel": rand(41, (3, 3, 3, 2, 4)),
+            "transposed": rand(42, (5, 3)).T,
+            "empty": np.zeros((0, 4)),
+            "enc1.conv0.bias": rand(43, (4,)),
+        }
+        save_params(tmp_path / "p", params)
+        flat = np.load(tmp_path / "p" / "params.npy")
+        assert flat.dtype == np.dtype("<f8") and flat.ndim == 1
+        lines = (tmp_path / "p" / "manifest.txt").read_text().splitlines()
+        assert len(lines) == len(params) + 1
+        start = 0
+        for line, name in zip(lines, params):
+            fields = dict(tok.split("=") for tok in line.split())
+            shape = tuple(int(d) for d in fields["shape"].split("x"))
+            assert fields["name"] == name and shape == params[name].shape
+            size = int(np.prod(shape))
+            got = flat[start:start + size].reshape(shape)
+            assert got.tobytes() == np.ascontiguousarray(params[name]).tobytes()
+            start += size
+        assert start == flat.size
+
+    def test_loaded_tensors_are_writable(self, tmp_path):
+        save_params(tmp_path / "p", {"a": rand(44, (2, 2)), "b": rand(45, (3,))})
+        loaded = load_params(tmp_path / "p")
+        loaded["a"] += 1.0  # optimizers update parameters in place
+        assert loaded["b"].tobytes() == rand(45, (3,)).tobytes()
+
+    def test_cut_params_file_names_the_file(self, tmp_path):
+        save_params(tmp_path / "p", {"a": rand(46, (4, 5)), "b": rand(47, (6,))})
+        path, manifest = tmp_path / "p" / "params.npy", tmp_path / "p" / "manifest.txt"
+        raw, text = path.read_bytes(), manifest.read_text()
+        for cut in (0, 5, 9, 64, 127, 128, 129, len(raw) // 2, len(raw) - 8, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="SHA-256") as err:
+                load_params(tmp_path / "p")
+            assert str(path) in str(err.value), cut
+            # with a digest that matches the cut file, the parse refuses it
+            digest = hashlib.sha256(raw[:cut]).hexdigest()
+            manifest.write_text(text.rsplit("sha256=", 1)[0] + f"sha256={digest}\n")
+            with pytest.raises(ValueError) as err:
+                load_params(tmp_path / "p")
+            assert str(path) in str(err.value), cut
+            manifest.write_text(text)
+
+    def test_value_count_must_match_manifest(self, tmp_path):
+        save_params(tmp_path / "p", {"a": rand(48, (4, 5)), "b": rand(49, (6,))})
+        manifest = tmp_path / "p" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("shape=6", "shape=5"))
+        with pytest.raises(ValueError, match=r"params.npy: holds float64 of shape \(26,\), "
+                                             r"the manifest lists 25 float64 values"):
+            load_params(tmp_path / "p")
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda t: "garbage\n" + t, "line 1: expected name=… shape=…, got 'garbage'"),
+        (lambda t: t.replace("name=b ", "name=a "), "line 2: duplicate name 'a'"),
+        (lambda t: t.replace(" shape=6", ""), "line 2: expected name=… shape=…"),
+        (lambda t: t.replace("shape=6", "shape=6 shape=6"), "line 2: expected name=… shape=…"),
+        (lambda t: t.replace("shape=6", "shape=six"), "line 2: expected name=… shape=…"),
+        (lambda t: t.replace("shape=6", "shape=-6"), "line 2: expected name=… shape=…"),
+        (lambda t: t.replace("shape=2x3", "shape=2xx3"), "line 1: expected name=… shape=…"),
+        (lambda t: t.rsplit("sha256=", 1)[0], "last line 'name=b shape=6' is not sha256="),
+        (lambda t: t.replace("sha256=", "sha256=0"), "last line 'sha256=0.* is not sha256="),
+        (lambda t: t + t.splitlines()[-1] + "\n", "line 3: expected name=… shape=…"),
+        (lambda t: t.replace("name=a", "color=red name=a"), "line 1: expected name=… shape=…"),
+        (lambda t: "\n" + t, "line 1: expected name=… shape=…, got ''"),
+        (lambda t: "", "last line '' is not sha256="),
+    ], ids=["no_equals", "duplicate", "missing_field", "repeated_key", "word_shape",
+            "negative_shape", "empty_dim", "no_digest", "long_digest", "two_digests",
+            "unknown_key", "blank_line", "empty"])
+    def test_malformed_manifest_names_the_manifest(self, tmp_path, damage, message):
+        save_params(tmp_path / "p", {"a": rand(50, (2, 3)), "b": rand(51, (6,))})
+        manifest = tmp_path / "p" / "manifest.txt"
+        manifest.write_text(damage(manifest.read_text()))
+        with pytest.raises(ValueError, match=message) as err:
+            load_params(tmp_path / "p")
+        assert str(manifest) in str(err.value)

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -308,22 +310,17 @@ class TestCheckpoint:
         cfg = tiny_config()
         first, second = build(cfg, Rng(19)), build(cfg, Rng(20))
         save_checkpoint(tmp_path / "ck", first, cfg, 4)
-        real_write, written = layers.write_npy, []
-
-        def failing_write(path, arr):
-            if len(written) == 5:
-                raise OSError("disk full")
-            written.append(path)
-            real_write(path, arr)
-
-        monkeypatch.setattr(layers, "write_npy", failing_write)
+        size = (tmp_path / "ck" / "params.npy").stat().st_size
+        monkeypatch.setattr(layers, "open", lambda path, mode: CutFile(path, mode, size // 2),
+                            raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(tmp_path / "ck", second, cfg, 8)
+        assert (tmp_path / "ck.tmp" / "params.npy").stat().st_size == size // 2
         params, _, step, _ = load_checkpoint(tmp_path / "ck")
         assert step == 4
         assert all(params[k].tobytes() == first[k].tobytes() for k in first)
         # the next save replaces the partial one
-        monkeypatch.setattr(layers, "write_npy", real_write)
+        monkeypatch.delattr(layers, "open")
         save_checkpoint(tmp_path / "ck", second, cfg, 8)
         params, _, step, _ = load_checkpoint(tmp_path / "ck")
         assert step == 8
@@ -351,9 +348,119 @@ class TestCheckpoint:
     def test_flipped_byte_names_the_file(self, tmp_path):
         cfg = tiny_config()
         save_checkpoint(tmp_path / "ck", build(cfg, Rng(21)), cfg, 1)
-        target = tmp_path / "ck" / "head.kernel.npy"
+        target = tmp_path / "ck" / "params.npy"
         data = bytearray(target.read_bytes())
         data[-3] ^= 0x01  # a mantissa bit: still a valid .npy of the right shape
         target.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="head.kernel.npy.*SHA-256"):
+        with pytest.raises(ValueError, match="params.npy: SHA-256"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_directory_holds_params_manifest_config_step_and_texts(self, tmp_path):
+        cfg = tiny_config()
+        params = build(cfg, Rng(22))
+        extra = {f"m.{k}": np.zeros_like(v) for k, v in params.items()}
+        save_checkpoint(tmp_path / "ck", params, cfg, 3, extra=extra, texts={"notes.txt": "x\n"})
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "config.txt", "manifest.txt", "notes.txt", "params.npy", "step.txt"]
+        flat = np.load(tmp_path / "ck" / "params.npy")
+        blob = [*params.values(), *extra.values()]
+        assert flat.tobytes() == b"".join(arr.tobytes() for arr in blob)
+
+    def test_per_tensor_checkpoint_is_refused(self, tmp_path):
+        cfg = tiny_config()
+        old = tmp_path / "old"
+        old.mkdir()
+        lines = []
+        for name, arr in build(cfg, Rng(23)).items():
+            np.save(old / f"{name}.npy", arr)
+            digest = hashlib.sha256((old / f"{name}.npy").read_bytes()).hexdigest()
+            shape = "x".join(map(str, arr.shape))
+            lines.append(f"name={name} shape={shape} file={name}.npy sha256={digest}")
+        (old / "manifest.txt").write_text("\n".join(lines) + "\n")
+        (old / "config.txt").write_text(config_to_text(cfg))
+        (old / "step.txt").write_text("1\n")
+        with pytest.raises(ValueError, match="per-tensor layout .* is no longer read") as info:
+            load_checkpoint(old)
+        assert f"checkpoint {old} " in str(info.value)
+
+    def test_parameters_must_match_the_stored_config(self, tmp_path):
+        cfg = tiny_config()
+        params = build(cfg, Rng(24))
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, params, cfg, 1)
+        config_file, manifest = ck / "config.txt", ck / "manifest.txt"
+        config_file.write_text(config_to_text(tiny_config(in_channels=3)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {ck} holds enc1.conv0.kernel (3, 3, 3, 2, 2) where the network of "
+                f"its config.txt has enc1.conv0.kernel (3, 3, 3, 3, 2)")):
+            load_checkpoint(ck)
+        config_file.write_text(config_to_text(cfg))
+        text = manifest.read_text()
+        manifest.write_text(text.replace("name=enc1.conv0.bias ", "name=tmp ")
+                            .replace("name=enc1.conv0.gamma ", "name=enc1.conv0.bias ")
+                            .replace("name=tmp ", "name=enc1.conv0.gamma "))
+        with pytest.raises(ValueError, match=re.escape(
+                "holds enc1.conv0.gamma (2,) where the network of its config.txt has "
+                "enc1.conv0.bias (2,)")):
+            load_checkpoint(ck)
+        manifest.write_text(text.replace("name=head.bias shape=4\n", ""))
+        with pytest.raises(ValueError, match="params.npy: holds float64 of shape"):
+            load_checkpoint(ck)
+        for blob, found, built in (
+            ({k: v for k, v in params.items() if k != "enc1.conv0.kernel"},
+             "enc1.conv0.bias (2,)", "enc1.conv0.kernel (3, 3, 3, 2, 2)"),
+            ({k: v for k, v in params.items() if k != "head.bias"}, "nothing", "head.bias (4,)"),
+            ({**params, "spare": np.zeros(2)}, "spare (2,)", "nothing"),
+        ):
+            save_checkpoint(ck, blob, cfg, 1)
+            message = f"checkpoint {ck} holds {found} where the network of its config.txt has "
+            with pytest.raises(ValueError, match=re.escape(message + built)):
+                load_checkpoint(ck)
+
+    @pytest.mark.parametrize("text", ["x", "", "\n", "-5\n", "1.5\n", "3 4\n", " 3\n", "٣\n"])
+    def test_damaged_step_names_the_file(self, tmp_path, text):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ck", build(cfg, Rng(25)), cfg, 3)
+        (tmp_path / "ck" / "step.txt").write_text(text)
+        with pytest.raises(ValueError, match="is not a non-negative integer") as info:
+            load_checkpoint(tmp_path / "ck")
+        assert str(tmp_path / "ck" / "step.txt") in str(info.value)
+
+    def test_save_streams_without_a_copy_of_the_tensors(self, tmp_path):
+        cfg = NetConfig(in_channels=4, base_width=4, depths=2, se_reduction=4, ag_radius=16,
+                        ag_eps=0.01, dropout=0.1, patch_shape=(32, 32, 32))
+        params = build(cfg, Rng(26))
+        extra = {f"{slot}.{k}": Rng(27).derive(slot, k).normal(v.shape)
+                 for k, v in params.items() for slot in ("m", "v")}
+        blob_bytes = sum(v.nbytes for v in (*params.values(), *extra.values()))
+        assert blob_bytes > 12_000_000
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "ck", params, cfg, 5, extra=extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        assert (tmp_path / "ck" / "params.npy").stat().st_size > blob_bytes
+
+
+class CutFile:
+    """A file opened for `layers` whose writes stop with OSError once
+    `budget` bytes are written, after writing the bytes that fit."""
+
+    def __init__(self, path, mode, budget):
+        self.fh, self.budget = open(path, mode), budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        data = memoryview(chunk).cast("B")
+        self.fh.write(data[:self.budget])
+        if len(data) > self.budget:
+            self.budget = 0
+            raise OSError("disk full")
+        self.budget -= len(data)

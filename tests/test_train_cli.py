@@ -49,6 +49,19 @@ def phantom_dir(tmp_path_factory):
     return root
 
 
+class Writes:
+    """An open file whose `write` goes through `wrap(file.write)`."""
+
+    def __init__(self, fh, wrap):
+        self.fh, self.write = fh, wrap(fh.write)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 def dir_bytes(path):
     return {
         p.relative_to(path).as_posix(): p.read_bytes()
@@ -208,7 +221,8 @@ class TestTraining:
         whole = tmp_path / "whole"
         train(cfg, phantom_dir, whole, val_dir=phantom_dir, log=lambda s: None)
         want = [(whole / name).read_bytes() for name in LOGS], dir_bytes(whole / "checkpoint")
-        npys_per_save = len(list((whole / "checkpoint").glob("*.npy")))
+        # one write for the params.npy header, then one per tensor
+        writes_per_save = len((whole / "checkpoint" / "manifest.txt").read_text().splitlines())
 
         class Crash(Exception):
             pass
@@ -235,15 +249,18 @@ class TestTraining:
             m.setattr(Path, "rename", wrap(Path.rename))
             m.setattr(os, "replace", wrap(os.replace))
 
-        def first_npy_of_save(m, wrap):
-            m.setattr(layers, "write_npy", wrap(layers.write_npy))
+        def params_npy_writes(m, wrap):
+            m.setattr(layers, "open", lambda path, mode: Writes(open(path, mode), wrap),
+                      raising=False)
 
         with monkeypatch.context() as m:
             calls = []
             file_ops(m, crash_at(0, calls))
             train(cfg, phantom_dir, tmp_path / "count", val_dir=phantom_dir, log=lambda s: None)
         crashes = [(file_ops, k) for k in range(1, len(calls) + 1)]
-        crashes += [(first_npy_of_save, 1), (first_npy_of_save, npys_per_save + 1)]
+        # before and partway through the params.npy writes of the first and second save
+        crashes += [(params_npy_writes, k) for k in (1, writes_per_save // 2, writes_per_save + 1,
+                                                     writes_per_save + writes_per_save // 2)]
         refused = 0
         for patch, k in crashes:
             out = tmp_path / f"{patch.__name__}{k}"
@@ -270,6 +287,15 @@ class TestTraining:
         sgd = tiny_train_config(max_steps=4, checkpoint_interval=2, optimizer="sgd")
         with pytest.raises(ValueError, match="optimizer state does not match optimizer=sgd"):
             train(sgd, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
+        assert dir_bytes(tmp_path) == before
+        manifest = tmp_path / "checkpoint" / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text(text.replace("name=opt.v.head.bias shape=4\n",
+                                         "name=opt.v.head.bias shape=2x2\n"))
+        with pytest.raises(ValueError, match=r"optimizer state v.head.bias has shape \(2, 2\), "
+                                             r"its parameter \(4,\)"):
+            train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
+        manifest.write_text(text)
         assert dir_bytes(tmp_path) == before
         train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
         assert load_checkpoint(tmp_path / "checkpoint")[2] == 4
@@ -610,6 +636,29 @@ class TestCli:
         # patch 16, stride 24 on a 40-long axis would leave voxels 16..23 unpredicted
         assert main([*predict, "--data", str(tmp_path / "long"), "--out", str(tmp_path / "out")]) == 1
         assert not list((tmp_path / "out").glob("*.npy"))
+
+    def test_predict_refuses_damaged_checkpoint(self, phantom_dir, tmp_path, capsys):
+        config = tiny_train_config().net
+        params = build(config, Rng(5))
+        ckpt = tmp_path / "ckpt"
+        predict = ["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                   "--out", str(tmp_path / "out")]
+        save_checkpoint(ckpt, {k: v for k, v in params.items() if k != "enc1.conv0.kernel"},
+                        config, 0)
+        assert main(predict) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} holds enc1.conv0.bias (2,) where" in err
+        save_checkpoint(ckpt, params, config, 0)
+        manifest = ckpt / "manifest.txt"
+        kernel_line = "name=enc1.conv0.kernel shape=3x3x3x4x2\n"
+        manifest.write_text(manifest.read_text().replace(kernel_line, ""))
+        assert main(predict) == 1
+        assert f"{ckpt / 'params.npy'}: holds float64" in capsys.readouterr().err
+        save_checkpoint(ckpt, params, config, 0)
+        (ckpt / "step.txt").write_text("x")
+        assert main(predict) == 1
+        assert f"{ckpt / 'step.txt'}: step 'x' is not a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     def test_gradcheck_loss_scope(self, capsys):
         assert main(["gradcheck", "--scope", "loss", "--seed", "0"]) == 0

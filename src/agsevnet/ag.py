@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward
-from .tensor import DTYPE, ShapeError, as_tensor5
+from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum
 
 DEGENERATE_WEIGHT_SUM = 1e-12
 
@@ -126,8 +126,9 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
     Windows whose normalized weight mass falls below a floor get the
     documented fallback: slope 0 and the unweighted window mean of O.
     Full-size terms live in a few reused buffers, updated with the
-    operators of `checks.fit_forward_oracle` in its order, so results are
-    bitwise equal; `a += (-b) * c` runs as `a -= b * c`, the same number.
+    operators of `fit_forward_oracle` (tests/oracles.py) in its order, so
+    results are bitwise equal; `a += (-b) * c` runs as `a -= b * c`, the
+    same number.
     """
     spatial = i.shape[1:4]
     voxels = float(np.prod(spatial))
@@ -185,7 +186,7 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
         np.copyto(ds, 0.0, where=degenerate)
         w1, w2, w3, w4 = (box_sum(np.divide(d, s_safe, out=d), r)
                           for d in (d_mean_i, d_mean_o, ddenom, dcov))
-        ws = box_sum(ds.sum(axis=4, keepdims=True), r)
+        ws = box_sum(channel_sum(ds), r)
 
         g_i = np.multiply(np.multiply(i, 2.0, out=d_mean_i), w3, out=d_mean_i)
         g_i += w1
@@ -199,7 +200,7 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
         dq += np.multiply(o, w2, out=db)
         dq += np.multiply(np.multiply(i, i, out=db), w3, out=db)
         dq += np.multiply(np.multiply(i, o, out=db), w4, out=db)
-        dq = dq.sum(axis=4, keepdims=True) + ws
+        dq = channel_sum(dq) + ws
         # q = q0 * voxels / sum(q0): distribute through the normalization
         inner = (dq * q0).sum(axis=(1, 2, 3, 4), keepdims=True)
         dq0 = np.where(live, (voxels / s2_safe) * (dq - inner / s2_safe), 0.0)

@@ -7,25 +7,14 @@ CLI surface and pytest agree by construction.
 
 from __future__ import annotations
 
-import dataclasses
-import types
-
 import numpy as np
 
-from .ag import (
-    DEGENERATE_WEIGHT_SUM,
-    AgParams,
-    _fit_forward,
-    ag_forward,
-    box_sum,
-    window_counts,
-)
+from .ag import AgParams, _fit_forward, ag_forward, box_sum
 from .gradcheck import CheckResult, max_rel_err, numeric_grad, random_sample_indices
 from .layers import (
     Conv3dParams,
     Deconv3dParams,
     DenseParams,
-    LayerGrad,
     activation,
     conv3d_forward,
     conv_output_extent,
@@ -34,18 +23,10 @@ from .layers import (
     dense,
     instance_norm,
 )
-from .losses import (
-    SMOOTH,
-    ClassWeights,
-    _check_pair,
-    dice_loss,
-    surface_voxels,
-)
+from .losses import SMOOTH, ClassWeights, _check_pair, dice_loss
 from .network import NetConfig, build, forward
-from .pipeline import PatchSpec, cut_patch, patch_starts, stitch_patches
 from .rng import Rng
 from .se import SeParams, se_forward
-from .tensor import DTYPE, ShapeError, as_tensor5
 
 
 def _rand(rng: Rng, shape):
@@ -329,22 +310,7 @@ def check_loss(seed: int = 0) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# scalar oracles shared with the tests
-
-def soft_dice_per_class(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
-    """Squared-denominator soft Dice per class, summed over batch and voxels:
-    the per-class score inside `dice_loss`, computed on its own for tests.
-
-    Classes absent from the truth score exactly 0 (documented empty-class
-    rule) rather than the near-zero value the raw ratio would give.
-    """
-    p, g = _check_pair(p, g)
-    inter = (p * g).sum(axis=(0, 1, 2, 3))
-    pp = (p * p).sum(axis=(0, 1, 2, 3))
-    gg = (g * g).sum(axis=(0, 1, 2, 3))
-    present = gg > 0.0
-    denom = np.where(present, pp + gg + smooth, 1.0)
-    return np.where(present, 2.0 * inter / denom, 0.0)
+# oracles of the gradcheck command
 
 
 def dice_grad_closed_form(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
@@ -391,15 +357,6 @@ def deconv3d_oracle(x: np.ndarray, p: Deconv3dParams) -> np.ndarray:
             if 0 <= z < out[0] and 0 <= h < out[1] and 0 <= w < out[2]:
                 y[b, z, h, w] += p.kernel[a, bb, c] @ x[b, i, j, m]
     return y + p.bias
-
-
-def stitched_probs_oracle(x: np.ndarray, params, config: NetConfig, spec: PatchSpec) -> np.ndarray:
-    """The serial path infer.stitched_probs replaces: every patch cut up
-    front, one forward with backward state per patch on the calling
-    thread, the probability patches stitched as a list."""
-    probs = [forward(cut_patch(x, start, spec), params, config).output
-             for start in patch_starts(x.shape[1:4], spec)]
-    return stitch_patches(probs, (*x.shape[:4], config.num_classes), spec)
 
 
 def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:
@@ -458,185 +415,3 @@ def fit_oracle(i_vol: np.ndarray, o_vol: np.ndarray, t_vol: np.ndarray,
                 coeff_a[k, i, j] = a_win[zs, hs, ws].mean()
                 coeff_b[k, i, j] = b_win[zs, hs, ws].mean()
     return coeff_a, coeff_b
-
-
-def surface_distance_pool(pred: np.ndarray, truth: np.ndarray,
-                          spacing=(1.0, 1.0, 1.0)):
-    """All-pairs pooled directed surface distances (truth to pred, then
-    pred to truth), one block of rows at a time; None when either mask
-    is empty. Quadratic in surface size: the oracle for hausdorff95.
-    """
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"hausdorff: shape mismatch {pred.shape} vs {truth.shape}")
-    if not pred.any() or not truth.any():
-        return None
-    sp = np.asarray(spacing, dtype=np.float64)
-    ps = surface_voxels(pred) * sp
-    ts = surface_voxels(truth) * sp
-
-    def directed(src, dst):
-        out = np.empty(len(src))
-        chunk = max(1, 2_000_000 // len(dst))
-        for start in range(0, len(src), chunk):
-            block = src[start : start + chunk]
-            d2 = ((block[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-            out[start : start + len(block)] = np.sqrt(d2.min(axis=1))
-        return out
-
-    return np.concatenate([directed(ts, ps), directed(ps, ts)])
-
-
-def hd95_all_pairs(pred: np.ndarray, truth: np.ndarray, spacing=(1.0, 1.0, 1.0)):
-    """95th percentile (linear) of the all-pairs pool, or None."""
-    pool = surface_distance_pool(pred, truth, spacing)
-    return None if pool is None else float(np.percentile(pool, 95.0, method="linear"))
-
-
-def closure_arrays(fn) -> list[np.ndarray]:
-    """Every array a backward closure retains, once each: through nested
-    closures and the tuples (LayerGrads, grids) and parameter dataclasses
-    they hold. Tests copy them before a backward to see that it leaves
-    them unchanged."""
-    found, seen = [], set()
-
-    def walk(v):
-        if id(v) in seen:
-            return
-        seen.add(id(v))
-        if isinstance(v, np.ndarray):
-            found.append(v)
-        elif isinstance(v, (tuple, list)):
-            for e in v:
-                walk(e)
-        elif dataclasses.is_dataclass(v):
-            for f in dataclasses.fields(v):
-                walk(getattr(v, f.name))
-        elif isinstance(v, types.FunctionType):
-            for cell in v.__closure__ or ():
-                walk(cell.cell_contents)
-
-    walk(fn)
-    return found
-
-
-def instance_norm_oracle(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                         eps: float) -> LayerGrad:
-    """The allocating arithmetic `layers.instance_norm` replaced: one fresh
-    array per operator, in the same order, so outputs and gradients must
-    match bitwise."""
-    x = as_tensor5(x, "instance_norm input")
-    gamma = np.asarray(gamma, dtype=DTYPE)
-    beta = np.asarray(beta, dtype=DTYPE)
-    axes = (1, 2, 3)
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    y = gamma * xhat + beta
-
-    def backward(gy):
-        gy = np.asarray(gy, dtype=DTYPE)
-        gg = (gy * xhat).sum(axis=(0, 1, 2, 3))
-        gb = gy.sum(axis=(0, 1, 2, 3))
-        gxhat = gy * gamma
-        m1 = gxhat.mean(axis=axes, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=axes, keepdims=True)
-        gx = inv * (gxhat - m1 - xhat * m2)
-        return gx, {"gamma": gg, "beta": gb}
-
-    return LayerGrad(y, backward)
-
-
-def fit_forward_oracle(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float):
-    """The allocating arithmetic `ag._fit_forward` replaced: one fresh array
-    per operator, in the same order, so (A, B) and backward(gA, gB) ->
-    (gI, gO, gT) must match bitwise."""
-    n, z, h, w, c = i.shape
-    spatial = (z, h, w)
-    voxels = float(z * h * w)
-
-    q0 = t * t
-    s2 = q0.sum(axis=(1, 2, 3, 4), keepdims=True)  # per batch item
-    live = s2 > 0.0
-    s2_safe = np.where(live, s2, 1.0)
-    q = np.where(live, q0 * (voxels / s2_safe), 0.0)
-
-    counts = window_counts(spatial, r)
-    s = box_sum(q, r)
-    p1 = box_sum(q * i, r)
-    p2 = box_sum(q * o, r)
-    p3 = box_sum(q * i * i, r)
-    p4 = box_sum(q * i * o, r)
-
-    degenerate = s < DEGENERATE_WEIGHT_SUM  # (n,z,h,w,1)
-    s_safe = np.where(degenerate, 1.0, s)
-    mean_i = p1 / s_safe
-    mean_o = p2 / s_safe
-    e_ii = p3 / s_safe
-    e_io = p4 / s_safe
-    var = e_ii - mean_i * mean_i
-    cov = e_io - mean_i * mean_o
-    denom = var + eps * counts / s_safe
-    a_w = cov / denom
-    b_w = mean_o - a_w * mean_i
-
-    box_o = box_sum(o, r)
-    a = np.where(degenerate, 0.0, a_w)
-    b = np.where(degenerate, box_o / counts, b_w)
-
-    coeff_a = box_sum(a, r) / counts
-    coeff_b = box_sum(b, r) / counts
-
-    def backward(g_a: np.ndarray, g_b: np.ndarray):
-        da = box_sum(g_a / counts, r)
-        db = box_sum(g_b / counts, r)
-
-        ok = ~degenerate
-        da_n = np.where(ok, da - db * mean_i, 0.0)
-        db_n = np.where(ok, db, 0.0)
-        d_mean_o = db_n.copy()
-        d_mean_i = -db_n * a_w
-        dcov = da_n / denom
-        ddenom = -da_n * a_w / denom
-        d_mean_i += -dcov * mean_o
-        d_mean_o += -dcov * mean_i
-        d_e_io = dcov
-        d_e_ii = ddenom
-        d_mean_i += -2.0 * ddenom * mean_i
-        ds_eps = ddenom * (-eps * counts / (s_safe * s_safe))
-
-        dp1 = d_mean_i / s_safe
-        dp2 = d_mean_o / s_safe
-        dp3 = d_e_ii / s_safe
-        dp4 = d_e_io / s_safe
-        ds = (
-            -(d_mean_i * mean_i + d_mean_o * mean_o + d_e_ii * e_ii + d_e_io * e_io)
-            / s_safe
-            + ds_eps
-        )
-        ds = np.where(ok, ds, 0.0).sum(axis=4, keepdims=True)
-
-        w1 = box_sum(dp1, r)
-        w2 = box_sum(dp2, r)
-        w3 = box_sum(dp3, r)
-        w4 = box_sum(dp4, r)
-        ws = box_sum(ds, r)
-
-        g_i = q * (w1 + 2.0 * i * w3 + o * w4)
-        g_o = q * (w2 + i * w4)
-        # degenerate windows: b is the unweighted window mean of O
-        db_deg = np.where(degenerate, db, 0.0)
-        g_o += box_sum(db_deg / counts, r)
-
-        dq = (i * w1 + o * w2 + i * i * w3 + i * o * w4).sum(
-            axis=4, keepdims=True
-        ) + ws
-        # q = q0 * voxels / sum(q0): distribute through the normalization
-        inner = (dq * q0).sum(axis=(1, 2, 3, 4), keepdims=True)
-        dq0 = np.where(live, (voxels / s2_safe) * (dq - inner / s2_safe), 0.0)
-        g_t = 2.0 * t * dq0
-        return g_i, g_o, g_t
-
-    return coeff_a, coeff_b, backward

@@ -23,7 +23,9 @@ no im2col copy. Conv forward and deconv input-gradient gather; conv
 input-gradient and deconv forward scatter (gather's adjoint); both
 kernel gradients are one `_kgrad`. Memory: the phase rows (one padded
 copy of the input) and the output on the phase row pitch, plus one
-product temporary.
+tile: the products run TILE_BYTES of rows at a time, every offset in
+kernel order within a tile, so each element is summed in the same order
+as by one product per offset over all rows.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .npyio import npy_header, parse_npy, read_file
 from .rng import Rng
-from .tensor import DTYPE, ShapeError, as_tensor5
+from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, voxel_sum
 
 
 class LayerGrad(NamedTuple):
@@ -53,6 +55,11 @@ class LayerGrad(NamedTuple):
 
     output: np.ndarray
     backward: Callable
+
+
+# Bytes of one shift-GEMM row tile: the tile's accumulator, one product and
+# the rows it reads stay in cache across the 27 kernel offsets.
+TILE_BYTES = 256 * 1024
 
 
 def _triple(v) -> tuple[int, int, int]:
@@ -172,29 +179,57 @@ def _pitch(y: np.ndarray, g: _Grid) -> np.ndarray:
     return rows.reshape(-1, y.shape[4])
 
 
+def _tile_rows(kernel: np.ndarray) -> int:
+    """Rows per tile of the shift-GEMM: TILE_BYTES of its widest channel side."""
+    return max(1, TILE_BYTES // (8 * max(kernel.shape[3:])))
+
+
+def _product(src: np.ndarray, lo: int, hi: int, kk: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """src[lo:hi] @ kk, written to the head of out. numpy runs a one-row
+    product as gemv, whose sums differ from gemm's, so one row of a
+    longer src is cut from a two-row product: every row then rounds as in
+    one product over all of src."""
+    if hi - lo == 1 and len(src) > 1:
+        start = min(lo, len(src) - 2)
+        return np.matmul(src[start : start + 2], kk, out=out[:2])[lo - start : hi - start]
+    return np.matmul(src[lo:hi], kk, out=out[: hi - lo])
+
+
 def _gather(ph: np.ndarray, kernel: np.ndarray, g: _Grid) -> np.ndarray:
     """Output-shaped correlation of the phases with a (kz, kh, kw, c_a, c_b)
-    kernel: row j sums ph[phase, j + shift] @ kernel[offset] over offsets."""
+    kernel: row j sums ph[phase, j + shift] @ kernel[offset] over offsets,
+    in kernel order, one tile of rows at a time."""
     k = kernel.reshape(len(g.taps), *kernel.shape[3:])
     rows = np.zeros((ph.shape[1], k.shape[2]), dtype=DTYPE)
-    acc = rows[: g.rows]
-    for kk, (r, d) in zip(k, g.taps):
-        acc += ph[r, d : d + g.rows] @ kk
+    tile = _tile_rows(kernel)
+    buf = np.empty((max(2, tile), k.shape[2]), dtype=DTYPE)
+    for lo in range(0, g.rows, tile):
+        hi = min(lo + tile, g.rows)
+        acc = rows[lo:hi]
+        for kk, (r, d) in zip(k, g.taps):
+            acc += _product(ph[r, d : d + g.rows], lo, hi, kk, buf)
     y = rows.reshape(g.n, *g.q, -1)[:, : g.out[0], : g.out[1], : g.out[2]]
     return np.ascontiguousarray(y)
 
 
 def _scatter(rows: np.ndarray, kernel: np.ndarray, g: _Grid) -> np.ndarray:
     """Adjoint of _gather in its input, from pitch rows: every row j adds
-    rows[j] @ kernel[offset]^T to ph[phase, j + shift]; the phases are then
+    rows[j] @ kernel[offset]^T to ph[phase, j + shift], in kernel order,
+    one tile of destination rows at a time; the phases are then
     interleaved and the padding cropped."""
     (q0, q1, q2), (s0, s1, s2), (p0, p1, p2) = g.q, g.stride, g.pad
     # transposed once into C order: products with a C-order operand are faster
     k = np.swapaxes(kernel.reshape(len(g.taps), *kernel.shape[3:]), 1, 2).copy()
     ph = np.zeros((s0 * s1 * s2, rows.shape[0], k.shape[2]), dtype=DTYPE)
     src = rows[: g.rows]
-    for kk, (r, d) in zip(k, g.taps):
-        ph[r, d : d + g.rows] += src @ kk
+    tile = _tile_rows(kernel)
+    buf = np.empty((max(2, tile), k.shape[2]), dtype=DTYPE)
+    for start in range(0, rows.shape[0], tile):
+        stop = start + tile
+        for kk, (r, d) in zip(k, g.taps):
+            lo, hi = max(start - d, 0), min(stop - d, g.rows)
+            if lo < hi:
+                ph[r, lo + d : hi + d] += _product(src, lo, hi, kk, buf)
     xp = ph.reshape(s0, s1, s2, g.n, q0, q1, q2, -1).transpose(3, 4, 0, 5, 1, 6, 2, 7)
     xp = xp.reshape(g.n, q0 * s0, q1 * s1, q2 * s2, -1)
     return np.ascontiguousarray(xp[:, p0 : p0 + g.ext[0], p1 : p1 + g.ext[1], p2 : p2 + g.ext[2]])
@@ -231,7 +266,7 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
         rows = _pitch(gy, g)
         gx = _scatter(rows, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)
-        return gx, {"kernel": gk, "bias": gy.sum(axis=(0, 1, 2, 3))}
+        return gx, {"kernel": gk, "bias": voxel_sum(gy, pooled=True)}
 
     return LayerGrad(y, backward)
 
@@ -266,7 +301,7 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
         ph = _split(gy, g)
         gx = _gather(ph, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)
-        return gx, {"kernel": gk, "bias": gy.sum(axis=(0, 1, 2, 3))}
+        return gx, {"kernel": gk, "bias": voxel_sum(gy, pooled=True)}
 
     return LayerGrad(y, backward)
 
@@ -284,23 +319,24 @@ def activation(x: np.ndarray, kind: str) -> LayerGrad:
             return np.where(x > 0.0, gy, 0.0), {}
 
     elif kind == "sigmoid":
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        # e = exp(-|x|) never overflows: 1/(1+e) for x >= 0, e/(1+e) below;
+        # min(x, -x) keeps a NaN's sign, which -abs(x) would flip
+        e = np.exp(np.minimum(x, -x))
+        d = 1.0 + e
+        y = np.where(x >= 0, np.divide(1.0, d), np.divide(e, d, out=e))
 
         def backward(gy):
             return gy * y * (1.0 - y), {}
 
     elif kind == "softmax_channel":
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-1, keepdims=True)
+        peak = x[..., :1].copy()
+        for k in range(1, x.shape[-1]):
+            np.maximum(peak, x[..., k : k + 1], out=peak)
+        e = np.exp(x - peak)
+        y = e / channel_sum(e)
 
         def backward(gy):
-            dot = (gy * y).sum(axis=-1, keepdims=True)
-            return y * (gy - dot), {}
+            return y * (gy - channel_sum(gy * y)), {}
 
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
@@ -311,17 +347,22 @@ def instance_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
     """Normalize each (batch, channel) slab over its spatial voxels.
 
     backward(gy) returns (gx, {"gamma": gg, "beta": gb}). Each pass works
-    in two full-size buffers, bitwise equal to `checks.instance_norm_oracle`.
+    in two full-size buffers, bitwise equal to `instance_norm_oracle` in
+    tests/oracles.py.
     """
     x = as_tensor5(x, "instance_norm input")
     if eps <= 0:
         raise ValueError(f"instance_norm eps must be > 0, got {eps}")
     gamma = np.asarray(gamma, dtype=DTYPE)
     beta = np.asarray(beta, dtype=DTYPE)
-    axes = (1, 2, 3)
-    xhat = x - x.mean(axis=axes, keepdims=True)
+    voxels = x.shape[1] * x.shape[2] * x.shape[3]
+
+    def mean(a):  # a.mean(axis=(1, 2, 3), keepdims=True), bitwise
+        return voxel_sum(a)[:, None, None, None, :] / voxels
+
+    xhat = x - mean(x)
     y = np.square(xhat)
-    inv = 1.0 / np.sqrt(y.mean(axis=axes, keepdims=True) + eps)  # x.var's arithmetic
+    inv = 1.0 / np.sqrt(mean(y) + eps)  # x.var's arithmetic
     xhat *= inv
     y = np.add(np.multiply(xhat, gamma, out=y), beta, out=y)
 
@@ -329,12 +370,12 @@ def instance_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
         gy = np.asarray(gy, dtype=DTYPE)
         gx = gy * gamma
         buf = gx * xhat
-        m2 = buf.mean(axis=axes, keepdims=True)
-        gx -= gx.mean(axis=axes, keepdims=True)
+        m2 = mean(buf)
+        gx -= mean(gx)
         gx -= np.multiply(xhat, m2, out=buf)
         gx *= inv
-        gg = np.multiply(gy, xhat, out=buf).sum(axis=(0, 1, 2, 3))
-        return gx, {"gamma": gg, "beta": gy.sum(axis=(0, 1, 2, 3))}
+        gg = voxel_sum(np.multiply(gy, xhat, out=buf), pooled=True)
+        return gx, {"gamma": gg, "beta": voxel_sum(gy, pooled=True)}
 
     return LayerGrad(y, backward)
 

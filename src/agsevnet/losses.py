@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import DTYPE, ShapeError, as_tensor5
+from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, voxel_sum
 
 SMOOTH = 1e-7
 LABEL_VALUES = (0, 1, 2, 4)
@@ -53,7 +53,7 @@ def _check_pair(p: np.ndarray, g: np.ndarray):
         raise ShapeError(f"prediction/truth shape mismatch {p.shape} vs {g.shape}")
     if p.shape[4] != 4:
         raise ShapeError(f"expected 4 class channels, got {p.shape[4]}")
-    if not np.all((g == 0.0) | (g == 1.0)) or not np.all(g.sum(axis=4) == 1.0):
+    if not np.all((g == 0.0) | (g == 1.0)) or not np.all(channel_sum(g) == 1.0):
         raise ValueError("truth tensor is not one-hot over the class channels")
     return p, g
 
@@ -70,9 +70,9 @@ def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights,
     p, g = _check_pair(p, g)
     w = np.asarray(weights.w, dtype=DTYPE)
     wsum = w.sum()
-    inter = (p * g).sum(axis=(0, 1, 2, 3))
-    pp = (p * p).sum(axis=(0, 1, 2, 3))
-    gg = (g * g).sum(axis=(0, 1, 2, 3))
+    inter = voxel_sum(p * g, pooled=True)
+    pp = voxel_sum(p * p, pooled=True)
+    gg = voxel_sum(g * g, pooled=True)
     present = gg > 0.0
     denom = pp + gg + smooth
     dice = np.where(present, 2.0 * inter / denom, 0.0)
@@ -305,7 +305,7 @@ def hausdorff95(pred: np.ndarray, truth: np.ndarray,
     the surface size. The sampled axis-2 pass costs the surface size times
     the box width and runs only while that is at most _SAMPLED_PER_LINE
     times the box volume.
-    `checks.hd95_all_pairs` is the all-pairs oracle.
+    `hd95_all_pairs` in tests/oracles.py is the all-pairs oracle.
     """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)

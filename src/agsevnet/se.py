@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import DenseParams, LayerGrad, activation, dense
-from .tensor import DTYPE, ShapeError, as_tensor5
+from .tensor import DTYPE, ShapeError, as_tensor5, voxel_sum
 
 
 @dataclass
@@ -47,7 +47,7 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
     effective_reduction(c, p.reduction)
     voxels = z * h * w
 
-    zvec = u.mean(axis=(1, 2, 3))  # (n, c) squeeze
+    zvec = voxel_sum(u) / voxels  # (n, c) squeeze: u.mean(axis=(1, 2, 3))
     lg1 = dense(zvec, p.fc1)
     lgr = activation(lg1.output, "relu")
     lg2 = dense(lgr.output, p.fc2)
@@ -61,7 +61,7 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
         if gy.shape != u.shape:
             raise ShapeError(f"se backward: gradient shape {gy.shape} != output {u.shape}")
         gu = gy * gate
-        gs = (gy * u).sum(axis=(1, 2, 3))  # (n, c)
+        gs = voxel_sum(gy * u)  # (n, c)
         g2, _ = lgs.backward(gs)
         g1, grads2 = lg2.backward(g2)
         g0, _ = lgr.backward(g1)

@@ -26,3 +26,38 @@ def as_tensor5(x, name: str = "tensor") -> np.ndarray:
     if any(e < 1 for e in arr.shape):
         raise ShapeError(f"{name}: all extents must be >= 1, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def voxel_sum(x: np.ndarray, pooled: bool = False) -> np.ndarray:
+    """Per-(batch, channel) sums of a tensor5 over z, h and w, shape (n, c);
+    `pooled` also sums over the batch, shape (c,).
+
+    Bitwise equal to `x.sum(axis=(1, 2, 3))` and `x.sum(axis=(0, 1, 2, 3))`:
+    einsum adds each channel's voxels in C order, as numpy's strided
+    reduction does, but without running numpy's inner loop on the few
+    channels of one voxel at a time. One channel is a contiguous axis,
+    which numpy sums pairwise and einsum does not, so it keeps `x.sum`.
+    """
+    c = x.shape[-1]
+    if c == 1:
+        return x.sum(axis=(0, 1, 2, 3) if pooled else (1, 2, 3))
+    if pooled:
+        return np.einsum("vc->c", x.reshape(-1, c))
+    return np.einsum("nvc->nc", x.reshape(x.shape[0], -1, c))
+
+
+def channel_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (channel) axis, kept as an axis of 1.
+
+    Bitwise equal to `x.sum(axis=-1, keepdims=True)`. Below 8 channels
+    numpy adds them one at a time onto 0.0, which the whole channel
+    slices do here in one pass each; from 8 it switches to its
+    8-accumulator loop, so the sum stays numpy's.
+    """
+    c = x.shape[-1]
+    if c >= 8:
+        return x.sum(axis=-1, keepdims=True)
+    out = x[..., :1] + 0.0  # numpy's start: 0.0 + -0.0 is 0.0
+    for k in range(1, c):
+        out += x[..., k : k + 1]
+    return out

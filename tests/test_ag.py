@@ -10,11 +10,12 @@ from agsevnet.ag import (
     effective_radius,
     window_counts,
 )
-from agsevnet.checks import box_sum_oracle, closure_arrays, fit_forward_oracle, fit_oracle
+from agsevnet.checks import box_sum_oracle, fit_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import Conv3dParams
 from agsevnet.rng import Rng
 from agsevnet.tensor import ShapeError
+from oracles import closure_arrays, fit_forward_oracle
 
 
 def rand(seed, shape, scale=1.0):

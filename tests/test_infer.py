@@ -1,5 +1,5 @@
 """Patch-parallel prediction: the pooled, streamed, no-grad path of
-`infer.stitched_probs` against the serial list oracle in `checks`, its
+`infer.stitched_probs` against the serial list oracle in `oracles`, its
 worker rule, its per-forward memory bound and how it fails."""
 
 import os
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from agsevnet import infer
-from agsevnet.checks import stitched_probs_oracle
 from agsevnet.cli import main
 from agsevnet.infer import _worker_count, forward_bytes_bound, predict_case, stitched_probs
 from agsevnet.network import NetConfig, build, forward, predict_labels, save_checkpoint
@@ -28,6 +27,7 @@ from agsevnet.pipeline import (
 )
 from agsevnet.rng import Rng
 from agsevnet.tensor import ShapeError
+from oracles import stitched_probs_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NET = NetConfig(

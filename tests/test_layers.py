@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from agsevnet.checks import closure_arrays, conv3d_oracle, deconv3d_oracle, instance_norm_oracle
+from agsevnet import layers
+from agsevnet.checks import conv3d_oracle, deconv3d_oracle
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import (
     Conv3dParams,
@@ -22,6 +23,14 @@ from agsevnet.layers import (
 )
 from agsevnet.rng import Rng
 from agsevnet.tensor import ShapeError
+from oracles import (
+    activation_oracle,
+    closure_arrays,
+    gather_untiled,
+    instance_norm_oracle,
+    scatter_untiled,
+    sigmoid_masked,
+)
 
 
 def rand(seed, shape, scale=1.0):
@@ -202,6 +211,60 @@ class TestShiftGemmOracles:
                 assert close(gp["kernel"], want_k)
 
 
+class TestShiftGemmTiles:
+    """The row-tiled _gather and _scatter against the untiled oracles, byte
+    for byte, through every product of a layer's forward and backward:
+    tiles of 1 and 7 rows, one row short of the product height, exactly
+    it and one row over it. Conv forward and deconv backward gather; conv
+    backward and deconv forward scatter."""
+
+    CASES = {  # kind, stride, output_padding, kernel (kz, kh, kw, c_a, c_b)
+        "conv_s1": ("conv", 1, 0, (3, 3, 3, 4, 4)),
+        "conv_s2": ("conv", 2, 0, (3, 3, 3, 4, 8)),
+        "deconv_s2": ("deconv", 2, 1, (3, 3, 3, 4, 8)),
+    }
+
+    @staticmethod
+    def _run(kind, x, kernel, stride, op, gy_seed):
+        if kind == "conv":
+            lg = conv3d_forward(x, Conv3dParams(kernel, np.zeros(kernel.shape[4]), stride, 1))
+        else:
+            lg = deconv3d_forward(x, Deconv3dParams(kernel, np.zeros(kernel.shape[3]), stride, 1, op))
+        gx, gp = lg.backward(rand(gy_seed, lg.output.shape))
+        return lg.output, gx, gp["kernel"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_tiles_match_untiled_bitwise(self, monkeypatch, case, n):
+        kind, stride, op, kshape = self.CASES[case]
+        kernel = rand(70, kshape)
+        c_in = kshape[3] if kind == "conv" else kshape[4]
+        x = rand(71, (n, 7, 6, 5, c_in))
+        conv_in = x.shape[1:4] if kind == "conv" else tuple(
+            deconv_output_extent(e, 3, stride, 1, op) for e in x.shape[1:4])
+        height = layers._grid(n, conv_in, (3, 3, 3), (stride,) * 3, (1, 1, 1)).rows
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_gather", gather_untiled)
+            m.setattr(layers, "_scatter", scatter_untiled)
+            want = self._run(kind, x, kernel, stride, op, 72)
+        for tile in (1, 7, height - 1, height, height + 1):
+            monkeypatch.setattr(layers, "TILE_BYTES", tile * 8 * max(kshape[3:]))
+            assert layers._tile_rows(kernel) == tile
+            got = self._run(kind, x, kernel, stride, op, 72)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), tile
+
+    def test_one_row_product_matches_its_row_of_a_taller_one(self):
+        # numpy runs a 1-row matmul as gemv, which rounds differently
+        src, kk = rand(73, (40, 4)), rand(74, (4, 4))
+        buf = np.empty((8, 4))
+        full = src @ kk
+        for lo in (0, 17, 39):
+            assert layers._product(src, lo, lo + 1, kk, buf).tobytes() == full[lo:lo + 1].tobytes()
+        one = src[:1]
+        assert layers._product(one, 0, 1, kk, buf).tobytes() == (one @ kk).tobytes()
+
+
 class TestSizeArithmetic:
     @pytest.mark.parametrize("i", [5, 6, 7, 8, 9, 12, 16])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -259,6 +322,26 @@ class TestDeconv3d:
 
 
 class TestActivations:
+    def test_sigmoid_matches_the_masked_form_bitwise(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.5, -700.5, 745.2, -745.2,
+                 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7, 1.0, -1.0]
+        x = np.concatenate([edges, rand(75, (200,), 30.0).ravel()]).reshape(1, 1, 1, -1, 1)
+        y = activation(x, "sigmoid").output
+        assert y.tobytes() == sigmoid_masked(x).tobytes()
+        gy = rand(76, x.shape)
+        assert activation(x, "sigmoid").backward(gy)[0].tobytes() == (
+            activation_oracle(x, "sigmoid").backward(gy)[0].tobytes())
+
+    @pytest.mark.parametrize("c", [1, 2, 4, 7, 8, 9])
+    def test_softmax_matches_numpy_reductions_bitwise(self, c):
+        x = rand(77, (2, 3, 4, 5, c), 4.0)
+        x[0, 0, 0, 0] = 0.0
+        x[0, 0, 0, 1] = -0.0
+        gy = rand(78, x.shape)
+        got, want = activation(x, "softmax_channel"), activation_oracle(x, "softmax_channel")
+        assert got.output.tobytes() == want.output.tobytes()
+        assert got.backward(gy)[0].tobytes() == want.backward(gy)[0].tobytes()
+
     def test_sigmoid_at_zero(self):
         out = activation(np.zeros((1, 1, 1, 1, 1)), "sigmoid").output
         assert out[0, 0, 0, 0, 0] == 0.5

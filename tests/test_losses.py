@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from agsevnet.checks import (
-    dice_grad_closed_form,
-    hd95_all_pairs,
-    soft_dice_per_class,
-    surface_distance_pool,
-)
+from agsevnet.checks import dice_grad_closed_form
 from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet import losses
 from agsevnet.layers import activation
@@ -23,6 +18,7 @@ from agsevnet.losses import (
 )
 from agsevnet.pipeline import generate_phantom
 from agsevnet.rng import Rng
+from oracles import hd95_all_pairs, soft_dice_per_class, surface_distance_pool
 
 
 def one_hot_from_labels(lbl):

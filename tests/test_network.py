@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import agsevnet.ag as ag
-import agsevnet.checks as checks
 import agsevnet.layers as layers
+import agsevnet.losses as losses
 import agsevnet.network as network
+import agsevnet.se as se
 from agsevnet.losses import ClassWeights, dice_loss
 from agsevnet.network import (
     NetConfig,
@@ -24,6 +25,7 @@ from agsevnet.network import (
 from agsevnet.rng import Rng
 from agsevnet.train import TrainConfig
 from agsevnet.tensor import ShapeError
+import oracles
 
 
 def tiny_config(**overrides):
@@ -251,8 +253,9 @@ class TestBackward:
             assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
 
     def test_matches_the_allocating_oracles_bitwise(self, monkeypatch):
-        # the in-place instance norm and AG fit against the arithmetic they
-        # replaced, through a whole training forward and backward
+        # the in-place instance norm and AG fit, the row-tiled shift-GEMM,
+        # the channel-last reductions and the one-pass sigmoid against the
+        # forms they replaced, through a whole training forward and backward
         cfg = tiny_config(base_width=4, dropout=0.1, patch_shape=(32, 32, 32))
         params = build(cfg, Rng(34))
         x = Rng(35).normal((2, 32, 32, 32, 2))
@@ -263,8 +266,16 @@ class TestBackward:
             return lg.output, *lg.backward(dice_loss(lg.output, g, ClassWeights())[1])
 
         y, gx, grads = run()
-        monkeypatch.setattr(network, "instance_norm", checks.instance_norm_oracle)
-        monkeypatch.setattr(ag, "_fit_forward", checks.fit_forward_oracle)
+        monkeypatch.setattr(network, "instance_norm", oracles.instance_norm_oracle)
+        monkeypatch.setattr(ag, "_fit_forward", oracles.fit_forward_oracle)
+        monkeypatch.setattr(layers, "_gather", oracles.gather_untiled)
+        monkeypatch.setattr(layers, "_scatter", oracles.scatter_untiled)
+        for module in (layers, se, ag, losses):
+            for name in ("voxel_sum", "channel_sum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, getattr(oracles, name + "_numpy"))
+        for module in (network, se, ag):
+            monkeypatch.setattr(module, "activation", oracles.activation_oracle)
         want_y, want_gx, want_grads = run()
         assert y.tobytes() == want_y.tobytes() and gx.tobytes() == want_gx.tobytes()
         for name in params:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from agsevnet.rng import Rng
+from agsevnet.tensor import channel_sum, voxel_sum
 
 
 def rand(seed, shape):
@@ -36,3 +38,36 @@ class TestRng:
     def test_distinct_tokens_distinct_streams(self):
         r = Rng(5)
         assert not np.array_equal(r.derive("a").normal((8,)), r.derive("b").normal((8,)))
+
+
+class TestChannelLastReductions:
+    """voxel_sum and channel_sum against numpy's own sums, byte for byte,
+    on every channel count around numpy's switch points (1 and 8)."""
+
+    SHAPES = [(1, 1, 1), (1, 3, 1), (4, 1, 6), (5, 6, 7), (3, 9, 1)]
+
+    @staticmethod
+    def _data(seed, shape):
+        rng = Rng(seed)
+        x = rng.normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+
+    @pytest.mark.parametrize("c", range(1, 10))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_voxel_sum_is_numpys_sum(self, n, c):
+        for k, ext in enumerate(self.SHAPES):
+            x = self._data(30 + k, (n, *ext, c))
+            assert voxel_sum(x).tobytes() == x.sum(axis=(1, 2, 3)).tobytes()
+            assert voxel_sum(x, pooled=True).tobytes() == x.sum(axis=(0, 1, 2, 3)).tobytes()
+            zeros = np.full(x.shape, -0.0)
+            assert voxel_sum(zeros).tobytes() == zeros.sum(axis=(1, 2, 3)).tobytes()
+
+    @pytest.mark.parametrize("c", range(1, 10))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_channel_sum_is_numpys_sum(self, n, c):
+        for k, ext in enumerate(self.SHAPES):
+            x = self._data(40 + k, (n, *ext, c))
+            assert channel_sum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+            zeros = np.full(x.shape, -0.0)
+            assert channel_sum(zeros).tobytes() == zeros.sum(axis=-1, keepdims=True).tobytes()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward
+from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward, record
 from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum
 
 DEGENERATE_WEIGHT_SUM = 1e-12
@@ -98,19 +98,12 @@ def attention_map(o: np.ndarray, i: np.ndarray, p: AgParams) -> LayerGrad:
     lg_s = activation(lg_g.output, "sigmoid")
 
     def backward(gt: np.ndarray):
+        grads = {}
         gg, _ = lg_s.backward(gt)
-        gr, grads_g = lg_g.backward(gg)
+        gr = record(grads, "attn_gate", lg_g.backward(gg))
         gsum, _ = lg_r.backward(gr)
-        go, grads_o = lg_o.backward(gsum)
-        gi, grads_i = lg_i.backward(gsum)
-        grads = {
-            "attn_o.kernel": grads_o["kernel"],
-            "attn_o.bias": grads_o["bias"],
-            "attn_i.kernel": grads_i["kernel"],
-            "attn_i.bias": grads_i["bias"],
-            "attn_gate.kernel": grads_g["kernel"],
-            "attn_gate.bias": grads_g["bias"],
-        }
+        go = record(grads, "attn_o", lg_o.backward(gsum))
+        gi = record(grads, "attn_i", lg_i.backward(gsum))
         return (go, gi), grads
 
     return LayerGrad(lg_s.output, backward)

@@ -1,8 +1,9 @@
 """Registered verification checks for the gradcheck command.
 
-Each scope bundles the finite-difference and oracle comparisons for one
-subsystem at desk scale. The same functions back the test suite, so the
-CLI surface and pytest agree by construction.
+Each scope of `SCOPES` bundles the finite-difference and oracle
+comparisons for one subsystem at desk scale; `run_checks` runs one scope
+or all of them. The same functions back the test suite, so the CLI
+surface and pytest agree by construction.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ def check_se(seed: int = 0) -> list[CheckResult]:
     c, m = 8, 4
     u = _rand(rng.derive("u"), (2, 2, 3, 2, c))
     p = SeParams(
-        m,
         DenseParams(_rand(rng.derive("w1"), (c, c // m)), _rand(rng.derive("b1"), (c // m,)) * 0.1),
         DenseParams(_rand(rng.derive("w2"), (c // m, c)), _rand(rng.derive("b2"), (c,)) * 0.1),
     )
@@ -140,8 +140,8 @@ def check_se(seed: int = 0) -> list[CheckResult]:
     gu, gp = se_forward(u, p).backward(probe)
     results = [_probe_check("se/input", gu, lambda v: se_forward(v, p), u, probe, refine=True)]
     for pname, arr, setter in (
-        ("fc1.weight", p.fc1.weight, lambda v: SeParams(m, DenseParams(v, p.fc1.bias), p.fc2)),
-        ("fc2.weight", p.fc2.weight, lambda v: SeParams(m, p.fc1, DenseParams(v, p.fc2.bias))),
+        ("fc1.weight", p.fc1.weight, lambda v: SeParams(DenseParams(v, p.fc1.bias), p.fc2)),
+        ("fc2.weight", p.fc2.weight, lambda v: SeParams(p.fc1, DenseParams(v, p.fc2.bias))),
     ):
         results.append(_probe_check(
             f"se/{pname}", gp[pname], lambda v, f=setter: se_forward(u, f(v)), arr, probe,
@@ -307,6 +307,24 @@ def check_loss(seed: int = 0) -> list[CheckResult]:
     err = float(np.abs(composed - recomposed).max())
     results.append(CheckResult("loss/closed_form_vs_composed", err, 1e-10))
     return results
+
+
+SCOPES = {
+    "layers": check_layers,
+    "se": check_se,
+    "ag": check_ag,
+    "net": check_net,
+    "loss": check_loss,
+}
+
+
+def run_checks(scope: str, seed: int = 0) -> list[CheckResult]:
+    """The results of one scope of `SCOPES`, or of every scope for "all"."""
+    if scope == "all":
+        return [r for check in SCOPES.values() for r in check(seed)]
+    if scope not in SCOPES:
+        raise ValueError(f"unknown gradcheck scope {scope!r} (use {sorted(SCOPES)} or 'all')")
+    return SCOPES[scope](seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .gradcheck import run_checks
+from .checks import SCOPES, run_checks
 from .infer import evaluate_dirs, predict_dir
 from .network import config_from_text, load_checkpoint
 from .pipeline import generate_phantom, save_case
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="run finite-difference and oracle checks")
-    p.add_argument("--scope", default="all", choices=["layers", "se", "ag", "net", "loss", "all"])
+    p.add_argument("--scope", default="all", choices=[*SCOPES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds to run")
     p.set_defaults(fn=cmd_gradcheck)

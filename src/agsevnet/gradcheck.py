@@ -5,9 +5,7 @@ element's magnitude (h = 1e-5 * max(1, |x|)) and compares a scalar loss.
 `max_rel_err` reports the worst relative error, treating pairs where
 both gradients are below a noise floor as agreeing (the floor absorbs
 finite-difference cancellation noise on exactly-zero gradients).
-
-`run_checks(scope, seed)` executes the registered component checks and
-is shared by the test suite and the CLI gradcheck command.
+The checks built on them are registered in `checks.SCOPES`.
 """
 
 from __future__ import annotations
@@ -18,16 +16,15 @@ import numpy as np
 
 from .rng import Rng
 
-DEFAULT_BASE_STEP = 1e-5
+BASE_STEP = 1e-5
 # Denominator floor for the relative error: entries where both gradients
 # sit below the floor are compared absolutely against floor * tol, which
-# keeps central-difference noise (~1e-11 absolute at the default step)
+# keeps central-difference noise (~1e-11 absolute at BASE_STEP)
 # from failing healthy tiny gradients at every tolerance tier in use.
 ZERO_FLOOR = 1e-5
 
 
 def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                 base_step: float = DEFAULT_BASE_STEP,
                  indices=None, refine: bool = False) -> np.ndarray:
     """Central-difference gradient of scalar f at x (elementwise).
 
@@ -58,7 +55,7 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
         return (fp - fm) / (2.0 * h)
 
     for i in indices:
-        h = base_step * max(1.0, abs(flat[i]))
+        h = BASE_STEP * max(1.0, abs(flat[i]))
         if not refine:
             grad[i] = fd(i, h)
             continue
@@ -75,8 +72,7 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
     return grad.reshape(x.shape)
 
 
-def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
-                zero_floor: float = ZERO_FLOOR) -> float:
+def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst-case error, relative for healthy magnitudes and absolute
     (scaled by the floor) once both gradients drop below it. Tiny
     gradients then only need to agree to floor * tol absolutely, which
@@ -86,7 +82,7 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     mask = ~np.isnan(n)
     a, n = a[mask], n[mask]
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), zero_floor)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), ZERO_FLOOR)
     rel = np.abs(a - n) / scale
     return float(rel.max()) if rel.size else 0.0
 
@@ -106,29 +102,3 @@ def random_sample_indices(rng: Rng, size: int, count: int) -> list[int]:
     if count >= size:
         return list(range(size))
     return sorted(int(i) for i in rng.permutation(size)[:count])
-
-
-def run_checks(scope: str, seed: int = 0) -> list[CheckResult]:
-    """Run the registered finite-difference / oracle checks for a scope.
-
-    Scopes: layers, se, ag, net, loss, all.
-    """
-    # Imported here to keep this module free of heavyweight dependencies
-    # when only the primitives are needed.
-    from . import checks
-
-    registry = {
-        "layers": checks.check_layers,
-        "se": checks.check_se,
-        "ag": checks.check_ag,
-        "net": checks.check_net,
-        "loss": checks.check_loss,
-    }
-    if scope == "all":
-        results: list[CheckResult] = []
-        for fn in registry.values():
-            results.extend(fn(seed))
-        return results
-    if scope not in registry:
-        raise ValueError(f"unknown gradcheck scope {scope!r} (use {sorted(registry)} or 'all')")
-    return registry[scope](seed)

@@ -30,16 +30,11 @@ as by one product per offset over all rows.
 
 from __future__ import annotations
 
-import hashlib
-import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .npyio import npy_header, parse_npy, read_file
 from .rng import Rng
 from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, voxel_sum
 
@@ -55,6 +50,15 @@ class LayerGrad(NamedTuple):
 
     output: np.ndarray
     backward: Callable
+
+
+def record(grads: dict, prefix: str, result):
+    """Store a layer's (g, part) parameter gradients in `grads` under
+    `prefix` (`prefix.key` for each key of part); return g."""
+    g, part = result
+    for key, val in part.items():
+        grads[f"{prefix}.{key}"] = val
+    return g
 
 
 # Bytes of one shift-GEMM row tile: the tile's accumulator, one product and
@@ -420,83 +424,3 @@ def dense(x: np.ndarray, p: DenseParams) -> LayerGrad:
 def he_normal(rng: Rng, shape, fan_in: int) -> np.ndarray:
     """He init: zero-mean normal draws with variance 2 / fan_in."""
     return rng.normal(shape, scale=np.sqrt(2.0 / fan_in))
-
-
-# ---------------------------------------------------------------------------
-# parameter serialization: one flat .npy of every tensor plus a plain-text manifest
-
-MANIFEST_NAME = "manifest.txt"
-PARAMS_NAME = "params.npy"
-
-
-def save_params(directory, params: dict[str, np.ndarray]) -> None:
-    """Write the named arrays, in dict order, as one 1-D float64
-    `params.npy` plus a manifest with a `name=… shape=…` line per array
-    and a last `sha256=…` line holding the file's digest. The digest is
-    taken from the bytes as they are written, so nothing is read back or
-    concatenated. Reload is bit-exact.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    arrays = {name: np.asarray(arr, dtype=DTYPE, order="C") for name, arr in params.items()}
-    total = sum(arr.size for arr in arrays.values())
-    digest = hashlib.sha256()
-    with open(directory / PARAMS_NAME, "wb") as fh:
-        for chunk in (npy_header("<f8", (total,)), *arrays.values()):
-            fh.write(chunk)
-            digest.update(chunk)
-    lines = [f"name={name} shape={'x'.join(map(str, arr.shape))}" for name, arr in arrays.items()]
-    lines.append(f"sha256={digest.hexdigest()}")
-    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
-
-
-def _read_manifest(directory: Path) -> tuple[dict[str, tuple[int, ...]], str]:
-    """The name -> shape entries and the digest that `save_params` wrote
-    to the manifest of `directory`; any other content raises ValueError
-    naming the manifest."""
-    manifest = directory / MANIFEST_NAME
-    if not manifest.exists():
-        raise FileNotFoundError(f"no parameter manifest at {manifest}")
-    text = manifest.read_text()
-    if re.search(r"(?:^|\s)file=", text):
-        raise ValueError(f"checkpoint {directory} has the per-tensor layout (one .npy file per "
-                         f"tensor), which is no longer read; save it again as {PARAMS_NAME}")
-    *lines, last = text.splitlines() or [""]
-    digest = re.fullmatch(r"sha256=([0-9a-f]{64})", last)
-    if digest is None:
-        raise ValueError(f"{manifest}: last line {last!r} is not sha256=<64 hex digits>")
-    layout = {}
-    for number, line in enumerate(lines, 1):
-        entry = re.fullmatch(r"name=(\S+) shape=((?:[0-9]+x)*[0-9]+)?", line)
-        if entry is None:
-            raise ValueError(f"{manifest}: line {number}: expected name=… shape=…, "
-                             f"got {line!r}")
-        if entry[1] in layout:
-            raise ValueError(f"{manifest}: line {number}: duplicate name {entry[1]!r}")
-        layout[entry[1]] = tuple(int(d) for d in entry[2].split("x")) if entry[2] else ()
-    return layout, digest[1]
-
-
-def load_params(directory) -> dict[str, np.ndarray]:
-    """The arrays `save_params` wrote to `directory`, as views of one
-    array read from `params.npy` in one pass. A digest, shape or value
-    count that disagrees with the manifest raises ValueError naming the
-    file."""
-    directory = Path(directory)
-    layout, want = _read_manifest(directory)
-    path = directory / PARAMS_NAME
-    data = read_file(path)
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != want:
-        raise ValueError(f"{path}: SHA-256 {digest} does not match the manifest's {want}")
-    flat = parse_npy(data, path)
-    total = sum(math.prod(shape) for shape in layout.values())
-    if flat.dtype != DTYPE or flat.shape != (total,):
-        raise ValueError(f"{path}: holds {flat.dtype} of shape {flat.shape}, the manifest "
-                         f"lists {total} float64 values")
-    params, start = {}, 0
-    for name, shape in layout.items():
-        end = start + math.prod(shape)
-        params[name] = flat[start:end].reshape(shape)
-        start = end
-    return params

@@ -41,10 +41,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def _check_pair(p: np.ndarray, g: np.ndarray):
     p = as_tensor5(p, "probabilities")
@@ -58,8 +54,7 @@ def _check_pair(p: np.ndarray, g: np.ndarray):
     return p, g
 
 
-def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights,
-              smooth: float = SMOOTH) -> tuple[float, np.ndarray]:
+def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights) -> tuple[float, np.ndarray]:
     """Weighted negative soft Dice and its gradient with respect to p.
 
     loss = -sum_c w_c D_c / sum_c w_c, so a perfect prediction with all
@@ -74,7 +69,7 @@ def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights,
     pp = voxel_sum(p * p, pooled=True)
     gg = voxel_sum(g * g, pooled=True)
     present = gg > 0.0
-    denom = pp + gg + smooth
+    denom = pp + gg + SMOOTH
     dice = np.where(present, 2.0 * inter / denom, 0.0)
     loss = float(-(w * dice).sum() / wsum)
 

@@ -15,11 +15,14 @@ followed by a softmax over channels.
 
 All parameters live in one flat, deterministically ordered name -> array
 dict; `forward` returns a LayerGrad whose backward produces the input
-gradient and a gradient dict over those same names.
+gradient and a gradient dict over those same names. A checkpoint writes
+that dict as one flat `params.npy` plus a manifest (`save_params`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import re
 import shutil
 from dataclasses import dataclass, fields, is_dataclass
@@ -41,10 +44,10 @@ from .layers import (
     dropout,
     he_normal,
     instance_norm,
-    load_params,
-    save_params,
+    record,
 )
 from .losses import LABEL_VALUES
+from .npyio import npy_header, parse_npy, read_file
 from .rng import Rng
 from .se import SeParams, effective_reduction, se_forward
 from .tensor import DTYPE, ShapeError, as_tensor5
@@ -246,9 +249,8 @@ def _conv_params(params, name, stride=1):
     )
 
 
-def _se_params(params, name, reduction) -> SeParams:
+def _se_params(params, name) -> SeParams:
     return SeParams(
-        reduction,
         DenseParams(params[f"{name}.fc1.weight"], params[f"{name}.fc1.bias"]),
         DenseParams(params[f"{name}.fc2.weight"], params[f"{name}.fc2.bias"]),
     )
@@ -270,14 +272,6 @@ def _ag_params(params, name, config: NetConfig) -> AgParams:
 # Inner backward closures take the `grads` dict of the current
 # `backward` call, record their parameter gradients in it and return
 # only the input gradient.
-
-def _record(grads, prefix, result):
-    """Store a layer's (g, part) parameter gradients under `prefix`; return g."""
-    g, part = result
-    for key, val in part.items():
-        grads[f"{prefix}.{key}"] = val
-    return g
-
 
 def _norm(x, params, name):
     """Instance norm, bypassed on single-voxel grids.
@@ -321,8 +315,8 @@ def _unit(x, conv, conv_p, params, name, drop_rate, training, rng, grad):
     def backward(gy, grads):
         g, _ = drop_bwd(gy)
         g, _ = relu_bwd(g)
-        g = _record(grads, name, norm_bwd(g))
-        gx = _record(grads, name, conv_bwd(g))
+        g = record(grads, name, norm_bwd(g))
+        gx = record(grads, name, conv_bwd(g))
         return gx + gy if residual else gx
 
     return y, backward
@@ -353,10 +347,10 @@ def _level(x, params, config: NetConfig, e, drop, training, rng, grad):
     """
     y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, training,
                         rng.derive("enc", e), grad)
-    skip, se_bwd = _take(se_forward(y, _se_params(params, f"enc{e}.se", config.se_reduction)), grad)
+    skip, se_bwd = _take(se_forward(y, _se_params(params, f"enc{e}.se")), grad)
     if e == STAGES:
         def bottom_backward(gy, grads):
-            return enc_bwd(_record(grads, f"enc{e}.se", se_bwd(gy)), grads)
+            return enc_bwd(record(grads, f"enc{e}.se", se_bwd(gy)), grads)
 
         return skip, bottom_backward
 
@@ -374,9 +368,9 @@ def _level(x, params, config: NetConfig, e, drop, training, rng, grad):
                         rng.derive("dec", STAGES - e), grad)
 
     def backward(gy, grads):
-        gi, go = _record(grads, f"{name}.ag", ag_bwd(dec_bwd(gy, grads)))
+        gi, go = record(grads, f"{name}.ag", ag_bwd(dec_bwd(gy, grads)))
         g = down_bwd(inner_bwd(up_bwd(go, grads), grads), grads)
-        g = _record(grads, f"enc{e}.se", se_bwd(g + gi))  # the skip's two gradients meet
+        g = record(grads, f"enc{e}.se", se_bwd(g + gi))  # the skip's two gradients meet
         return enc_bwd(g, grads)
 
     return y, backward
@@ -418,7 +412,7 @@ def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
     def backward(g_probs):
         grads: dict[str, np.ndarray] = {}
         g, _ = soft_bwd(np.asarray(g_probs, dtype=DTYPE))
-        g = _record(grads, "head", head_bwd(g))
+        g = record(grads, "head", head_bwd(g))
         return level_bwd(g, grads), grads
 
     return LayerGrad(probs, backward)
@@ -433,6 +427,86 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
     if probs.shape[4] != 4:
         raise ShapeError(f"predict_labels expects 4 channels, got {probs.shape[4]}")
     return CHANNEL_TO_LABEL[np.argmax(probs, axis=4)]
+
+
+# ---------------------------------------------------------------------------
+# parameter serialization: one flat .npy of every tensor plus a plain-text manifest
+
+MANIFEST_NAME = "manifest.txt"
+PARAMS_NAME = "params.npy"
+
+
+def save_params(directory, params: dict[str, np.ndarray]) -> None:
+    """Write the named arrays, in dict order, as one 1-D float64
+    `params.npy` plus a manifest with a `name=… shape=…` line per array
+    and a last `sha256=…` line holding the file's digest. The digest is
+    taken from the bytes as they are written, so nothing is read back or
+    concatenated. Reload is bit-exact.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    arrays = {name: np.asarray(arr, dtype=DTYPE, order="C") for name, arr in params.items()}
+    total = sum(arr.size for arr in arrays.values())
+    digest = hashlib.sha256()
+    with open(directory / PARAMS_NAME, "wb") as fh:
+        for chunk in (npy_header("<f8", (total,)), *arrays.values()):
+            fh.write(chunk)
+            digest.update(chunk)
+    lines = [f"name={name} shape={'x'.join(map(str, arr.shape))}" for name, arr in arrays.items()]
+    lines.append(f"sha256={digest.hexdigest()}")
+    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+
+
+def _read_manifest(directory: Path) -> tuple[dict[str, tuple[int, ...]], str]:
+    """The name -> shape entries and the digest that `save_params` wrote
+    to the manifest of `directory`; any other content raises ValueError
+    naming the manifest."""
+    manifest = directory / MANIFEST_NAME
+    if not manifest.exists():
+        raise FileNotFoundError(f"no parameter manifest at {manifest}")
+    text = manifest.read_text()
+    if re.search(r"(?:^|\s)file=", text):
+        raise ValueError(f"checkpoint {directory} has the per-tensor layout (one .npy file per "
+                         f"tensor), which is no longer read; save it again as {PARAMS_NAME}")
+    *lines, last = text.splitlines() or [""]
+    digest = re.fullmatch(r"sha256=([0-9a-f]{64})", last)
+    if digest is None:
+        raise ValueError(f"{manifest}: last line {last!r} is not sha256=<64 hex digits>")
+    layout = {}
+    for number, line in enumerate(lines, 1):
+        entry = re.fullmatch(r"name=(\S+) shape=((?:[0-9]+x)*[0-9]+)?", line)
+        if entry is None:
+            raise ValueError(f"{manifest}: line {number}: expected name=… shape=…, "
+                             f"got {line!r}")
+        if entry[1] in layout:
+            raise ValueError(f"{manifest}: line {number}: duplicate name {entry[1]!r}")
+        layout[entry[1]] = tuple(int(d) for d in entry[2].split("x")) if entry[2] else ()
+    return layout, digest[1]
+
+
+def load_params(directory) -> dict[str, np.ndarray]:
+    """The arrays `save_params` wrote to `directory`, as views of one
+    array read from `params.npy` in one pass. A digest, shape or value
+    count that disagrees with the manifest raises ValueError naming the
+    file."""
+    directory = Path(directory)
+    layout, want = _read_manifest(directory)
+    path = directory / PARAMS_NAME
+    data = read_file(path)
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != want:
+        raise ValueError(f"{path}: SHA-256 {digest} does not match the manifest's {want}")
+    flat = parse_npy(data, path)
+    total = sum(math.prod(shape) for shape in layout.values())
+    if flat.dtype != DTYPE or flat.shape != (total,):
+        raise ValueError(f"{path}: holds {flat.dtype} of shape {flat.shape}, the manifest "
+                         f"lists {total} float64 values")
+    params, start = {}, 0
+    for name, shape in layout.items():
+        end = start + math.prod(shape)
+        params[name] = flat[start:end].reshape(shape)
+        start = end
+    return params
 
 
 # ---------------------------------------------------------------------------

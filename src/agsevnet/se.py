@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import DenseParams, LayerGrad, activation, dense
+from .layers import DenseParams, LayerGrad, activation, dense, record
 from .tensor import DTYPE, ShapeError, as_tensor5, voxel_sum
 
 
 @dataclass
 class SeParams:
-    reduction: int
     fc1: DenseParams  # c -> c // m
     fc2: DenseParams  # c // m -> c
 
@@ -44,7 +43,6 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
         raise ShapeError(
             f"se_forward: input has {c} channels but fc1 expects {p.fc1.weight.shape[0]}"
         )
-    effective_reduction(c, p.reduction)
     voxels = z * h * w
 
     zvec = voxel_sum(u) / voxels  # (n, c) squeeze: u.mean(axis=(1, 2, 3))
@@ -62,16 +60,12 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
             raise ShapeError(f"se backward: gradient shape {gy.shape} != output {u.shape}")
         gu = gy * gate
         gs = voxel_sum(gy * u)  # (n, c)
+        grads = {}
         g2, _ = lgs.backward(gs)
-        g1, grads2 = lg2.backward(g2)
+        g1 = record(grads, "fc2", lg2.backward(g2))
         g0, _ = lgr.backward(g1)
-        gz, grads1 = lg1.backward(g0)
+        gz = record(grads, "fc1", lg1.backward(g0))
         gu += gz[:, None, None, None, :] / voxels
-        return gu, {
-            "fc1.weight": grads1["weight"],
-            "fc1.bias": grads1["bias"],
-            "fc2.weight": grads2["weight"],
-            "fc2.bias": grads2["bias"],
-        }
+        return gu, grads
 
     return LayerGrad(y, backward)

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from agsevnet.ag import _fit_forward, box_sum, window_counts
-from agsevnet.checks import box_sum_oracle, dice_grad_closed_form, fit_oracle
-from agsevnet.gradcheck import run_checks
+from agsevnet.checks import box_sum_oracle, dice_grad_closed_form, fit_oracle, run_checks
 from agsevnet.infer import evaluate_dirs, predict_dir
 from agsevnet.layers import (
     Conv3dParams,

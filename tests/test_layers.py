@@ -18,9 +18,8 @@ from agsevnet.layers import (
     dense,
     dropout,
     instance_norm,
-    load_params,
-    save_params,
 )
+from agsevnet.network import load_params, save_params
 from agsevnet.rng import Rng
 from agsevnet.tensor import ShapeError
 from oracles import (

@@ -146,7 +146,7 @@ class TestConfusion:
         truth = Rng(13).random((6, 6, 6)) > 0.5
         c = confusion(~truth, truth)
         assert c.tp == 0 and c.tn == 0
-        assert c.total == truth.size
+        assert c.tp + c.fp + c.fn + c.tn == truth.size
 
     def test_matches_scalar_oracle(self):
         pred = Rng(14).random((8, 8, 8)) > 0.6

@@ -53,6 +53,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             tiny_config(patch_shape=(20, 16, 16))
 
+    def test_indivisible_se_width_rejected(self):
+        # stage 1 is 6 channels wide, which a reduction of 4 does not divide
+        with pytest.raises(ShapeError, match="does not divide"):
+            NetConfig(base_width=6, se_reduction=4)
+
     def test_num_classes_fixed(self):
         with pytest.raises(ValueError):
             tiny_config(num_classes=3)
@@ -322,7 +327,7 @@ class TestCheckpoint:
         first, second = build(cfg, Rng(19)), build(cfg, Rng(20))
         save_checkpoint(tmp_path / "ck", first, cfg, 4)
         size = (tmp_path / "ck" / "params.npy").stat().st_size
-        monkeypatch.setattr(layers, "open", lambda path, mode: CutFile(path, mode, size // 2),
+        monkeypatch.setattr(network, "open", lambda path, mode: CutFile(path, mode, size // 2),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(tmp_path / "ck", second, cfg, 8)
@@ -331,7 +336,7 @@ class TestCheckpoint:
         assert step == 4
         assert all(params[k].tobytes() == first[k].tobytes() for k in first)
         # the next save replaces the partial one
-        monkeypatch.delattr(layers, "open")
+        monkeypatch.delattr(network, "open")
         save_checkpoint(tmp_path / "ck", second, cfg, 8)
         params, _, step, _ = load_checkpoint(tmp_path / "ck")
         assert step == 8

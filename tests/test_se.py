@@ -16,7 +16,6 @@ def rand(seed, shape):
 def zero_params(c, m):
     hidden = c // m
     return SeParams(
-        m,
         DenseParams(np.zeros((c, hidden)), np.zeros(hidden)),
         DenseParams(np.zeros((hidden, c)), np.zeros(c)),
     )
@@ -26,7 +25,6 @@ def random_params(seed, c, m):
     rng = Rng(seed)
     hidden = c // m
     return SeParams(
-        m,
         DenseParams(rng.derive("w1").normal((c, hidden)), rng.derive("b1").normal((hidden,)) * 0.1),
         DenseParams(rng.derive("w2").normal((hidden, c)), rng.derive("b2").normal((c,)) * 0.1),
     )
@@ -125,18 +123,14 @@ class TestSeForward:
         assert max_rel_err(gu, num_u) < 1e-5
         num_w1 = numeric_grad(
             lambda v: float(
-                (se_forward(u, SeParams(p.reduction, DenseParams(v, p.fc1.bias), p.fc2)).output * probe).sum()
+                (se_forward(u, SeParams(DenseParams(v, p.fc1.bias), p.fc2)).output * probe).sum()
             ),
             p.fc1.weight,
             refine=True,
         )
         assert max_rel_err(gp["fc1.weight"], num_w1) < 1e-5
 
-    def test_divisibility_enforced(self):
-        u = rand(12, (1, 2, 2, 2, 6))
-        with pytest.raises(ShapeError, match="does not divide"):
-            se_forward(u, random_params(13, 6, 4))
-        # width mismatch between input and fc1
+    def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channels"):
             se_forward(rand(14, (1, 2, 2, 2, 4)), random_params(15, 8, 4))
 

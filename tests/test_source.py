@@ -7,6 +7,9 @@ tests or by the oracles fails here. `checks.py` and `gradcheck.py` are
 exempt as definers because they hold the oracles, registered checks and
 finite-difference helpers that the tests and the `gradcheck` command
 call.
+
+Every name a module imports must also be used in it; `from __future__`
+imports and `__init__.py` are exempt.
 """
 
 import ast
@@ -57,6 +60,24 @@ def unused_names(root: Path) -> list[str]:
     return unused
 
 
+def unused_imports(root: Path) -> list[str]:
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        refs = _references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if refs[name] == 0:
+                        unused.append(f"{path.name}:{name}")
+    return unused
+
+
 def test_no_top_level_name_is_unused():
     assert unused_names(PACKAGE) == []
 
@@ -79,3 +100,21 @@ def test_guard_flags_names_used_only_by_themselves(tmp_path):
     )
     (tmp_path / "gradcheck.py").write_text("def numeric():\n    return 0\n")
     assert unused_names(tmp_path) == ["a.py:countdown", "b.py:Orphan", "b.py:checked_only"]
+
+
+def test_no_import_is_unused():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_guard_flags_imports_a_module_never_uses(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import hashlib\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .b import helper as aid, spare\n"
+        "def used(x: np.ndarray):\n"
+        "    return aid(os.path.join(x))\n"
+    )
+    assert unused_imports(tmp_path) == ["a.py:hashlib", "a.py:spare"]

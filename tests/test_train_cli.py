@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agsevnet.checks import SCOPES, run_checks
 from agsevnet.cli import build_parser, main
 from agsevnet.infer import predict_case
 from agsevnet.network import (
@@ -16,7 +17,7 @@ from agsevnet.network import (
     save_checkpoint,
 )
 from agsevnet.npyio import read_npy, write_npy
-from agsevnet import layers, pipeline
+from agsevnet import network, pipeline
 from agsevnet.pipeline import MODALITIES, generate_phantom, load_labels, save_case
 from agsevnet.rng import Rng
 from agsevnet.train import TrainConfig, _validation_metrics, config_hash, train
@@ -250,7 +251,7 @@ class TestTraining:
             m.setattr(os, "replace", wrap(os.replace))
 
         def params_npy_writes(m, wrap):
-            m.setattr(layers, "open", lambda path, mode: Writes(open(path, mode), wrap),
+            m.setattr(network, "open", lambda path, mode: Writes(open(path, mode), wrap),
                       raising=False)
 
         with monkeypatch.context() as m:
@@ -659,6 +660,18 @@ class TestCli:
         assert main(predict) == 1
         assert f"{ckpt / 'step.txt'}: step 'x' is not a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_gradcheck_scopes_come_from_the_registry(self):
+        parser = build_parser()
+        for scope in [*SCOPES, "all"]:
+            assert parser.parse_args(["gradcheck", "--scope", scope]).scope == scope
+        with pytest.raises(SystemExit):
+            parser.parse_args(["gradcheck", "--scope", "bogus"])
+
+    def test_unknown_scope_names_the_scopes(self):
+        with pytest.raises(ValueError, match=r"unknown gradcheck scope 'bogus' \(use \['ag', "
+                                             r"'layers', 'loss', 'net', 'se'\] or 'all'\)"):
+            run_checks("bogus")
 
     def test_gradcheck_loss_scope(self, capsys):
         assert main(["gradcheck", "--scope", "loss", "--seed", "0"]) == 0

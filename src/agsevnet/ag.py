@@ -2,7 +2,7 @@
 that fuses an encoder skip (the guidance I) with the upsampled decoder
 map (the filtered map O) on their shared grid.
 
-Pipeline: an attention map T is computed from O and I; per cubic
+Pipeline: an attention map T is computed from I and O; per cubic
 window a ridge regression weighted by T^2 fits O as an affine function
 of I; the per-window coefficients are averaged over covering windows
 and applied as output = A * I + B. The network deconvolves before the
@@ -81,16 +81,16 @@ def window_counts(spatial: tuple[int, int, int], r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention map
 
-def attention_map(o: np.ndarray, i: np.ndarray, p: AgParams) -> LayerGrad:
-    """Single-channel attention in (0,1) from the two same-grid inputs.
+def attention_map(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
+    """Single-channel attention in (0,1) from the guidance i and filtered map o.
 
     T = sigmoid(gate(relu(conv_o(o) + conv_i(i)))). backward(gt)
-    returns ((go, gi), grads) with grads keyed attn_o.kernel etc.
+    returns ((gi, go), grads) with grads keyed attn_o.kernel etc.
     """
-    o = as_tensor5(o, "attention input o")
     i = as_tensor5(i, "attention input i")
-    if o.shape[:4] != i.shape[:4]:
-        raise ShapeError(f"attention_map: spatial mismatch {o.shape} vs {i.shape}")
+    o = as_tensor5(o, "attention input o")
+    if i.shape[:4] != o.shape[:4]:
+        raise ShapeError(f"attention_map: spatial mismatch {i.shape} vs {o.shape}")
     lg_o = conv3d_forward(o, p.attn_o)
     lg_i = conv3d_forward(i, p.attn_i)
     lg_r = activation(lg_o.output + lg_i.output, "relu")
@@ -104,7 +104,7 @@ def attention_map(o: np.ndarray, i: np.ndarray, p: AgParams) -> LayerGrad:
         gsum, _ = lg_r.backward(gr)
         go = record(grads, "attn_o", lg_o.backward(gsum))
         gi = record(grads, "attn_i", lg_i.backward(gsum))
-        return (go, gi), grads
+        return (gi, go), grads
 
     return LayerGrad(lg_s.output, backward)
 
@@ -222,7 +222,7 @@ def ag_forward(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
             f"ag_forward: guidance {i.shape} and filtered map {o.shape} must share "
             f"one grid and channel count"
         )
-    lg_attn = attention_map(o, i, p)
+    lg_attn = attention_map(i, o, p)
     r_eff = effective_radius(p.radius, o.shape[1:4])
     coeff_a, coeff_b, fit_backward = _fit_forward(i, o, lg_attn.output, r_eff, p.eps)
     y = coeff_a * i + coeff_b
@@ -232,7 +232,7 @@ def ag_forward(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
         if gy.shape != y.shape:
             raise ShapeError(f"ag backward: gradient shape {gy.shape} != output {y.shape}")
         g_i, g_o, g_t = fit_backward(gy * i, gy)
-        (g_o_attn, g_i_attn), grads = lg_attn.backward(g_t)
+        (g_i_attn, g_o_attn), grads = lg_attn.backward(g_t)
         return (gy * coeff_a + (g_i + g_i_attn), g_o + g_o_attn), grads
 
     return LayerGrad(y, backward)

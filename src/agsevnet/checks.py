@@ -331,7 +331,7 @@ def run_checks(scope: str, seed: int = 0) -> list[CheckResult]:
 # oracles of the gradcheck command
 
 
-def dice_grad_closed_form(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) -> np.ndarray:
+def dice_grad_closed_form(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Closed-form per-voxel gradient of the soft Dice score itself:
 
         dD_c/dp_j = 2 [ g_j (sum p^2 + sum g^2) - 2 p_j (sum p g) ]
@@ -344,7 +344,7 @@ def dice_grad_closed_form(p: np.ndarray, g: np.ndarray, smooth: float = SMOOTH) 
     inter = (p * g).sum(axis=(0, 1, 2, 3))
     pp = (p * p).sum(axis=(0, 1, 2, 3))
     gg = (g * g).sum(axis=(0, 1, 2, 3))
-    denom = pp + gg + smooth
+    denom = pp + gg + SMOOTH
     grad = 2.0 * (g * denom - 2.0 * p * inter) / (denom * denom)
     return np.where(gg > 0.0, grad, 0.0)
 
@@ -394,7 +394,7 @@ def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:
 def fit_oracle(i_vol: np.ndarray, o_vol: np.ndarray, t_vol: np.ndarray,
                r: int, eps: float):
     """Independent per-window 2x2 weighted normal-equations solve plus
-    explicit covering-window averaging, on single-channel volumes.
+    covering-window averaging by `box_sum_oracle`, on single-channel volumes.
     """
     z, h, w = i_vol.shape
     q = t_vol * t_vol
@@ -422,14 +422,6 @@ def fit_oracle(i_vol: np.ndarray, o_vol: np.ndarray, t_vol: np.ndarray,
                 )
                 rhs = np.array([(qw * iw * ow).sum(), (qw * ow).sum()])
                 a_win[k, i, j], b_win[k, i, j] = np.linalg.solve(mat, rhs)
-    coeff_a = np.zeros_like(i_vol)
-    coeff_b = np.zeros_like(i_vol)
-    for k in range(z):
-        for i in range(h):
-            for j in range(w):
-                zs = slice(max(0, k - r), min(z, k + r + 1))
-                hs = slice(max(0, i - r), min(h, i + r + 1))
-                ws = slice(max(0, j - r), min(w, j + r + 1))
-                coeff_a[k, i, j] = a_win[zs, hs, ws].mean()
-                coeff_b[k, i, j] = b_win[zs, hs, ws].mean()
-    return coeff_a, coeff_b
+    win = np.stack([a_win, b_win], axis=-1)[None]
+    coeff = box_sum_oracle(win, r) / box_sum_oracle(np.ones_like(win), r)
+    return coeff[0, ..., 0], coeff[0, ..., 1]

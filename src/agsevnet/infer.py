@@ -125,7 +125,7 @@ def predict_case(case_dir, params, config: NetConfig,
     overlaps, and the argmax taken over the stitched probability volume.
     """
     case = load_case(case_dir)
-    spec = PatchSpec(config.patch_shape, stride or config.patch_shape)
+    spec = PatchSpec(config.patch_shape, stride)
     x = preprocess_case(case)
     check_coverage(x.shape[1:4], spec)  # before the forward passes, not after
     return predict_labels(stitched_probs(x, params, config, spec))[0]
@@ -139,7 +139,7 @@ def predict_dir(data_dir, params, config: NetConfig, out_dir,
     for case_dir in list_cases(data_dir):
         labels = predict_case(case_dir, params, config, stride)
         path = out_dir / f"{case_dir.name}.npy"
-        write_npy(path, labels.astype(np.uint8))
+        write_npy(path, labels)
         written.append(path)
         log(f"predicted {case_dir.name}")
     return written

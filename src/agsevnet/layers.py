@@ -384,14 +384,15 @@ def instance_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
     return LayerGrad(y, backward)
 
 
-def dropout(x: np.ndarray, rate: float, rng: Rng, training: bool) -> LayerGrad:
-    """Inverted dropout: survivors are scaled by 1/(1-rate) at train time
-    so inference is the identity. backward(gy) returns (gx, {}).
+def dropout(x: np.ndarray, rate: float, rng: Rng) -> LayerGrad:
+    """Inverted dropout: survivors are scaled by 1/(1-rate), so rate 0,
+    the inference setting, is the identity and draws nothing from rng.
+    backward(gy) returns (gx, {}).
     """
     x = np.asarray(x, dtype=DTYPE)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return LayerGrad(x, lambda gy: (np.asarray(gy, dtype=DTYPE), {}))
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
@@ -417,10 +418,3 @@ def dense(x: np.ndarray, p: DenseParams) -> LayerGrad:
 
     return LayerGrad(y, backward)
 
-
-# ---------------------------------------------------------------------------
-# initialization
-
-def he_normal(rng: Rng, shape, fan_in: int) -> np.ndarray:
-    """He init: zero-mean normal draws with variance 2 / fan_in."""
-    return rng.normal(shape, scale=np.sqrt(2.0 / fan_in))

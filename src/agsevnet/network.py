@@ -42,7 +42,6 @@ from .layers import (
     conv3d_forward,
     deconv3d_forward,
     dropout,
-    he_normal,
     instance_norm,
     record,
 )
@@ -90,10 +89,9 @@ class NetConfig:
             raise ValueError(f"depths must be 2 or 3, got {self.depths}")
         if len(self.patch_shape) != 3:
             raise ValueError(f"patch_shape must have 3 extents z,h,w, got {self.patch_shape}")
-        if any(e % (2 ** HALVINGS) != 0 for e in self.patch_shape):
-            raise ValueError(
-                f"patch extents must be divisible by {2 ** HALVINGS}, got {self.patch_shape}"
-            )
+        if any(e < 1 or e % (2 ** HALVINGS) != 0 for e in self.patch_shape):
+            raise ValueError(f"patch_shape extents must be positive and divisible by "
+                             f"{2 ** HALVINGS}, got {self.patch_shape}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.ag_radius < 1 or self.ag_eps <= 0:
@@ -138,10 +136,16 @@ def config_to_text(config) -> str:
 
 def config_from_text(cls, text: str):
     """The `cls` config that `config_to_text` wrote as `text`: each value
-    is parsed by its field's annotation; a key no field claims is an error.
+    is parsed by its field's annotation; a key no field claims or given
+    twice is an error.
     """
     lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    kv = {k.strip(): v.strip() for k, _, v in (line.partition("=") for line in lines if line)}
+    kv = {}
+    for key, _, value in (line.partition("=") for line in lines if line):
+        key = key.strip()
+        if key in kv:
+            raise ValueError(f"config key {key} is given twice")
+        kv[key] = value.strip()
     config = _config_from_pairs(cls, kv, "")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
@@ -177,7 +181,7 @@ def _parse_value(key: str, hint, raw: str):
 # parameter construction
 
 # Each layout entry is (name, shape, init): init is a constant fill, or
-# the `Rng.derive` path below the build rng and the fan-in of a He draw.
+# the `Rng.derive` path and the fan-in of a He draw (variance 2 / fan_in).
 
 def _add_conv(layout, name, k, c_in, c_out, with_norm=True, transposed=False):
     shape = (k, k, k, c_out, c_in) if transposed else (k, k, k, c_in, c_out)
@@ -238,7 +242,7 @@ def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
         sub = rng
         for token in path:
             sub = sub.derive(token)
-        params[name] = he_normal(sub, shape, fan_in)
+        params[name] = sub.normal(shape, scale=np.sqrt(2.0 / fan_in))
     return params
 
 
@@ -300,7 +304,7 @@ def _take(lg: LayerGrad, grad: bool):
     return lg.output, (lg.backward if grad else None)
 
 
-def _unit(x, conv, conv_p, params, name, drop_rate, training, rng, grad):
+def _unit(x, conv, conv_p, params, name, drop_rate, rng, grad):
     """`conv` (conv3d_forward or deconv3d_forward with `conv_p`) of x ->
     instance norm -> relu -> dropout, plus a residual add of x when the
     shapes agree.
@@ -308,7 +312,7 @@ def _unit(x, conv, conv_p, params, name, drop_rate, training, rng, grad):
     y, conv_bwd = _take(conv(x, conv_p), grad)
     y, norm_bwd = _take(_norm(y, params, name), grad)
     y, relu_bwd = _take(activation(y, "relu"), grad)
-    y, drop_bwd = _take(dropout(y, drop_rate, rng, training), grad)
+    y, drop_bwd = _take(dropout(y, drop_rate, rng), grad)
     residual = y.shape == x.shape
     y = y + x if residual else y
 
@@ -322,12 +326,12 @@ def _unit(x, conv, conv_p, params, name, drop_rate, training, rng, grad):
     return y, backward
 
 
-def _stack(x, params, prefix, depths, drop_rate, training, rng, grad):
+def _stack(x, params, prefix, depths, drop_rate, rng, grad):
     backs = []
     for j in range(depths):
         name = f"{prefix}.conv{j}"
         x, bwd = _unit(x, conv3d_forward, _conv_params(params, name), params, name,
-                       drop_rate, training, rng.derive(prefix, j), grad)
+                       drop_rate, rng.derive(prefix, j), grad)
         backs.append(bwd)
 
     def backward(gy, grads):
@@ -338,15 +342,14 @@ def _stack(x, params, prefix, depths, drop_rate, training, rng, grad):
     return x, backward
 
 
-def _level(x, params, config: NetConfig, e, drop, training, rng, grad):
+def _level(x, params, config: NetConfig, e, drop, rng, grad):
     """Stage e and every stage below it, returned on stage e's grid.
 
     Runs stage e's conv stack and SE block. Above the bottleneck it then
     runs the stride-2 down unit, the level below, the `dec{5-e}` up unit,
     the AG fusion with this stage's skip and the decoder stack.
     """
-    y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, training,
-                        rng.derive("enc", e), grad)
+    y, enc_bwd = _stack(x, params, f"enc{e}", config.depths, drop, rng.derive("enc", e), grad)
     skip, se_bwd = _take(se_forward(y, _se_params(params, f"enc{e}.se")), grad)
     if e == STAGES:
         def bottom_backward(gy, grads):
@@ -354,18 +357,17 @@ def _level(x, params, config: NetConfig, e, drop, training, rng, grad):
 
         return skip, bottom_backward
 
+    # the down and up units run at rate 0, which draws nothing
     down = f"enc{e}.down"
     y, down_bwd = _unit(skip, conv3d_forward, _conv_params(params, down, stride=2), params, down,
-                        0.0, training, rng.derive("down", e), grad)
-    y, inner_bwd = _level(y, params, config, e + 1, drop, training, rng, grad)
+                        0.0, rng, grad)
+    y, inner_bwd = _level(y, params, config, e + 1, drop, rng, grad)
     name = f"dec{STAGES - e}"
     up_p = Deconv3dParams(params[f"{name}.up.kernel"], params[f"{name}.up.bias"],
                           stride=2, padding=1, output_padding=1)
-    # rate 0 draws nothing
-    y, up_bwd = _unit(y, deconv3d_forward, up_p, params, f"{name}.up", 0.0, training, rng, grad)
+    y, up_bwd = _unit(y, deconv3d_forward, up_p, params, f"{name}.up", 0.0, rng, grad)
     y, ag_bwd = _take(ag_forward(skip, y, _ag_params(params, f"{name}.ag", config)), grad)
-    y, dec_bwd = _stack(y, params, name, config.depths, drop, training,
-                        rng.derive("dec", STAGES - e), grad)
+    y, dec_bwd = _stack(y, params, name, config.depths, drop, rng.derive("dec", STAGES - e), grad)
 
     def backward(gy, grads):
         gi, go = record(grads, f"{name}.ag", ag_bwd(dec_bwd(gy, grads)))
@@ -403,7 +405,7 @@ def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
         rng = Rng(0)
     drop = config.dropout if training else 0.0
 
-    y, level_bwd = _level(x, params, config, 1, drop, training, rng, grad)
+    y, level_bwd = _level(x, params, config, 1, drop, rng, grad)
     y, head_bwd = _take(conv3d_forward(y, _conv_params(params, "head")), grad)
     probs, soft_bwd = _take(activation(y, "softmax_channel"), grad)
     if not grad:

@@ -45,11 +45,11 @@ class Case:
 @dataclass
 class PatchSpec:
     shape: tuple[int, int, int]  # (z, h, w)
-    stride: tuple[int, int, int]
+    stride: tuple[int, int, int] | None = None  # defaults to the patch shape
 
     def __post_init__(self):
         self.shape = tuple(int(v) for v in self.shape)
-        self.stride = tuple(int(v) for v in self.stride)
+        self.stride = self.shape if self.stride is None else tuple(int(v) for v in self.stride)
         if len(self.shape) != 3 or len(self.stride) != 3:
             raise ValueError(f"patch shape {self.shape} and patch_stride {self.stride} "
                              "must each have 3 extents z,h,w")

@@ -109,8 +109,7 @@ class TrainConfig:
         return self.lr_initial if step < self.lr_decay_step else self.lr_decayed
 
     def patch_spec(self) -> PatchSpec:
-        stride = self.patch_stride or self.net.patch_shape
-        return PatchSpec(self.net.patch_shape, stride)
+        return PatchSpec(self.net.patch_shape, self.patch_stride)
 
 
 def config_hash(config: TrainConfig) -> str:

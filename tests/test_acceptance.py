@@ -2,7 +2,8 @@
 PASS line with the measured margin (run with -s to see them inline).
 
 The end-to-end training criterion (9) and the gradient sweep (1) are
-the slow ones; everything else completes in seconds.
+the slow ones, marked `slow` (`pytest -m "not slow"` skips them);
+everything else completes in seconds.
 """
 
 import time
@@ -47,6 +48,7 @@ def one_hot(lbl):
     return g
 
 
+@pytest.mark.slow
 def test_criterion_01_gradient_suite():
     started = time.time()
     worst = {}
@@ -292,6 +294,7 @@ def phantom_split(tmp_path_factory):
     return root
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_phantom_run(phantom_split, tmp_path):
     started = time.time()
     net = NetConfig(

@@ -121,13 +121,13 @@ class TestAttentionMap:
     def test_zero_weights_give_half(self):
         o = rand(5, (1, 3, 3, 3, 2))
         i = rand(6, (1, 3, 3, 3, 2))
-        t = attention_map(o, i, zero_attention_params(2)).output
+        t = attention_map(i, o, zero_attention_params(2)).output
         assert t.shape == (1, 3, 3, 3, 1)
         assert np.all(t == 0.5)
 
     def test_values_in_open_unit_interval(self):
         p = ag_params(7, 3)
-        t = attention_map(rand(8, (2, 4, 4, 4, 3)), rand(9, (2, 4, 4, 4, 3)), p).output
+        t = attention_map(rand(9, (2, 4, 4, 4, 3)), rand(8, (2, 4, 4, 4, 3)), p).output
         assert np.all(t > 0.0) and np.all(t < 1.0)
 
     def test_matches_scalar_reimplementation(self):
@@ -135,7 +135,7 @@ class TestAttentionMap:
         p = ag_params(10, c)
         o = rand(11, (1, 2, 2, 2, c))
         il = rand(12, (1, 2, 2, 2, c))
-        got = attention_map(o, il, p).output
+        got = attention_map(il, o, p).output
         wo, bo = p.attn_o.kernel[0, 0, 0], p.attn_o.bias
         wi, bi = p.attn_i.kernel[0, 0, 0], p.attn_i.bias
         wg, bg = p.attn_gate.kernel[0, 0, 0], p.attn_gate.bias
@@ -153,7 +153,7 @@ class TestAttentionMap:
     def test_spatial_mismatch_rejected(self):
         p = ag_params(13, 2)
         with pytest.raises(ShapeError, match="spatial"):
-            attention_map(rand(14, (1, 3, 3, 3, 2)), rand(15, (1, 2, 3, 3, 2)), p)
+            attention_map(rand(15, (1, 2, 3, 3, 2)), rand(14, (1, 3, 3, 3, 2)), p)
 
 
 class TestAgFit:

@@ -427,28 +427,26 @@ class TestInstanceNorm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = rand(26, (1, 3, 3, 3, 2))
-        out = dropout(x, 0.0, Rng(0), training=True).output
-        assert np.array_equal(out, x)
-
-    def test_inference_identity(self):
-        x = rand(27, (1, 3, 3, 3, 2))
-        out = dropout(x, 0.9, Rng(0), training=False).output
-        assert np.array_equal(out, x)
+        rng = Rng(0)
+        lg = dropout(x, 0.0, rng)
+        assert np.array_equal(lg.output, x)
+        assert np.array_equal(lg.backward(x)[0], x)
+        assert rng.random() == Rng(0).random()  # rate 0 drew nothing
 
     def test_survivor_statistics(self):
         x = np.ones((1, 50, 50, 40, 1))
-        out = dropout(x, 0.5, Rng(42), training=True).output
+        out = dropout(x, 0.5, Rng(42)).output
         survivors = np.count_nonzero(out) / out.size
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.mean() - 1.0) < 0.02  # inverted scaling keeps the expectation
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
-            dropout(np.zeros((1, 1, 1, 1, 1)), 1.0, Rng(0), training=True)
+            dropout(np.zeros((1, 1, 1, 1, 1)), 1.0, Rng(0))
 
     def test_backward_uses_same_mask(self):
         x = rand(28, (1, 4, 4, 4, 1))
-        lg = dropout(x, 0.5, Rng(3), training=True)
+        lg = dropout(x, 0.5, Rng(3))
         mask = lg.output / np.where(x == 0, 1, x)
         gx, _ = lg.backward(np.ones_like(x))
         assert np.allclose(gx, mask, atol=1e-12)

@@ -50,8 +50,10 @@ class TestConfig:
         assert cfg.patch_shape == (16, 16, 16)
 
     def test_indivisible_patch_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            tiny_config(patch_shape=(20, 16, 16))
+        for shape in ((20, 16, 16), (0, 16, 16), (-16, 16, 16)):
+            with pytest.raises(ValueError, match="patch_shape extents must be positive and "
+                                                 "divisible by 16"):
+                tiny_config(patch_shape=shape)
 
     def test_indivisible_se_width_rejected(self):
         # stage 1 is 6 channels wide, which a reduction of 4 does not divide
@@ -86,6 +88,12 @@ class TestConfig:
         # a key in the nested network section is named in full
         with pytest.raises(ValueError, match=r"unknown config keys: \['net\.bogus'\]"):
             config_from_text(TrainConfig, "seed=1\nnet.base_width=4\nnet.bogus=7\n")
+
+    def test_repeated_key_rejected(self):
+        for text, key in (("seed=1\nseed=2\nnet.base_width=4\nnet.base_width=8\n", "seed"),
+                          ("net.base_width=4\n# x\n net.base_width = 8\n", "net.base_width")):
+            with pytest.raises(ValueError, match=f"config key {re.escape(key)} is given twice"):
+                config_from_text(TrainConfig, text)
 
 
 class TestBuild:
@@ -164,6 +172,13 @@ class TestForward:
         x = Rng(6).normal((1, 16, 16, 16, 2))
         a = forward(x, params, cfg, training=False).output
         b = forward(x, params, cfg, training=False).output
+        assert a.tobytes() == b.tobytes()
+
+    def test_eval_forward_ignores_the_dropout_rate(self):
+        params = build(tiny_config(), Rng(5))
+        x = Rng(6).normal((1, 16, 16, 16, 2))
+        a = forward(x, params, tiny_config(dropout=0.5)).output
+        b = forward(x, params, tiny_config(dropout=0.0)).output
         assert a.tobytes() == b.tobytes()
 
     def test_training_dropout_changes_with_stream(self):

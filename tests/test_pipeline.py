@@ -213,6 +213,10 @@ class TestPatches:
         with pytest.raises(ValueError, match="must each have 3 extents"):
             PatchSpec(shape, stride)
 
+    def test_stride_defaults_to_the_shape(self):
+        assert PatchSpec((16, 16, 16)).stride == (16, 16, 16)
+        assert PatchSpec([16, 32, 48], None).stride == (16, 32, 48)
+
 
 class TestPhantom:
     def test_difficulty_zero_is_piecewise_constant(self):

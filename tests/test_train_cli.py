@@ -39,6 +39,13 @@ def tiny_train_config(**overrides):
     return TrainConfig(**kwargs)
 
 
+def config_text_with(config, line):
+    """config's text with `line` in place of the line of the key it sets."""
+    key = line.split("=", 1)[0] + "="
+    kept = [text for text in config_to_text(config).splitlines() if not text.startswith(key)]
+    return "\n".join([*kept, line]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def phantom_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cases")
@@ -745,10 +752,11 @@ class TestCli:
         assert not list((tmp_path / "pred").glob("*.npy"))
 
     @pytest.mark.parametrize("line, key", [("net.patch_shape=16", "patch_shape"),
-                                           ("patch_stride=16", "patch_stride")])
+                                           ("patch_stride=16", "patch_stride"),
+                                           ("net.patch_shape=0,16,16", "patch_shape")])
     def test_patch_extents_need_three_exit_one(self, phantom_dir, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text(config_to_text(tiny_train_config()) + line + "\n")
+        cfg_file.write_text(config_text_with(tiny_train_config(), line))
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
@@ -770,7 +778,7 @@ class TestCli:
     def test_config_values_that_train_into_nan_exit_one(self, phantom_dir, tmp_path, capsys,
                                                         line, key):
         cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2)) + line + "\n")
+        cfg_file.write_text(config_text_with(tiny_train_config(max_steps=2), line))
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
@@ -789,6 +797,15 @@ class TestCli:
                      "--out", str(run)]) == 1
         raw = line.split("=", 1)[1]
         assert f"config key {key}: cannot parse {raw!r}" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_repeated_config_key_exits_one(self, phantom_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(tiny_train_config()) + "net.dropout=0.5\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                     "--out", str(run)]) == 1
+        assert "config key net.dropout is given twice" in capsys.readouterr().err
         assert not run.exists()
 
     def test_overflowing_modality_exits_one(self, phantom_dir, tmp_path, capsys):

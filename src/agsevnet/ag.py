@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Conv3dParams, LayerGrad, activation, conv3d_forward, record
-from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum
+from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, grad_like
 
 DEGENERATE_WEIGHT_SUM = 1e-12
 
@@ -228,9 +228,7 @@ def ag_forward(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
     y = coeff_a * i + coeff_b
 
     def backward(gy: np.ndarray):
-        gy = np.asarray(gy, dtype=DTYPE)
-        if gy.shape != y.shape:
-            raise ShapeError(f"ag backward: gradient shape {gy.shape} != output {y.shape}")
+        gy = grad_like(gy, y, "ag")
         g_i, g_o, g_t = fit_backward(gy * i, gy)
         (g_i_attn, g_o_attn), grads = lg_attn.backward(g_t)
         return (gy * coeff_a + (g_i + g_i_attn), g_o + g_o_attn), grads

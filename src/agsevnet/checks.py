@@ -241,10 +241,10 @@ def check_net(seed: int = 0) -> list[CheckResult]:
     weights = ClassWeights()
 
     def loss_of(p_dict):
-        lg = forward(x, p_dict, config, training=False)
+        lg = forward(x, p_dict, config)
         return dice_loss(lg.output, g, weights)[0]
 
-    lg = forward(x, params, config, training=False)
+    lg = forward(x, params, config)
     loss, grad_p = dice_loss(lg.output, g, weights)
     gx, grads = lg.backward(grad_p)
 
@@ -268,7 +268,7 @@ def check_net(seed: int = 0) -> list[CheckResult]:
 
     probe_idx = random_sample_indices(rng.derive("xidx"), x.size, 20)
     numeric_x = numeric_grad(
-        lambda v: dice_loss(forward(v, params, config, training=False).output, g, weights)[0],
+        lambda v: dice_loss(forward(v, params, config).output, g, weights)[0],
         x,
         indices=probe_idx,
         refine=True,

@@ -17,7 +17,6 @@ from .infer import evaluate_dirs, predict_dir
 from .network import config_from_text, load_checkpoint
 from .pipeline import generate_phantom, save_case
 from .rng import Rng
-from .tensor import ShapeError
 from .train import TrainConfig, train
 
 
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ShapeError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -131,18 +131,14 @@ def predict_case(case_dir, params, config: NetConfig,
     return predict_labels(stitched_probs(x, params, config, spec))[0]
 
 
-def predict_dir(data_dir, params, config: NetConfig, out_dir,
-                stride=None, log=print) -> list[Path]:
+def predict_dir(data_dir, params, config: NetConfig, out_dir, stride=None, log=print) -> None:
+    """Write each case's predicted label volume as out_dir/<case>.npy."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for case_dir in list_cases(data_dir):
         labels = predict_case(case_dir, params, config, stride)
-        path = out_dir / f"{case_dir.name}.npy"
-        write_npy(path, labels)
-        written.append(path)
+        write_npy(out_dir / f"{case_dir.name}.npy", labels)
         log(f"predicted {case_dir.name}")
-    return written
 
 
 def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rng import Rng
-from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, voxel_sum
+from .tensor import DTYPE, ShapeError, as_tensor5, channel_sum, grad_like, voxel_sum
 
 
 class LayerGrad(NamedTuple):
@@ -75,12 +75,21 @@ def _triple(v) -> tuple[int, int, int]:
     return t
 
 
-def _geometry(stride, padding):
-    """(stride, padding) as triples, strides >= 1 and paddings >= 0."""
-    s, p = _triple(stride), _triple(padding)
-    if min(s) < 1 or min(p) < 0:
-        raise ShapeError(f"stride {s} must be >= 1 and padding {p} >= 0 on every axis")
-    return s, p
+def _geometry(p, c_out: int) -> None:
+    """Check a conv's or deconv's params in place: stride and padding
+    become triples, strides >= 1 and paddings >= 0; the kernel has 5 axes
+    and the bias the width of its output-channel axis `c_out` (4 for a
+    conv, 3 for a deconv)."""
+    kind = type(p).__name__
+    p.stride, p.padding = _triple(p.stride), _triple(p.padding)
+    if min(p.stride) < 1 or min(p.padding) < 0:
+        raise ShapeError(f"stride {p.stride} must be >= 1 and padding {p.padding} >= 0 "
+                         f"on every axis")
+    if p.kernel.ndim != 5:
+        raise ShapeError(f"{kind} kernel must have 5 axes, got {p.kernel.shape}")
+    if p.bias.shape != (p.kernel.shape[c_out],):
+        raise ShapeError(f"{kind} bias shape {p.bias.shape} does not match c_out "
+                         f"{p.kernel.shape[c_out]}")
 
 
 @dataclass
@@ -91,13 +100,7 @@ class Conv3dParams:
     padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        self.stride, self.padding = _geometry(self.stride, self.padding)
-        if self.kernel.ndim != 5:
-            raise ShapeError(f"conv kernel must have 5 axes, got {self.kernel.shape}")
-        if self.bias.shape != (self.kernel.shape[4],):
-            raise ShapeError(
-                f"conv bias shape {self.bias.shape} does not match c_out {self.kernel.shape[4]}"
-            )
+        _geometry(self, 4)
 
 
 @dataclass
@@ -109,19 +112,13 @@ class Deconv3dParams:
     output_padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        self.stride, self.padding = _geometry(self.stride, self.padding)
+        _geometry(self, 3)
         self.output_padding = _triple(self.output_padding)
-        if self.kernel.ndim != 5:
-            raise ShapeError(f"deconv kernel must have 5 axes, got {self.kernel.shape}")
         for op, s in zip(self.output_padding, self.stride):
             if not 0 <= op < s:
                 raise ShapeError(
                     f"output_padding {self.output_padding} must lie in [0, stride) per axis"
                 )
-        if self.bias.shape != (self.kernel.shape[3],):
-            raise ShapeError(
-                f"deconv bias shape {self.bias.shape} does not match c_out {self.kernel.shape[3]}"
-            )
 
 
 @dataclass
@@ -264,9 +261,7 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
     y = _gather(ph, p.kernel, g) + p.bias
 
     def backward(gy: np.ndarray):
-        gy = np.asarray(gy, dtype=DTYPE)
-        if gy.shape != y.shape:
-            raise ShapeError(f"conv backward: gradient shape {gy.shape} != output {y.shape}")
+        gy = grad_like(gy, y, "conv")
         rows = _pitch(gy, g)
         gx = _scatter(rows, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)
@@ -299,9 +294,7 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
     y = _scatter(rows, p.kernel, g) + p.bias
 
     def backward(gy: np.ndarray):
-        gy = np.asarray(gy, dtype=DTYPE)
-        if gy.shape != y.shape:
-            raise ShapeError(f"deconv backward: gradient shape {gy.shape} != output {y.shape}")
+        gy = grad_like(gy, y, "deconv")
         ph = _split(gy, g)
         gx = _gather(ph, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)

@@ -341,7 +341,7 @@ def check_labels(labels: np.ndarray, source: str = "labels") -> None:
     bad = ~_any_equal(labels, LABEL_VALUES)
     if bad.any():
         loc = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise ValueError(f"{source}: unknown label value {int(labels[loc])} at index {loc} "
+        raise ValueError(f"{source}: unknown label value {labels[loc].item():g} at index {loc} "
                          f"(alphabet is {LABEL_VALUES})")
 
 

@@ -53,7 +53,7 @@ from .tensor import DTYPE, ShapeError, as_tensor5
 
 IN_EPS = 1e-5
 STAGES = 5
-HALVINGS = 4
+HALVINGS = STAGES - 1
 CHANNEL_TO_LABEL = np.array(LABEL_VALUES, dtype=np.uint8)
 
 
@@ -383,12 +383,12 @@ def _no_backward(g_probs):
 
 
 def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
-            training: bool = False, rng: Rng | None = None, grad: bool = True) -> LayerGrad:
+            rng: Rng | None = None, grad: bool = True) -> LayerGrad:
     """Per-voxel class probabilities for a (n, z, h, w, in_channels) batch.
 
     backward(g_probs) returns (g_input, grads) with grads keyed by the
-    flat parameter names from `build`. Dropout is active only when
-    `training` is true, in which case `rng` must be supplied. With
+    flat parameter names from `build`. Dropout runs at `config.dropout`
+    exactly when `rng`, the stream its masks draw from, is given. With
     `grad` false each layer's backward state is dropped as soon as its
     output is taken, which at least halves the peak memory, and
     backward raises.
@@ -399,11 +399,8 @@ def forward(x: np.ndarray, params: dict[str, np.ndarray], config: NetConfig,
             f"network input shape {x.shape[1:]} does not match configured "
             f"{(*config.patch_shape, config.in_channels)}"
         )
-    if training and rng is None:
-        raise ValueError("training forward needs an rng for dropout")
-    if rng is None:
-        rng = Rng(0)
-    drop = config.dropout if training else 0.0
+    drop = 0.0 if rng is None else config.dropout
+    rng = Rng(0) if rng is None else rng  # at rate 0 nothing draws from it
 
     y, level_bwd = _level(x, params, config, 1, drop, rng, grad)
     y, head_bwd = _take(conv3d_forward(y, _conv_params(params, "head")), grad)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import io
+import math
 import os
 import struct
 
@@ -97,6 +98,5 @@ def parse_npy(data: bytearray, path) -> np.ndarray:
         raise ValueError(f"{path}: fortran_order arrays are not supported")
     shape = meta["shape"]
     dtype = SUPPORTED_DESCRS[descr]
-    count = int(np.prod(shape)) if shape else 1
-    body = take(10 + hlen, count * dtype.itemsize, "data section")
+    body = take(10 + hlen, math.prod(shape) * dtype.itemsize, "data section")
     return np.frombuffer(body, dtype=dtype).reshape(shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import DenseParams, LayerGrad, activation, dense, record
-from .tensor import DTYPE, ShapeError, as_tensor5, voxel_sum
+from .tensor import ShapeError, as_tensor5, grad_like, voxel_sum
 
 
 @dataclass
@@ -55,9 +55,7 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
     y = u * gate
 
     def backward(gy: np.ndarray):
-        gy = np.asarray(gy, dtype=DTYPE)
-        if gy.shape != u.shape:
-            raise ShapeError(f"se backward: gradient shape {gy.shape} != output {u.shape}")
+        gy = grad_like(gy, u, "se")  # the output has u's shape
         gu = gy * gate
         gs = voxel_sum(gy * u)  # (n, c)
         grads = {}

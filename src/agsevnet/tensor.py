@@ -28,6 +28,15 @@ def as_tensor5(x, name: str = "tensor") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def grad_like(gy, y: np.ndarray, name: str) -> np.ndarray:
+    """The gradient `gy` that op `name`'s backward received for its
+    output `y`, as float64; a shape other than y's raises ShapeError."""
+    gy = np.asarray(gy, dtype=DTYPE)
+    if gy.shape != y.shape:
+        raise ShapeError(f"{name} backward: gradient shape {gy.shape} != output {y.shape}")
+    return gy
+
+
 def voxel_sum(x: np.ndarray, pooled: bool = False) -> np.ndarray:
     """Per-(batch, channel) sums of a tensor5 over z, h and w, shape (n, c);
     `pooled` also sums over the batch, shape (c,).

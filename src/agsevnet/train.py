@@ -71,7 +71,7 @@ class TrainConfig:
     max_steps: int = 300
     checkpoint_interval: int = 100
     seed: int = 0
-    class_weights: tuple[float, float, float, float] = (0.1, 1.0, 1.0, 1.0)
+    class_weights: tuple[float, float, float, float] = ClassWeights.w
     optimizer: str = "adam"  # adam or sgd
     beta1: float = 0.9
     beta2: float = 0.999
@@ -163,16 +163,24 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _read_case(case_dir: Path) -> tuple[np.ndarray, np.ndarray]:
+    """A labeled case's stacked (1, z, h, w, 4) tensor and its (z, h, w)
+    labels. A missing file, a label outside the alphabet, labels of
+    another shape or volumes that are not 3-D raise, naming the case."""
+    case = Case(case_dir.name, load_case(case_dir).modalities, load_labels(case_dir))
+    check_labels(case.labels, f"case {case_dir}: {LABEL_FILE}")
+    return preprocess_case(case), case.labels
+
+
 def _load_training_cases(data_dir, spec: PatchSpec):
     """Every case's stacked (1, z, h, w, 4) tensor and (1, z, h, w, 1)
     uint8 labels, and one (case index, patch corner) entry per training
     patch, in case order and patch_starts order."""
     cases, patches = [], []
     for case_dir in list_cases(data_dir):
-        case = Case(case_dir.name, load_case(case_dir).modalities, load_labels(case_dir))
-        check_labels(case.labels, f"case {case_dir}: {LABEL_FILE}")
-        patches += [(len(cases), start) for start in patch_starts(case.labels.shape, spec)]
-        cases.append((preprocess_case(case), case.labels[None, ..., None]))
+        x, labels = _read_case(case_dir)
+        patches += [(len(cases), start) for start in patch_starts(labels.shape, spec)]
+        cases.append((x, labels[None, ..., None]))
     return cases, patches
 
 
@@ -210,9 +218,9 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         raise TrainingError(f"no training patches found under {data_dir}")
     n = len(patches)
     with_val = val_dir is not None
-    if with_val:  # a bad label fails before step 0, not after a traversal
+    if with_val:  # a bad case fails before step 0, not after a traversal
         for case_dir in list_cases(val_dir):
-            check_labels(load_labels(case_dir), f"case {case_dir}: {LABEL_FILE}")
+            _read_case(case_dir)
 
     if resume is not None:
         params, _, start_step, state = load_checkpoint(resume)
@@ -242,7 +250,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         chosen = [patches[order[(order_pos + k) % n]] for k in range(config.batch_size)]
         img, lbl = _batch(cases, chosen, spec)
 
-        lg = forward(img, params, config.net, training=True, rng=rng.derive("step", step))
+        lg = forward(img, params, config.net, rng=rng.derive("step", step))
         loss, grad_p = dice_loss(lg.output, lbl, weights)
         if not np.isfinite(loss):
             dump = out_dir / f"bad_batch_step{step}"

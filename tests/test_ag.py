@@ -330,85 +330,55 @@ class TestAgForward:
         want = box_sum(mean_o, 2) / counts
         assert np.abs(out - want).max() < 1e-9
 
+    # (i, o, probe) seeds, shared shape and params of each finite-difference
+    # case: an anisotropic grid, one whose axes differ by integer ratios,
+    # and the in-network configuration of equal cubic grids
+    GRAD_CASES = [
+        ((34, 35, 37), (1, 6, 4, 5, 2), lambda: ag_params(36, 2, radius=2, eps=0.05)),
+        ((51, 52, 53), (1, 8, 4, 8, 1), lambda: zero_attention_params(1, radius=1, eps=0.05)),
+        ((47, 48, 50), (1, 4, 4, 4, 2), lambda: ag_params(49, 2)),
+    ]
+
     def test_gradients_match_finite_differences(self):
-        # anisotropic grid, parameter gradient included
-        c = 2
-        i = rand(34, (1, 6, 4, 5, c))
-        o = rand(35, (1, 6, 4, 5, c))
-        p = ag_params(36, c, radius=2, eps=0.05)
-        probe = rand(37, i.shape)
-        lg = ag_forward(i, o, p)
-        (gi, go), gp = lg.backward(probe)
-        num_i = numeric_grad(
-            lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
-        )
-        num_o = numeric_grad(
-            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
-        )
+        for (si, so, sp), shape, make_params in self.GRAD_CASES:
+            i, o, probe, p = rand(si, shape), rand(so, shape), rand(sp, shape), make_params()
+            lg = ag_forward(i, o, p)
+            assert lg.output.shape == shape
+            (gi, go), gp = lg.backward(probe)
+            num_i = numeric_grad(
+                lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
+            )
+            num_o = numeric_grad(
+                lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
+            )
 
-        def with_attn_i_kernel(v):
-            return AgParams(p.radius, p.eps, p.attn_o, Conv3dParams(v, p.attn_i.bias), p.attn_gate)
+            def with_attn_i_kernel(v):
+                return AgParams(p.radius, p.eps, p.attn_o, Conv3dParams(v, p.attn_i.bias),
+                                p.attn_gate)
 
-        num_k = numeric_grad(
-            lambda v: float((ag_forward(i, o, with_attn_i_kernel(v)).output * probe).sum()),
-            p.attn_i.kernel, refine=True,
-        )
-        assert max_rel_err(gi, num_i) < 1e-4
-        assert max_rel_err(go, num_o) < 1e-4
-        assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4
+            num_k = numeric_grad(
+                lambda v: float((ag_forward(i, o, with_attn_i_kernel(v)).output * probe).sum()),
+                p.attn_i.kernel, refine=True,
+            )
+            assert max_rel_err(gi, num_i) < 1e-4, shape
+            assert max_rel_err(go, num_o) < 1e-4, shape
+            assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4, shape
 
-    def test_channel_mismatch_without_align_rejected(self):
-        # there is no channel-align conv: the decoder's deconv matches channels
-        i = rand(42, (1, 4, 4, 4, 3))
-        o = rand(43, (1, 4, 4, 4, 2))
-        with pytest.raises(ShapeError, match="share one grid and channel count"):
-            ag_forward(i, o, ag_params(44, 2))
-
-    def test_non_integral_scale_rejected(self):
-        i = rand(45, (1, 6, 6, 6, 1))
-        o = rand(46, (1, 4, 4, 4, 1))
-        with pytest.raises(ShapeError, match="share one grid"):
-            ag_forward(i, o, zero_attention_params(1))
+    # (i, o) shapes ag_forward refuses: there is no channel-align conv (the
+    # decoder's deconv matches channels) and no guidance up-sampling, not
+    # even by the per-axis integer ratios (2, 1, 4) of the last pair
+    MISMATCHED = [
+        ((1, 4, 4, 4, 3), (1, 4, 4, 4, 2)),
+        ((1, 6, 6, 6, 1), (1, 4, 4, 4, 1)),
+        ((1, 8, 8, 8, 1), (1, 4, 4, 4, 1)),
+        ((2, 4, 4, 4, 1), (1, 4, 4, 4, 1)),
+        ((1, 8, 4, 8, 1), (1, 4, 4, 2, 1)),
+    ]
 
     def test_grid_mismatch_rejected(self):
-        for i_shape in ((1, 8, 8, 8, 1), (2, 4, 4, 4, 1)):
-            with pytest.raises(ShapeError, match="share one grid"):
-                ag_forward(rand(45, i_shape), rand(46, (1, 4, 4, 4, 1)), zero_attention_params(1))
-
-    def test_anisotropic_integer_scale(self):
-        # a per-axis integer-multiple guidance (ratios 2, 1, 4) is no longer
-        # up-sampled; an anisotropic grid shared by both inputs is supported
-        p = zero_attention_params(1, radius=1, eps=0.05)
-        with pytest.raises(ShapeError, match="share one grid"):
-            ag_forward(rand(51, (1, 8, 4, 8, 1)), rand(52, (1, 4, 4, 2, 1)), p)
-        i = rand(51, (1, 8, 4, 8, 1))
-        o = rand(52, (1, 8, 4, 8, 1))
-        lg = ag_forward(i, o, p)
-        assert lg.output.shape == (1, 8, 4, 8, 1)
-        probe = rand(53, lg.output.shape)
-        (gi, go), _ = lg.backward(probe)
-        num_o = numeric_grad(
-            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
-        )
-        assert max_rel_err(go, num_o) < 1e-4
-
-    def test_equal_grids_supported_with_gradients(self):
-        # the in-network configuration: skip and upsampled map share a grid
-        i = rand(47, (1, 4, 4, 4, 2))
-        o = rand(48, (1, 4, 4, 4, 2))
-        p = ag_params(49, 2)
-        lg = ag_forward(i, o, p)
-        assert lg.output.shape == o.shape
-        probe = rand(50, lg.output.shape)
-        (gi, go), _ = lg.backward(probe)
-        num_i = numeric_grad(
-            lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
-        )
-        num_o = numeric_grad(
-            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
-        )
-        assert max_rel_err(gi, num_i) < 1e-4
-        assert max_rel_err(go, num_o) < 1e-4
+        for i_shape, o_shape in self.MISMATCHED:
+            with pytest.raises(ShapeError, match="share one grid and channel count"):
+                ag_forward(rand(45, i_shape), rand(46, o_shape), zero_attention_params(1))
 
 
 def test_effective_radius_scaling():

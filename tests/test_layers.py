@@ -143,6 +143,23 @@ class TestConv3d:
             params(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), **geometry)
 
 
+    @pytest.mark.parametrize("params, forward, kernel", [
+        (Conv3dParams, conv3d_forward, (3, 3, 3, 2, 5)),
+        (Deconv3dParams, deconv3d_forward, (3, 3, 3, 5, 2)),
+    ])
+    def test_kernel_bias_and_gradient_shapes_validated(self, params, forward, kernel):
+        kind = params.__name__
+        p = params(rand(13, kernel), np.zeros(5))  # the bias is as wide as c_out
+        with pytest.raises(ShapeError, match=f"^{kind} bias shape \\(2,\\) does not match c_out 5"):
+            params(rand(13, kernel), np.zeros(2))
+        with pytest.raises(ShapeError, match=f"^{kind} kernel must have 5 axes"):
+            params(rand(13, kernel[1:]), np.zeros(5))
+        lg = forward(rand(14, (1, 4, 4, 4, 2)), p)
+        op = forward.__name__.removesuffix("3d_forward")
+        with pytest.raises(ShapeError, match=f"^{op} backward: gradient shape"):
+            lg.backward(np.zeros((1, 4, 4, 4, 4)))
+
+
 # kernel x stride x padding; each case runs on the two (extent, batch) inputs
 # below, skipping an input where an output extent would be < 1. The extents
 # hold 1, odd and even values; strides 3, (2, 1, 3) and 2 with 1^3 kernels

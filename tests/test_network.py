@@ -170,8 +170,8 @@ class TestForward:
         cfg = tiny_config()
         params = build(cfg, Rng(5))
         x = Rng(6).normal((1, 16, 16, 16, 2))
-        a = forward(x, params, cfg, training=False).output
-        b = forward(x, params, cfg, training=False).output
+        a = forward(x, params, cfg).output
+        b = forward(x, params, cfg).output
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_ignores_the_dropout_rate(self):
@@ -185,9 +185,9 @@ class TestForward:
         cfg = tiny_config(dropout=0.5)
         params = build(cfg, Rng(7))
         x = Rng(8).normal((1, 16, 16, 16, 2))
-        a = forward(x, params, cfg, training=True, rng=Rng(0)).output
-        b = forward(x, params, cfg, training=True, rng=Rng(0)).output
-        c = forward(x, params, cfg, training=True, rng=Rng(1)).output
+        a = forward(x, params, cfg, rng=Rng(0)).output
+        b = forward(x, params, cfg, rng=Rng(0)).output
+        c = forward(x, params, cfg, rng=Rng(1)).output
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
 
@@ -261,7 +261,7 @@ class TestBackward:
         cfg = tiny_config(depths=depths, dropout=0.1, patch_shape=(patch,) * 3)
         params = build(cfg, Rng(30))
         x = Rng(31).normal((1, patch, patch, patch, 2))
-        lg = forward(x, params, cfg, training=True, rng=Rng(33))
+        lg = forward(x, params, cfg, rng=Rng(33))
         _, grad_p = dice_loss(lg.output, one_hot(Rng(32).integers(0, 4, x.shape[:4])), ClassWeights())
         gx_a, grads_a = lg.backward(grad_p)
         gx_b, grads_b = lg.backward(grad_p)
@@ -282,7 +282,7 @@ class TestBackward:
         g = one_hot(Rng(36).integers(0, 4, x.shape[:4]))
 
         def run():
-            lg = forward(x, params, cfg, training=True, rng=Rng(37))
+            lg = forward(x, params, cfg, rng=Rng(37))
             return lg.output, *lg.backward(dice_loss(lg.output, g, ClassWeights())[1])
 
         y, gx, grads = run()

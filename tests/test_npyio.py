@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agsevnet.npyio import read_npy, write_npy
+from agsevnet.npyio import npy_header, read_npy, write_npy
 from agsevnet.rng import Rng
 
 
@@ -81,6 +81,12 @@ def test_rejects_truncated_data(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_npy(path)
+    # headers alone, of shapes whose element count wraps to 0 in int64
+    for shape in ((2**32, 2**32), (3, 2**62)):
+        path.write_bytes(npy_header("<f8", shape))
+        with pytest.raises(ValueError, match="truncated data section") as err:
+            read_npy(path)
+        assert str(path) in str(err.value), shape
 
 
 def test_cut_at_every_byte_names_the_file(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agsevnet.rng import Rng
-from agsevnet.tensor import channel_sum, voxel_sum
+from agsevnet.tensor import ShapeError, channel_sum, grad_like, voxel_sum
 
 
 def rand(seed, shape):
@@ -71,3 +71,13 @@ class TestChannelLastReductions:
             assert channel_sum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
             zeros = np.full(x.shape, -0.0)
             assert channel_sum(zeros).tobytes() == zeros.sum(axis=-1, keepdims=True).tobytes()
+
+
+def test_grad_like_owns_the_gradient_shape_rule():
+    y = rand(50, (1, 2, 3, 4, 2))
+    gy = np.arange(y.size).reshape(y.shape)
+    got = grad_like(gy, y, "op")
+    assert got.dtype == np.float64 and np.array_equal(got, gy)
+    with pytest.raises(ShapeError, match=r"^op backward: gradient shape \(1, 2, 3, 4, 1\) "
+                                         r"!= output \(1, 2, 3, 4, 2\)$"):
+        grad_like(gy[..., :1], y, "op")

@@ -57,6 +57,18 @@ def phantom_dir(tmp_path_factory):
     return root
 
 
+def nan_flair(case):
+    flair = read_npy(case / "flair.npy")
+    flair[2, 3, 4] = np.nan
+    write_npy(case / "flair.npy", flair)
+
+
+def flatten(case):
+    """Keep only the first z-slice of every volume of the case: 2-D volumes."""
+    for path in case.iterdir():
+        write_npy(path, read_npy(path)[0].copy())
+
+
 class Writes:
     """An open file whose `write` goes through `wrap(file.write)`."""
 
@@ -825,6 +837,51 @@ class TestCli:
             assert main(argv) == 1, argv[0]
             assert "case case001: t2.npy" in capsys.readouterr().err
         assert not (tmp_path / "pred" / "case001.npy").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_non_integer_label_value_names_its_file(self, phantom_dir, tmp_path, capsys, bad):
+        truth = tmp_path / "truth"
+        shutil.copytree(phantom_dir / "case000", truth / "case000")
+        seg = truth / "case000" / "seg.npy"
+        labels = read_npy(seg)
+        write_npy(seg, np.where(np.arange(labels.size).reshape(labels.shape) == 5, bad,
+                                labels.astype(np.float64)))
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        write_npy(pred / "case000.npy", labels)
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{seg}: unknown label value {bad:g} at index (0, 0, 5)" in err, err
+
+    # (case mutated, its mutation, the error naming it): the first three
+    # mutate the one validation case, the last a training case
+    CASE_MUTANTS = {
+        "val_nan_flair": ("val", nan_flair, "case case001: flair.npy holds nan"),
+        "val_missing_t2": ("val", lambda case: (case / "t2.npy").unlink(),
+                           "case case001: missing modality file t2.npy"),
+        "val_seg_shape": ("val", lambda case: write_npy(
+                              case / "seg.npy", read_npy(case / "seg.npy")[:, :, :8].copy()),
+                          "case case001: label shape (16, 16, 8) != volume (16, 16, 16)"),
+        "train_2d": ("data", flatten, "case case000: expected 5 axes"),
+    }
+
+    @pytest.mark.parametrize("mutant", sorted(CASE_MUTANTS))
+    def test_bad_case_exits_one_before_step_zero(self, phantom_dir, tmp_path, capsys, mutant):
+        role, mutate, message = self.CASE_MUTANTS[mutant]
+        data, val = tmp_path / "data", tmp_path / "val"
+        shutil.copytree(phantom_dir, data)
+        shutil.copytree(phantom_dir / "case001", val / "case001")
+        mutate((val / "case001") if role == "val" else (data / "case000"))
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_file), "--data", str(data), "--out", str(run),
+                     "--val", str(val)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err, captured.err
+        assert not [line for line in captured.out.splitlines() if line.startswith("step")]
+        assert not (run / "checkpoint").exists()
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_non_positive_counts_exit_one(self, tmp_path, capsys, count):

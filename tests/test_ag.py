@@ -330,55 +330,61 @@ class TestAgForward:
         want = box_sum(mean_o, 2) / counts
         assert np.abs(out - want).max() < 1e-9
 
-    # (i, o, probe) seeds, shared shape and params of each finite-difference
-    # case: an anisotropic grid, one whose axes differ by integer ratios,
-    # and the in-network configuration of equal cubic grids
-    GRAD_CASES = [
-        ((34, 35, 37), (1, 6, 4, 5, 2), lambda: ag_params(36, 2, radius=2, eps=0.05)),
-        ((51, 52, 53), (1, 8, 4, 8, 1), lambda: zero_attention_params(1, radius=1, eps=0.05)),
-        ((47, 48, 50), (1, 4, 4, 4, 2), lambda: ag_params(49, 2)),
-    ]
+    def _check_gradients(self, seeds, shape, p):
+        # input, filtered-map and attn_i.kernel gradients against central
+        # differences, at 1e-4 with refine=True
+        si, so, sp = seeds
+        i, o, probe = rand(si, shape), rand(so, shape), rand(sp, shape)
+        lg = ag_forward(i, o, p)
+        assert lg.output.shape == shape
+        (gi, go), gp = lg.backward(probe)
+        num_i = numeric_grad(
+            lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
+        )
+        num_o = numeric_grad(
+            lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
+        )
+
+        def with_attn_i_kernel(v):
+            return AgParams(p.radius, p.eps, p.attn_o, Conv3dParams(v, p.attn_i.bias), p.attn_gate)
+
+        num_k = numeric_grad(
+            lambda v: float((ag_forward(i, o, with_attn_i_kernel(v)).output * probe).sum()),
+            p.attn_i.kernel, refine=True,
+        )
+        assert max_rel_err(gi, num_i) < 1e-4
+        assert max_rel_err(go, num_o) < 1e-4
+        assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4
+
+    def _assert_refused(self, i_shape, o_shape):
+        with pytest.raises(ShapeError, match="share one grid and channel count"):
+            ag_forward(rand(45, i_shape), rand(46, o_shape), zero_attention_params(1))
 
     def test_gradients_match_finite_differences(self):
-        for (si, so, sp), shape, make_params in self.GRAD_CASES:
-            i, o, probe, p = rand(si, shape), rand(so, shape), rand(sp, shape), make_params()
-            lg = ag_forward(i, o, p)
-            assert lg.output.shape == shape
-            (gi, go), gp = lg.backward(probe)
-            num_i = numeric_grad(
-                lambda v: float((ag_forward(v, o, p).output * probe).sum()), i, refine=True
-            )
-            num_o = numeric_grad(
-                lambda v: float((ag_forward(i, v, p).output * probe).sum()), o, refine=True
-            )
+        # anisotropic grid, parameter gradient included
+        self._check_gradients((34, 35, 37), (1, 6, 4, 5, 2), ag_params(36, 2, radius=2, eps=0.05))
 
-            def with_attn_i_kernel(v):
-                return AgParams(p.radius, p.eps, p.attn_o, Conv3dParams(v, p.attn_i.bias),
-                                p.attn_gate)
+    def test_channel_mismatch_without_align_rejected(self):
+        # there is no channel-align conv: the decoder's deconv matches channels
+        self._assert_refused((1, 4, 4, 4, 3), (1, 4, 4, 4, 2))
 
-            num_k = numeric_grad(
-                lambda v: float((ag_forward(i, o, with_attn_i_kernel(v)).output * probe).sum()),
-                p.attn_i.kernel, refine=True,
-            )
-            assert max_rel_err(gi, num_i) < 1e-4, shape
-            assert max_rel_err(go, num_o) < 1e-4, shape
-            assert max_rel_err(gp["attn_i.kernel"], num_k) < 1e-4, shape
-
-    # (i, o) shapes ag_forward refuses: there is no channel-align conv (the
-    # decoder's deconv matches channels) and no guidance up-sampling, not
-    # even by the per-axis integer ratios (2, 1, 4) of the last pair
-    MISMATCHED = [
-        ((1, 4, 4, 4, 3), (1, 4, 4, 4, 2)),
-        ((1, 6, 6, 6, 1), (1, 4, 4, 4, 1)),
-        ((1, 8, 8, 8, 1), (1, 4, 4, 4, 1)),
-        ((2, 4, 4, 4, 1), (1, 4, 4, 4, 1)),
-        ((1, 8, 4, 8, 1), (1, 4, 4, 2, 1)),
-    ]
+    def test_non_integral_scale_rejected(self):
+        self._assert_refused((1, 6, 6, 6, 1), (1, 4, 4, 4, 1))
 
     def test_grid_mismatch_rejected(self):
-        for i_shape, o_shape in self.MISMATCHED:
-            with pytest.raises(ShapeError, match="share one grid and channel count"):
-                ag_forward(rand(45, i_shape), rand(46, o_shape), zero_attention_params(1))
+        for i_shape in ((1, 8, 8, 8, 1), (2, 4, 4, 4, 1)):
+            self._assert_refused(i_shape, (1, 4, 4, 4, 1))
+
+    def test_anisotropic_integer_scale(self):
+        # a per-axis integer-multiple guidance (ratios 2, 1, 4) is not
+        # up-sampled; an anisotropic grid shared by both inputs is supported
+        self._assert_refused((1, 8, 4, 8, 1), (1, 4, 4, 2, 1))
+        self._check_gradients((51, 52, 53), (1, 8, 4, 8, 1),
+                              zero_attention_params(1, radius=1, eps=0.05))
+
+    def test_equal_grids_supported_with_gradients(self):
+        # the in-network configuration: skip and upsampled map share a grid
+        self._check_gradients((47, 48, 50), (1, 4, 4, 4, 2), ag_params(49, 2))
 
 
 def test_effective_radius_scaling():

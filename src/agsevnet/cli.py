@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .checks import SCOPES, run_checks
@@ -56,8 +55,6 @@ def cmd_train(args) -> int:
         config = config_from_text(TrainConfig, Path(args.config).read_text())
     else:
         config = TrainConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     checkpoint = train(config, args.data, args.out, resume=args.checkpoint, val_dir=args.val)
     print(f"final checkpoint: {checkpoint}")
     return 0
@@ -117,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="training config file (key=value)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--checkpoint", help="resume from this checkpoint directory")
     p.add_argument("--val", help="labeled cases evaluated at each traversal")
     p.set_defaults(fn=cmd_train)

@@ -160,10 +160,14 @@ def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
             raise FileNotFoundError(f"prediction {case_id} has no truth case with {LABEL_FILE}")
         pred_labels = read_npy(pred_file)
         truth_labels = load_labels(truth_cases[case_id])
+        truth_file = truth_cases[case_id] / LABEL_FILE
+        if truth_labels.ndim != 3:
+            raise ShapeError(f"{truth_file}: label volume has shape {truth_labels.shape}, "
+                             f"not 3 axes z,h,w")
         if pred_labels.shape != truth_labels.shape:
             raise ShapeError(
                 f"{case_id}: prediction shape {pred_labels.shape} != truth {truth_labels.shape}"
             )
-        sources = (str(pred_file), str(truth_cases[case_id] / LABEL_FILE))
+        sources = (str(pred_file), str(truth_file))
         rows += region_rows(case_id, pred_labels, truth_labels, spacing, sources)
     return format_report(rows)

@@ -30,8 +30,9 @@ class ClassWeights:
 
     def __post_init__(self):
         self.w = tuple(float(v) for v in self.w)
-        if len(self.w) != 4 or not all(0 <= v < np.inf for v in self.w) or sum(self.w) == 0:
-            raise ValueError(f"class_weights must be 4 finite floats >= 0, not all zero: {self.w}")
+        n = len(LABEL_VALUES)
+        if len(self.w) != n or not all(0 <= v < np.inf for v in self.w) or sum(self.w) == 0:
+            raise ValueError(f"class_weights must be {n} finite floats >= 0, not all zero: {self.w}")
 
 
 @dataclass
@@ -47,8 +48,8 @@ def _check_pair(p: np.ndarray, g: np.ndarray):
     g = as_tensor5(g, "one-hot truth")
     if p.shape != g.shape:
         raise ShapeError(f"prediction/truth shape mismatch {p.shape} vs {g.shape}")
-    if p.shape[4] != 4:
-        raise ShapeError(f"expected 4 class channels, got {p.shape[4]}")
+    if p.shape[4] != len(LABEL_VALUES):
+        raise ShapeError(f"expected {len(LABEL_VALUES)} class channels, got {p.shape[4]}")
     if not np.all((g == 0.0) | (g == 1.0)) or not np.all(channel_sum(g) == 1.0):
         raise ValueError("truth tensor is not one-hot over the class channels")
     return p, g

@@ -77,8 +77,8 @@ class NetConfig:
 
     def validate(self):
         check_finite_floats(self)
-        if self.num_classes != 4:
-            raise ValueError(f"num_classes must be 4, got {self.num_classes}")
+        if self.num_classes != len(LABEL_VALUES):
+            raise ValueError(f"num_classes must be {len(LABEL_VALUES)}, got {self.num_classes}")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.base_width < 1:
@@ -423,8 +423,9 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
     Ties resolve toward the lower channel index.
     """
     probs = as_tensor5(probs, "probabilities")
-    if probs.shape[4] != 4:
-        raise ShapeError(f"predict_labels expects 4 channels, got {probs.shape[4]}")
+    if probs.shape[4] != len(LABEL_VALUES):
+        raise ShapeError(f"predict_labels expects {len(LABEL_VALUES)} channels, "
+                         f"got {probs.shape[4]}")
     return CHANNEL_TO_LABEL[np.argmax(probs, axis=4)]
 
 
@@ -546,13 +547,17 @@ def load_checkpoint(directory):
     """(params, config, step, extra) that `save_checkpoint` wrote. The
     parameter names and shapes must be the ones `build` makes for the
     stored config; a checkpoint that differs raises ValueError naming it
-    and the first parameter that differs."""
+    and the first parameter that differs, and so does one whose tensors,
+    optimizer moments included, hold a NaN or infinite value."""
     directory = Path(directory)
     left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
     if left and not directory.exists():
         raise FileNotFoundError(f"no checkpoint at {directory}: a save was cut short and left "
                                 f"{' and '.join(left)}")
     blob = load_params(directory)
+    for name, arr in blob.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {directory}: tensor {name} holds a NaN or infinite value")
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
     config = config_from_text(NetConfig, (directory / "config.txt").read_text())

@@ -99,4 +99,7 @@ def parse_npy(data: bytearray, path) -> np.ndarray:
     shape = meta["shape"]
     dtype = SUPPORTED_DESCRS[descr]
     body = take(10 + hlen, math.prod(shape) * dtype.itemsize, "data section")
-    return np.frombuffer(body, dtype=dtype).reshape(shape)
+    try:
+        return np.frombuffer(body, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # an empty array whose byte count overflows, as (0, 2**62)
+        raise ValueError(f"{path}: malformed header {header.strip()!r}: {exc}") from exc

@@ -34,8 +34,9 @@ class Case:
 
     def __post_init__(self):
         shapes = {m.shape for m in self.modalities}
-        if len(self.modalities) != 4 or len(shapes) != 1:
-            raise ShapeError(f"case {self.id}: need 4 equal-shape modalities, got {shapes}")
+        if len(self.modalities) != len(MODALITIES) or len(shapes) != 1:
+            raise ShapeError(f"case {self.id}: need {len(MODALITIES)} equal-shape modalities, "
+                             f"got {shapes}")
         if self.labels is not None and self.labels.shape != self.modalities[0].shape:
             raise ShapeError(
                 f"case {self.id}: label shape {self.labels.shape} != volume {self.modalities[0].shape}"
@@ -273,7 +274,7 @@ def load_labels(directory) -> np.ndarray:
     return read_npy(seg)
 
 
-def list_cases(root, marker: str = "t1.npy") -> list[Path]:
+def list_cases(root, marker: str = f"{MODALITIES[0]}.npy") -> list[Path]:
     """Sorted case directories under `root`: those holding a `marker` file."""
     root = Path(root)
     dirs = sorted(d for d in root.iterdir() if d.is_dir() and (d / marker).exists())

@@ -214,8 +214,6 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     rng = Rng(config.seed)
     spec = config.patch_spec()
     cases, patches = _load_training_cases(data_dir, spec)
-    if not patches:
-        raise TrainingError(f"no training patches found under {data_dir}")
     n = len(patches)
     with_val = val_dir is not None
     if with_val:  # a bad case fails before step 0, not after a traversal

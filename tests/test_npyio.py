@@ -113,8 +113,10 @@ def test_cut_at_every_byte_names_the_file(tmp_path):
     b"{'descr': '|u1', 'fortran_order': False, 'shape': ('4',)}",
     b"{'descr': '|u1', 'fortran_order': False, 'shape': (4.0,)}",
     b"{'descr': '|u1', 'fortran_order': False, 'shape': (-4,)}",
+    # no data bytes, but a byte count past what numpy can address
+    b"{'descr': '<f8', 'fortran_order': False, 'shape': (0, 4611686018427387904)}",
 ], ids=["cut", "list", "no_descr", "no_order", "no_shape", "list_descr", "int_order",
-        "none_shape", "str_dim", "float_dim", "negative_dim"])
+        "none_shape", "str_dim", "float_dim", "negative_dim", "empty_overflow"])
 def test_malformed_header_names_the_file(tmp_path, header):
     path = tmp_path / "bad.npy"
     header += b" " * (63 - 10 - len(header)) + b"\n"

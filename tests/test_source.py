@@ -10,13 +10,20 @@ call.
 
 Every name a module imports must also be used in it; `from __future__`
 imports and `__init__.py` are exempt.
+
+A module imports only the standard library, its own package and the
+`dependencies` that `pyproject.toml` declares, so a new dependency is a
+decision taken in `pyproject.toml`, not a side effect of an import.
 """
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agsevnet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "agsevnet"
 EXEMPT_MODULES = {"checks.py", "gradcheck.py"}
 NOT_USES = {"checks.py"}
 EXEMPT_NAMES = {"__version__"}
@@ -118,3 +125,59 @@ def test_guard_flags_imports_a_module_never_uses(tmp_path):
         "    return aid(os.path.join(x))\n"
     )
     assert unused_imports(tmp_path) == ["a.py:hashlib", "a.py:spare"]
+
+
+def declared_dependencies(pyproject: Path) -> set[str]:
+    """The distribution names of `[project] dependencies`, lower-cased.
+
+    Read with a regex: `tomllib` needs Python 3.11, and the package
+    supports 3.10.
+    """
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject.read_text(), re.M | re.S)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower()
+            for spec in re.findall(r"[\"']([^\"']+)[\"']", block[1])} if block else set()
+
+
+def foreign_imports(root: Path, declared: set[str]) -> list[str]:
+    """`module:package` for each absolute import of a package that is
+    neither in the standard library nor declared. An import name must
+    equal its distribution name up to case, as numpy's does."""
+    foreign = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in (name.split(".")[0] for name in names):
+                if top not in sys.stdlib_module_names and top.lower() not in declared:
+                    foreign.append(f"{path.name}:{top}")
+    return foreign
+
+
+def test_imports_only_stdlib_and_declared_dependencies():
+    declared = declared_dependencies(ROOT / "pyproject.toml")
+    assert "numpy" in declared
+    assert foreign_imports(PACKAGE, declared) == []
+
+
+def test_guard_flags_undeclared_imports(tmp_path):
+    (tmp_path / "pyproject.toml").write_text(
+        '[project]\nname = "x"\ndependencies = [\n    "numpy>=1.24",\n    \'Requests\',\n]\n'
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n'
+    )
+    declared = declared_dependencies(tmp_path / "pyproject.toml")
+    assert declared == {"numpy", "requests"}
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "import scipy.ndimage\n"
+        "import requests\n"
+        "from . import b\n"
+        "from .b import helper\n"
+        "from pytest import fixture\n"
+        "def f():\n    import torch\n"
+    )
+    assert foreign_imports(tmp_path, declared) == ["a.py:scipy", "a.py:pytest", "a.py:torch"]

@@ -69,6 +69,32 @@ def flatten(case):
         write_npy(path, read_npy(path)[0].copy())
 
 
+def empty_volumes(case):
+    """Keep no z-slice of any volume of the case: shape (0, h, w)."""
+    for path in case.iterdir():
+        write_npy(path, read_npy(path)[:0].copy())
+
+
+def rehead_as_version_2(path):
+    """Rewrite the .npy file at `path` in format version 2.0."""
+    arr = read_npy(path)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, arr, version=(2, 0))
+
+
+def short_prediction(data, pred):
+    """A prediction for case000 that holds half its z-slices."""
+    pred.mkdir()
+    write_npy(pred / "case000.npy", load_labels(data / "case000")[:8].copy())
+
+
+def flat_truth(data, pred):
+    """A 2-D case000 and a prediction of its 2-D labels."""
+    flatten(data / "case000")
+    pred.mkdir()
+    write_npy(pred / "case000.npy", load_labels(data / "case000"))
+
+
 class Writes:
     """An open file whose `write` goes through `wrap(file.write)`."""
 
@@ -680,6 +706,97 @@ class TestCli:
         assert f"{ckpt / 'step.txt'}: step 'x' is not a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_refuses_non_finite_checkpoint(self, phantom_dir, tmp_path, capsys, bad):
+        config = tiny_train_config().net
+        params = build(config, Rng(5))
+        params["head.bias"][1] = bad
+        ckpt, out = tmp_path / "ckpt", tmp_path / "out"
+        save_checkpoint(ckpt, params, config, 0)
+        assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: tensor head.bias holds a NaN or infinite value" in err, err
+        assert not list(out.glob("*.npy"))
+
+    @pytest.mark.parametrize("tensor", ["head.bias", "opt.m.head.bias"])
+    def test_resume_refuses_non_finite_checkpoint(self, phantom_dir, tmp_path, capsys, tensor):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        ckpt = run / "checkpoint"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        blob = network.load_params(ckpt)
+        blob[tensor][0] = np.nan
+        network.save_params(ckpt, blob)
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        capsys.readouterr()
+        assert main([*train_args, "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert f"checkpoint {ckpt}: tensor {tensor} holds a NaN" in captured.err, captured.err
+        assert not [line for line in captured.out.splitlines() if line.startswith("step")]
+        assert not list(run.glob("bad_batch_step*"))
+
+    # (command, extra flags, what writes the bad input into the copied
+    # cases `data`, the checkpoint `ckpt` or the prediction dir `pred`,
+    # and the text of the error that names it)
+    NAMED_REFUSALS = {
+        "evaluate_empty_pred": ("evaluate", [], lambda data, ckpt, pred: pred.mkdir(),
+                                "no prediction volumes under {pred}"),
+        "evaluate_pred_shape": ("evaluate", [], lambda data, ckpt, pred: short_prediction(data, pred),
+                                "case000: prediction shape (8, 16, 16) != truth (16, 16, 16)"),
+        "evaluate_2d_truth": ("evaluate", [], lambda data, ckpt, pred: flat_truth(data, pred),
+                              "{data}/case000/seg.npy: label volume has shape (16, 16), not 3 axes"),
+        "predict_no_manifest": ("predict", [],
+                                lambda data, ckpt, pred: (ckpt / "manifest.txt").unlink(),
+                                "no parameter manifest at {ckpt}/manifest.txt"),
+        "train_no_cases": ("train", [],
+                           lambda data, ckpt, pred: [shutil.rmtree(d) for d in data.iterdir()],
+                           "no case directories under {data}"),
+        "npy_version_2": ("train", [],
+                          lambda data, ckpt, pred: rehead_as_version_2(data / "case000" / "t1.npy"),
+                          "{data}/case000/t1.npy: unsupported .npy version 2.0"),
+        "empty_extent": ("predict", [], lambda data, ckpt, pred: empty_volumes(data / "case000"),
+                         "case case000: all extents must be >= 1"),
+        "stride_0": ("predict", ["--stride", "0"], lambda data, ckpt, pred: None,
+                     "patch stride must be >= 1 per axis, got (0, 0, 0)"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(NAMED_REFUSALS))
+    def test_bad_input_exits_one_naming_it(self, phantom_dir, tmp_path, capsys, bad):
+        command, flags, write_bad_input, named = self.NAMED_REFUSALS[bad]
+        data, ckpt, pred = tmp_path / "data", tmp_path / "ckpt", tmp_path / "pred"
+        shutil.copytree(phantom_dir, data)
+        config = tiny_train_config(max_steps=2, checkpoint_interval=2)
+        save_checkpoint(ckpt, build(config.net, Rng(5)), config.net, 0)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config_to_text(config))
+        write_bad_input(data, ckpt, pred)
+        argv = {
+            "evaluate": ["--pred", pred, "--truth", data, "--out", tmp_path / "r.csv"],
+            "predict": ["--checkpoint", ckpt, "--data", data, "--out", pred],
+            "train": ["--config", cfg_file, "--data", data, "--out", tmp_path / "run"],
+        }[command]
+        assert main([command, *map(str, argv), *flags]) == 1
+        err = capsys.readouterr().err
+        assert named.format(data=data, ckpt=ckpt, pred=pred) in err, err
+
+    def test_non_finite_loss_dumps_the_batch_and_exits_two(self, phantom_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr("agsevnet.train.dice_loss",
+                            lambda p, g, weights: (float("nan"), np.zeros_like(p)))
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                     "--out", str(run)]) == 2
+        dump = run / "bad_batch_step0"
+        assert f"runtime failure: non-finite loss nan at step 0; batch dumped to {dump}" in \
+            capsys.readouterr().err
+        assert read_npy(dump / "img.npy").shape == (1, 16, 16, 16, 4)
+        assert read_npy(dump / "lbl.npy").shape == (1, 16, 16, 16, 4)
+        assert not (run / "checkpoint").exists()
+
     def test_gradcheck_scopes_come_from_the_registry(self):
         parser = build_parser()
         for scope in [*SCOPES, "all"]:
@@ -731,7 +848,9 @@ class TestCli:
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
         assert main(["phantom-gen", "-n", "1", "--shape", "8", "--out", str(tmp_path / "p")]) == 1
         for argv in (["predict", "--checkpoint", "c", "--data", "d", "--out", "o", "--stride", "1,2"],
-                     ["train", "--data", "x"], ["phantom-gen", "--count", "two", "--out", "p"]):
+                     ["train", "--data", "x"], ["phantom-gen", "--count", "two", "--out", "p"],
+                     # the training seed is the config's seed= alone
+                     ["train", "--data", "x", "--out", "o", "--seed", "3"]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 1, argv
@@ -786,6 +905,11 @@ class TestCli:
         ("net.ag_eps=nan", "ag_eps"),
         ("net.se_reduction=0", "se_reduction"),
         ("net.se_reduction=-1", "se_reduction"),
+        ("net.in_channels=0", "in_channels"),
+        ("net.base_width=0", "base_width"),
+        ("net.dropout=1.0", "dropout"),
+        ("net.ag_radius=0", "ag_radius"),
+        ("batch_size=0", "batch_size"),
     ])
     def test_config_values_that_train_into_nan_exit_one(self, phantom_dir, tmp_path, capsys,
                                                         line, key):

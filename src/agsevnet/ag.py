@@ -91,22 +91,23 @@ def attention_map(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
     o = as_tensor5(o, "attention input o")
     if i.shape[:4] != o.shape[:4]:
         raise ShapeError(f"attention_map: spatial mismatch {i.shape} vs {o.shape}")
-    lg_o = conv3d_forward(o, p.attn_o)
-    lg_i = conv3d_forward(i, p.attn_i)
-    lg_r = activation(lg_o.output + lg_i.output, "relu")
-    lg_g = conv3d_forward(lg_r.output, p.attn_gate)
-    lg_s = activation(lg_g.output, "sigmoid")
+    # only the backward closures are kept, not the sub-layers' outputs
+    y_o, o_bwd = conv3d_forward(o, p.attn_o)
+    y_i, i_bwd = conv3d_forward(i, p.attn_i)
+    r, r_bwd = activation(y_o + y_i, "relu")
+    gate, gate_bwd = conv3d_forward(r, p.attn_gate)
+    t, s_bwd = activation(gate, "sigmoid")
 
     def backward(gt: np.ndarray):
         grads = {}
-        gg, _ = lg_s.backward(gt)
-        gr = record(grads, "attn_gate", lg_g.backward(gg))
-        gsum, _ = lg_r.backward(gr)
-        go = record(grads, "attn_o", lg_o.backward(gsum))
-        gi = record(grads, "attn_i", lg_i.backward(gsum))
+        gg, _ = s_bwd(gt)
+        gr = record(grads, "attn_gate", gate_bwd(gg))
+        gsum, _ = r_bwd(gr)
+        go = record(grads, "attn_o", o_bwd(gsum))
+        gi = record(grads, "attn_i", i_bwd(gsum))
         return (gi, go), grads
 
-    return LayerGrad(lg_s.output, backward)
+    return LayerGrad(t, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +223,15 @@ def ag_forward(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
             f"ag_forward: guidance {i.shape} and filtered map {o.shape} must share "
             f"one grid and channel count"
         )
-    lg_attn = attention_map(i, o, p)
+    t, attn_bwd = attention_map(i, o, p)
     r_eff = effective_radius(p.radius, o.shape[1:4])
-    coeff_a, coeff_b, fit_backward = _fit_forward(i, o, lg_attn.output, r_eff, p.eps)
+    coeff_a, coeff_b, fit_backward = _fit_forward(i, o, t, r_eff, p.eps)
     y = coeff_a * i + coeff_b
 
     def backward(gy: np.ndarray):
-        gy = grad_like(gy, y, "ag")
+        gy = grad_like(gy, i.shape, "ag")  # the output has i's shape
         g_i, g_o, g_t = fit_backward(gy * i, gy)
-        (g_i_attn, g_o_attn), grads = lg_attn.backward(g_t)
+        (g_i_attn, g_o_attn), grads = attn_bwd(g_t)
         return (gy * coeff_a + (g_i + g_i_attn), g_o + g_o_attn), grads
 
     return LayerGrad(y, backward)

@@ -27,12 +27,12 @@ from .pipeline import (
 )
 from .tensor import ShapeError
 
-# A no-grad forward's tracemalloc peak measured 17.5-18.9 float64 arrays
+# A no-grad forward's tracemalloc peak measured 14.5-15.7 float64 arrays
 # of the patch's voxels at base_width channels for widths 4 to 16
-# (patches 32^3 and 64^3, depths 2 and 3) and 20.7 at width 2 (16x32x48),
+# (patches 32^3 and 64^3, depths 2 and 3) and 17.3 at width 2 (16x32x48),
 # where the input and the softmax keep 4 channels, so below 4 channels
-# the bound counts 4 (10.4 arrays of 4 channels there). 25
-# leaves a third over the largest peak and keeps one worker for the
+# the bound counts 4 (8.7 arrays of 4 channels there). 25
+# leaves three fifths over the largest peak and keeps one worker for the
 # default configuration at 6 GiB free, where two have not been measured.
 FORWARD_PEAK_ARRAYS = 25
 
@@ -132,11 +132,16 @@ def predict_case(case_dir, params, config: NetConfig,
 
 
 def predict_dir(data_dir, params, config: NetConfig, out_dir, stride=None, log=print) -> None:
-    """Write each case's predicted label volume as out_dir/<case>.npy."""
+    """Write each case's predicted label volume as out_dir/<case>.npy. A
+    bad `stride` is refused before out_dir is made or a case is read."""
+    try:
+        spec = PatchSpec(config.patch_shape, stride)
+    except ValueError as exc:
+        raise ValueError(f"--stride: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_dir in list_cases(data_dir):
-        labels = predict_case(case_dir, params, config, stride)
+        labels = predict_case(case_dir, params, config, spec.stride)
         write_npy(out_dir / f"{case_dir.name}.npy", labels)
         log(f"predicted {case_dir.name}")
 

@@ -2,7 +2,8 @@
 
 Every layer returns a `LayerGrad`: the forward output plus a closure
 mapping an output-shaped gradient to (input gradient, parameter
-gradients). Closures capture only what the backward needs; they are
+gradients). Closures keep only what the backward reads (ReLU and
+dropout a bool mask, conv and deconv their output's shape); they are
 pure, linear in the incoming gradient, and safe to call repeatedly.
 
 Kernel layouts (channels last, matching the tensor axis order):
@@ -259,9 +260,10 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
                          f"kernel {(kz, kh, kw)}, stride {p.stride}, padding {p.padding}")
     ph = _split(x, g)
     y = _gather(ph, p.kernel, g) + p.bias
+    shape = y.shape
 
     def backward(gy: np.ndarray):
-        gy = grad_like(gy, y, "conv")
+        gy = grad_like(gy, shape, "conv")
         rows = _pitch(gy, g)
         gx = _scatter(rows, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)
@@ -292,9 +294,10 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
     g = _grid(x.shape[0], out_ext, (kz, kh, kw), p.stride, p.padding)
     rows = _pitch(x, g)
     y = _scatter(rows, p.kernel, g) + p.bias
+    shape = y.shape
 
     def backward(gy: np.ndarray):
-        gy = grad_like(gy, y, "deconv")
+        gy = grad_like(gy, shape, "deconv")
         ph = _split(gy, g)
         gx = _gather(ph, p.kernel, g)
         gk = _kgrad(ph, rows, g, p.kernel.shape)
@@ -311,9 +314,10 @@ def activation(x: np.ndarray, kind: str) -> LayerGrad:
     x = np.asarray(x, dtype=DTYPE)
     if kind == "relu":
         y = np.maximum(x, 0.0)
+        mask = x > 0.0
 
         def backward(gy):
-            return np.where(x > 0.0, gy, 0.0), {}
+            return np.where(mask, gy, 0.0), {}
 
     elif kind == "sigmoid":
         # e = exp(-|x|) never overflows: 1/(1+e) for x >= 0, e/(1+e) below;
@@ -389,8 +393,8 @@ def dropout(x: np.ndarray, rate: float, rng: Rng) -> LayerGrad:
         return LayerGrad(x, lambda gy: (np.asarray(gy, dtype=DTYPE), {}))
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    mask = keep * scale
-    return LayerGrad(x * mask, lambda gy: (np.asarray(gy, dtype=DTYPE) * mask, {}))
+    return LayerGrad(x * (keep * scale),
+                     lambda gy: (np.asarray(gy, dtype=DTYPE) * (keep * scale), {}))
 
 
 def dense(x: np.ndarray, p: DenseParams) -> LayerGrad:

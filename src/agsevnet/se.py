@@ -55,7 +55,7 @@ def se_forward(u: np.ndarray, p: SeParams) -> LayerGrad:
     y = u * gate
 
     def backward(gy: np.ndarray):
-        gy = grad_like(gy, u, "se")  # the output has u's shape
+        gy = grad_like(gy, u.shape, "se")  # the output has u's shape
         gu = gy * gate
         gs = voxel_sum(gy * u)  # (n, c)
         grads = {}

@@ -28,12 +28,13 @@ def as_tensor5(x, name: str = "tensor") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def grad_like(gy, y: np.ndarray, name: str) -> np.ndarray:
-    """The gradient `gy` that op `name`'s backward received for its
-    output `y`, as float64; a shape other than y's raises ShapeError."""
+def grad_like(gy, shape: tuple, name: str) -> np.ndarray:
+    """The gradient `gy` that op `name`'s backward received for an output
+    of `shape` (so a closure keeps the shape, not the output), as float64;
+    another shape raises ShapeError."""
     gy = np.asarray(gy, dtype=DTYPE)
-    if gy.shape != y.shape:
-        raise ShapeError(f"{name} backward: gradient shape {gy.shape} != output {y.shape}")
+    if gy.shape != shape:
+        raise ShapeError(f"{name} backward: gradient shape {gy.shape} != output {shape}")
     return gy
 
 

@@ -256,8 +256,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
             write_npy(dump / "img.npy", img)
             write_npy(dump / "lbl.npy", lbl)
             raise TrainingError(f"non-finite loss {loss} at step {step}; batch dumped to {dump}")
-        _, grads = lg.backward(grad_p)
-        opt_step(config, params, grads, state, step)
+        opt_step(config, params, lg.backward(grad_p)[1], state, step)
+        del lg, grad_p  # one step's graph at a time: it must not live through the next forward
         loss_log.append((step, config.learning_rate(step), loss))
         log(f"step {step:5d}  lr {config.learning_rate(step):.2e}  loss {loss:+.6f}")
 

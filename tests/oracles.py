@@ -106,6 +106,18 @@ def closure_arrays(fn) -> list[np.ndarray]:
     return found
 
 
+def retained_bytes(backward) -> int:
+    """Bytes a backward closure keeps alive through the arrays it retains
+    (`closure_arrays`): a view keeps its base, so each array counts as its
+    base, and each base counts once."""
+    bases = {}
+    for a in closure_arrays(backward):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
 def instance_norm_oracle(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                          eps: float) -> LayerGrad:
     """The allocating arithmetic `layers.instance_norm` replaced: one fresh

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agsevnet import ag
 from agsevnet.ag import (
     AgParams,
     _fit_forward,
@@ -154,6 +155,24 @@ class TestAttentionMap:
         p = ag_params(13, 2)
         with pytest.raises(ShapeError, match="spatial"):
             attention_map(rand(15, (1, 2, 3, 3, 2)), rand(14, (1, 3, 3, 3, 2)), p)
+
+    def test_backward_keeps_no_conv_or_relu_output(self, monkeypatch):
+        outputs = []
+
+        def recording(layer):
+            def run(*args):
+                lg = layer(*args)
+                outputs.append(lg.output)
+                return lg
+            return run
+
+        for name in ("conv3d_forward", "activation"):
+            monkeypatch.setattr(ag, name, recording(getattr(ag, name)))
+        lg = attention_map(rand(16, (1, 3, 4, 5, 2)), rand(17, (1, 3, 4, 5, 2)), ag_params(18, 2))
+        # conv o, conv i, relu, gate conv, then the sigmoid, whose backward reads its output
+        assert len(outputs) == 5 and outputs[-1] is lg.output
+        kept = closure_arrays(lg.backward)
+        assert not any(a is y for a in kept for y in outputs[:-1])
 
 
 class TestAgFit:
@@ -314,6 +333,11 @@ class TestAgFitArithmetic:
 
 
 class TestAgForward:
+    def test_backward_keeps_the_output_shape_not_the_output(self):
+        shape = (1, 3, 4, 5, 2)
+        lg = ag_forward(rand(19, shape), rand(20, shape), ag_params(21, 2))
+        assert not any(a is lg.output for a in closure_arrays(lg.backward))
+
     def test_self_guidance_limit_reproduces_guidance(self):
         i = rand(32, (1, 6, 6, 6, 1))
         p = zero_attention_params(1, radius=2, eps=1e-12)

@@ -54,6 +54,12 @@ def close(got, want):
     return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+CONV_OPS = [
+    (Conv3dParams, conv3d_forward, (3, 3, 3, 2, 5)),
+    (Deconv3dParams, deconv3d_forward, (3, 3, 3, 5, 2)),
+]
+
+
 class TestConv3d:
     def test_spatial_halving(self):
         # i=16, k=3, s=2, p=1 -> o=8
@@ -143,10 +149,7 @@ class TestConv3d:
             params(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), **geometry)
 
 
-    @pytest.mark.parametrize("params, forward, kernel", [
-        (Conv3dParams, conv3d_forward, (3, 3, 3, 2, 5)),
-        (Deconv3dParams, deconv3d_forward, (3, 3, 3, 5, 2)),
-    ])
+    @pytest.mark.parametrize("params, forward, kernel", CONV_OPS)
     def test_kernel_bias_and_gradient_shapes_validated(self, params, forward, kernel):
         kind = params.__name__
         p = params(rand(13, kernel), np.zeros(5))  # the bias is as wide as c_out
@@ -158,6 +161,11 @@ class TestConv3d:
         op = forward.__name__.removesuffix("3d_forward")
         with pytest.raises(ShapeError, match=f"^{op} backward: gradient shape"):
             lg.backward(np.zeros((1, 4, 4, 4, 4)))
+
+    @pytest.mark.parametrize("params, forward, kernel", CONV_OPS)
+    def test_backward_keeps_the_output_shape_not_the_output(self, params, forward, kernel):
+        lg = forward(rand(14, (1, 4, 4, 4, 2)), params(rand(13, kernel), np.zeros(5)))
+        assert not any(a is lg.output for a in closure_arrays(lg.backward))
 
 
 # kernel x stride x padding; each case runs on the two (extent, batch) inputs
@@ -467,6 +475,14 @@ class TestDropout:
         mask = lg.output / np.where(x == 0, 1, x)
         gx, _ = lg.backward(np.ones_like(x))
         assert np.allclose(gx, mask, atol=1e-12)
+
+
+@pytest.mark.parametrize("layer", [lambda x: activation(x, "relu"),
+                                   lambda x: dropout(x, 0.5, Rng(3))], ids=["relu", "dropout"])
+def test_masking_backward_keeps_only_a_bool_mask(layer):
+    x = rand(29, (1, 4, 4, 4, 2))
+    kept = closure_arrays(layer(x).backward)
+    assert [(a.dtype, a.shape) for a in kept] == [(np.dtype(bool), x.shape)]
 
 
 class TestDense:

@@ -272,6 +272,15 @@ class TestBackward:
             assert grads_a[name].shape == p.shape, name
             assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
 
+    def test_acceptance_training_graph_within_its_retained_budget(self):
+        # the acceptance network's training forward keeps 41_834_411 bytes
+        # alive for its backward, parameters included; a closure that starts
+        # holding what it does not read breaks the 5% margin
+        cfg = NetConfig(in_channels=4, base_width=4, depths=2, se_reduction=4, ag_radius=16,
+                        ag_eps=0.01, dropout=0.1, patch_shape=(32, 32, 32))
+        lg = forward(Rng(38).normal((1, 32, 32, 32, 4)), build(cfg, Rng(39)), cfg, rng=Rng(40))
+        assert oracles.retained_bytes(lg.backward) <= 1.05 * 41_834_411
+
     def test_matches_the_allocating_oracles_bitwise(self, monkeypatch):
         # the in-place instance norm and AG fit, the row-tiled shift-GEMM,
         # the channel-last reductions and the one-pass sigmoid against the

@@ -76,8 +76,8 @@ class TestChannelLastReductions:
 def test_grad_like_owns_the_gradient_shape_rule():
     y = rand(50, (1, 2, 3, 4, 2))
     gy = np.arange(y.size).reshape(y.shape)
-    got = grad_like(gy, y, "op")
+    got = grad_like(gy, y.shape, "op")
     assert got.dtype == np.float64 and np.array_equal(got, gy)
     with pytest.raises(ShapeError, match=r"^op backward: gradient shape \(1, 2, 3, 4, 1\) "
                                          r"!= output \(1, 2, 3, 4, 2\)$"):
-        grad_like(gy[..., :1], y, "op")
+        grad_like(gy[..., :1], y.shape, "op")

@@ -1,5 +1,6 @@
 import os
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,21 @@ class TestTraining:
         predict_case(phantom_dir / "case000", build(config, Rng(4)), config)
         assert sorted(reads) == sorted(f"case000/{m}.npy" for m in MODALITIES)
 
+    def test_each_step_drops_its_graph_before_the_next_forward(self, phantom_dir, tmp_path,
+                                                              monkeypatch):
+        outputs, alive_at_start = [], []
+
+        def recording_forward(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in outputs])
+            lg = network.forward(*args, **kwargs)
+            outputs.append(weakref.ref(lg.output))
+            return lg
+
+        monkeypatch.setattr("agsevnet.train.forward", recording_forward)
+        train(tiny_train_config(max_steps=3, checkpoint_interval=3), phantom_dir, tmp_path / "run",
+              log=lambda s: None)
+        assert alive_at_start == [[], [False], [False, False]]
+
     def test_sgd_also_trains(self, phantom_dir, tmp_path):
         cfg = tiny_train_config(optimizer="sgd", lr_initial=1e-2, lr_decayed=1e-2,
                                 lr_decay_step=0, max_steps=8, checkpoint_interval=8)
@@ -682,6 +698,17 @@ class TestCli:
         # patch 16, stride 24 on a 40-long axis would leave voxels 16..23 unpredicted
         assert main([*predict, "--data", str(tmp_path / "long"), "--out", str(tmp_path / "out")]) == 1
         assert not list((tmp_path / "out").glob("*.npy"))
+
+    def test_predict_refuses_a_bad_stride_before_reading_a_case(self, phantom_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        config = tiny_train_config().net
+        save_checkpoint(tmp_path / "ckpt", build(config, Rng(5)), config, 0)
+        reads = []
+        monkeypatch.setattr(pipeline, "read_npy", lambda path: reads.append(path))
+        assert main(["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                     str(phantom_dir), "--out", str(tmp_path / "pred"), "--stride", "0"]) == 1
+        assert "--stride: patch stride must be >= 1 per axis, got (0, 0, 0)" in capsys.readouterr().err
+        assert reads == [] and not (tmp_path / "pred").exists()
 
     def test_predict_refuses_damaged_checkpoint(self, phantom_dir, tmp_path, capsys):
         config = tiny_train_config().net

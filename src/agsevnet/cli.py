@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .checks import SCOPES, run_checks
 from .infer import evaluate_dirs, predict_dir
-from .network import config_from_text, load_checkpoint
+from .network import load_checkpoint, read_config
 from .pipeline import generate_phantom, save_case
 from .rng import Rng
 from .train import TrainConfig, train
@@ -51,10 +51,7 @@ def cmd_phantom_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.config:
-        config = config_from_text(TrainConfig, Path(args.config).read_text())
-    else:
-        config = TrainConfig()
+    config = read_config(TrainConfig, args.config) if args.config else TrainConfig()
     checkpoint = train(config, args.data, args.out, resume=args.checkpoint, val_dir=args.val)
     print(f"final checkpoint: {checkpoint}")
     return 0

@@ -146,12 +146,10 @@ def predict_dir(data_dir, params, config: NetConfig, out_dir, stride=None, log=p
         log(f"predicted {case_dir.name}")
 
 
-def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
+def evaluate_dirs(pred_dir, truth_dir) -> str:
     """Per-case per-region metric report comparing prediction volumes
     (<case>.npy files) against the truth cases' seg.npy volumes, the only
-    file read from a truth case (modality files may be absent); hd95
-    distances are in units of `spacing` (z, h, w).
-    """
+    file read from a truth case (modality files may be absent)."""
     pred_dir = Path(pred_dir)
     truth_dir = Path(truth_dir)
     rows = []
@@ -174,5 +172,5 @@ def evaluate_dirs(pred_dir, truth_dir, spacing=(1.0, 1.0, 1.0)) -> str:
                 f"{case_id}: prediction shape {pred_labels.shape} != truth {truth_labels.shape}"
             )
         sources = (str(pred_file), str(truth_file))
-        rows += region_rows(case_id, pred_labels, truth_labels, spacing, sources)
+        rows += region_rows(case_id, pred_labels, truth_labels, sources)
     return format_report(rows)

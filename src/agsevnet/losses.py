@@ -361,16 +361,16 @@ def _fmt(value: Optional[float]) -> str:
     return "undefined" if value is None else f"{value:.6f}"
 
 
-def region_rows(case_id: str, pred_labels, truth_labels, spacing,
+def region_rows(case_id: str, pred_labels, truth_labels,
                 sources=("prediction", "truth")) -> list[dict]:
-    """One metric row per region of a case, in REGION_ORDER. `sources`
-    name the prediction and the truth volume in label errors."""
+    """One metric row per region of a case, in REGION_ORDER (hd95 in voxels).
+    `sources` name the prediction and the truth volume in label errors."""
     pred, truth = derive_regions(pred_labels, sources[0]), derive_regions(truth_labels, sources[1])
     rows = []
     for region in REGION_ORDER:
         c = confusion(pred[region], truth[region])
         counts = {m: metric(m, c) for m in METRIC_ORDER[:3]}  # dice, sensitivity, specificity
-        hd95 = hausdorff95(pred[region], truth[region], spacing)
+        hd95 = hausdorff95(pred[region], truth[region])
         rows.append({"case_id": case_id, "region": region, **counts, "hd95": hd95})
     return rows
 

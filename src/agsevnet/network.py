@@ -152,6 +152,14 @@ def config_from_text(cls, text: str):
     return config
 
 
+def read_config(cls, path):
+    """The `cls` config in the file at `path`; its errors name the file."""
+    try:
+        return config_from_text(cls, Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _config_from_pairs(cls, kv: dict[str, str], prefix: str):
     hints = get_type_hints(cls)
     kwargs = {}
@@ -560,7 +568,7 @@ def load_checkpoint(directory):
             raise ValueError(f"checkpoint {directory}: tensor {name} holds a NaN or infinite value")
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
-    config = config_from_text(NetConfig, (directory / "config.txt").read_text())
+    config = read_config(NetConfig, directory / "config.txt")
     want = [f"{name} {shape}" for name, shape, _ in param_layout(config)]
     got = [f"{name} {arr.shape}" for name, arr in params.items()]
     for found, built in zip_longest(got, want, fillvalue="nothing"):

@@ -35,10 +35,10 @@ from .network import (
     NetConfig,
     build,
     check_finite_floats,
-    config_from_text,
     config_to_text,
     forward,
     load_checkpoint,
+    read_config,
     save_checkpoint,
 )
 from .npyio import write_npy
@@ -72,11 +72,6 @@ class TrainConfig:
     checkpoint_interval: int = 100
     seed: int = 0
     class_weights: tuple[float, float, float, float] = ClassWeights.w
-    optimizer: str = "adam"  # adam or sgd
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    momentum: float = 0.9
     batch_size: int = 1
     patch_stride: tuple[int, int, int] | None = None  # defaults to the patch shape
 
@@ -92,15 +87,9 @@ class TrainConfig:
         check_finite_floats(self)
         if self.lr_initial <= 0 or self.lr_decayed <= 0:
             raise ValueError("learning rates must be positive")
-        if not all(0.0 <= v < 1.0 for v in (self.beta1, self.beta2, self.momentum)):
-            raise ValueError("beta1, beta2 and momentum must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         ClassWeights(self.class_weights)
         if not 0 <= self.lr_decay_step <= self.max_steps:
             raise ValueError("lr_decay_step must lie within [0, max_steps]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ValueError("batch_size, max_steps, checkpoint_interval must be >= 1")
         self.patch_spec()  # rejects a patch_stride without 3 positive extents
@@ -117,43 +106,34 @@ def config_hash(config: TrainConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# optimizers over flat parameter dicts
+# Adam over flat parameter dicts, at its published constants (arXiv:1412.6980)
 
-def _opt_state_names(config: TrainConfig, params) -> list[str]:
-    """Moment array names: Adam's `m.`/`v.` pair or SGD's `mom.` per parameter."""
-    slots = ("m", "v") if config.optimizer == "adam" else ("mom",)
-    return [f"{slot}.{name}" for name in params for slot in slots]
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def init_opt_state(config: TrainConfig, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {key: np.zeros_like(params[key.split(".", 1)[1]])
-            for key in _opt_state_names(config, params)}
+def _opt_state_names(params) -> list[str]:
+    """Moment array names: Adam's `m.`/`v.` pair per parameter."""
+    return [f"{slot}.{name}" for name in params for slot in ("m", "v")]
+
+
+def init_opt_state(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {key: np.zeros_like(params[key.split(".", 1)[1]]) for key in _opt_state_names(params)}
 
 
 def opt_step(config: TrainConfig, params, grads, state, step: int) -> None:
-    """One in-place update; `step` is the 0-based index of this update."""
+    """One in-place Adam update; `step` is the 0-based index of this update."""
     lr = config.learning_rate(step)
-    if config.optimizer == "adam":
-        t = step + 1
-        b1, b2 = config.beta1, config.beta2
-        for name, p in params.items():
-            g = grads[name]
-            m = state[f"m.{name}"]
-            v = state[f"v.{name}"]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            p -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
-    else:
-        mu = config.momentum
-        for name, p in params.items():
-            mom = state[f"mom.{name}"]
-            mom *= mu
-            mom += grads[name]
-            p -= lr * mom
+    t = step + 1
+    for name, p in params.items():
+        g = grads[name]
+        m, v = state[f"m.{name}"], state[f"v.{name}"]
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * (g * g)
+        mhat = m / (1 - BETA1 ** t)
+        vhat = v / (1 - BETA2 ** t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +202,9 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
 
     if resume is not None:
         params, _, start_step, state = load_checkpoint(resume)
-        if sorted(state) != sorted(_opt_state_names(config, params)):
-            raise ValueError(f"checkpoint optimizer state does not match optimizer={config.optimizer}")
+        if sorted(state) != sorted(_opt_state_names(params)):
+            raise ValueError(f"checkpoint {resume}: optimizer state is not one Adam m/v pair "
+                             f"per parameter")
         for key, moment in state.items():
             shape = params[key.split(".", 1)[1]].shape
             if moment.shape != shape:
@@ -234,7 +215,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         _write_derived(out_dir, config, loss_log, val_rows, with_val)
     else:
         params = build(config.net, rng.derive("init"))
-        state = init_opt_state(config, params)
+        state = init_opt_state(params)
         start_step = 0
         loss_log, val_rows = [], []
 
@@ -290,7 +271,7 @@ def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainC
     if not path.exists():
         raise ValueError(f"checkpoint {checkpoint} stores no training configuration "
                          f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
-    stored = config_from_text(TrainConfig, path.read_text())
+    stored = read_config(TrainConfig, path)
     if config.max_steps < start_step:
         raise ValueError(f"max_steps={config.max_steps} is below the {start_step} steps the "
                          f"checkpoint {checkpoint} has taken; resume with max_steps >= {start_step}")
@@ -354,7 +335,7 @@ def _validation_metrics(val_dir, params, config: TrainConfig, traversal: int) ->
     for case_dir in list_cases(val_dir):
         truth = load_labels(case_dir)
         pred = predict_case(case_dir, params, config.net)
-        rows += region_rows(case_dir.name, pred, truth, (1.0, 1.0, 1.0))
+        rows += region_rows(case_dir.name, pred, truth)
     return [",".join([str(traversal), region, *summary_cells(rows, region)])
             for region in REGION_ORDER]
 

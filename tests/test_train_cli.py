@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import weakref
 from pathlib import Path
@@ -119,14 +120,13 @@ def dir_bytes(path):
 
 class TestTrainConfig:
     def test_text_round_trip(self):
-        cfg = tiny_train_config(optimizer="sgd", class_weights=(0.2, 1.0, 0.5, 1.0))
+        cfg = tiny_train_config(class_weights=(0.2, 1.0, 0.5, 1.0))
         assert config_from_text(TrainConfig, config_to_text(cfg)) == cfg
         net = NetConfig(in_channels=3, base_width=8, depths=3, se_reduction=2, ag_radius=3,
                         ag_eps=0.25, dropout=0.125, patch_shape=(16, 32, 48))
         every_field = TrainConfig(
             net=net, lr_initial=2e-3, lr_decayed=5e-4, lr_decay_step=7, max_steps=9,
             checkpoint_interval=4, seed=11, class_weights=(0.5, 2.0, 1.5, 0.25),
-            optimizer="sgd", beta1=0.8, beta2=0.99, adam_eps=1e-6, momentum=0.7,
             batch_size=2, patch_stride=(8, 16, 24),
         )
         defaults, default_net = TrainConfig(), NetConfig()
@@ -142,8 +142,7 @@ class TestTrainConfig:
         assert config_to_text(TrainConfig()) == (
             "# training configuration\n"
             "lr_initial=0.0001\nlr_decayed=3e-05\nlr_decay_step=200\nmax_steps=300\n"
-            "checkpoint_interval=100\nseed=0\nclass_weights=0.1,1.0,1.0,1.0\noptimizer=adam\n"
-            "beta1=0.9\nbeta2=0.999\nadam_eps=1e-08\nmomentum=0.9\nbatch_size=1\n"
+            "checkpoint_interval=100\nseed=0\nclass_weights=0.1,1.0,1.0,1.0\nbatch_size=1\n"
             "patch_stride=-\n"
             "\n"
             "# network configuration\n"
@@ -151,7 +150,7 @@ class TestTrainConfig:
             "net.se_reduction=4\nnet.ag_radius=16\nnet.ag_eps=0.01\nnet.dropout=0.5\n"
             "net.patch_shape=64,128,128\n"
         )
-        assert config_hash(TrainConfig()) == "9111669c1ddb5214"
+        assert config_hash(TrainConfig()) == "e3a24674097a0b53"
 
     def test_learning_rate_schedule(self):
         cfg = tiny_train_config(lr_initial=1e-4, lr_decayed=3e-5, lr_decay_step=10)
@@ -162,8 +161,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_train_config(lr_initial=-1.0)
-        with pytest.raises(ValueError):
-            tiny_train_config(optimizer="adagrad")
         with pytest.raises(ValueError):
             TrainConfig(net=tiny_train_config().net, lr_decay_step=100, max_steps=50)
 
@@ -330,22 +327,23 @@ class TestTraining:
         adam = tiny_train_config(max_steps=4, checkpoint_interval=2)
         train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
               log=lambda s: None)
+        checkpoint = tmp_path / "checkpoint"
         before = dir_bytes(tmp_path)
-        sgd = tiny_train_config(max_steps=4, checkpoint_interval=2, optimizer="sgd")
-        with pytest.raises(ValueError, match="optimizer state does not match optimizer=sgd"):
-            train(sgd, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
-        assert dir_bytes(tmp_path) == before
-        manifest = tmp_path / "checkpoint" / "manifest.txt"
+        manifest = checkpoint / "manifest.txt"
         text = manifest.read_text()
+        manifest.write_text(text.replace("name=opt.v.head.bias ", "name=opt.mom.head.bias "))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {checkpoint}: optimizer state is not one Adam m/v pair per parameter")):
+            train(adam, phantom_dir, tmp_path, resume=checkpoint, log=lambda s: None)
         manifest.write_text(text.replace("name=opt.v.head.bias shape=4\n",
                                          "name=opt.v.head.bias shape=2x2\n"))
         with pytest.raises(ValueError, match=r"optimizer state v.head.bias has shape \(2, 2\), "
                                              r"its parameter \(4,\)"):
-            train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
+            train(adam, phantom_dir, tmp_path, resume=checkpoint, log=lambda s: None)
         manifest.write_text(text)
         assert dir_bytes(tmp_path) == before
-        train(adam, phantom_dir, tmp_path, resume=tmp_path / "checkpoint", log=lambda s: None)
-        assert load_checkpoint(tmp_path / "checkpoint")[2] == 4
+        train(adam, phantom_dir, tmp_path, resume=checkpoint, log=lambda s: None)
+        assert load_checkpoint(checkpoint)[2] == 4
 
     def test_resume_refuses_changed_training_config(self, phantom_dir, tmp_path):
         train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, tmp_path,
@@ -451,13 +449,6 @@ class TestTraining:
         train(tiny_train_config(max_steps=3, checkpoint_interval=3), phantom_dir, tmp_path / "run",
               log=lambda s: None)
         assert alive_at_start == [[], [False], [False, False]]
-
-    def test_sgd_also_trains(self, phantom_dir, tmp_path):
-        cfg = tiny_train_config(optimizer="sgd", lr_initial=1e-2, lr_decayed=1e-2,
-                                lr_decay_step=0, max_steps=8, checkpoint_interval=8)
-        train(cfg, phantom_dir, tmp_path / "sgd", log=lambda s: None)
-        lines = (tmp_path / "sgd" / "losses.txt").read_text().splitlines()
-        assert float(lines[-1].split()[2]) < float(lines[0].split()[2])
 
 
 class TestGuards:
@@ -855,6 +846,71 @@ class TestCli:
         (tmp_path / "run" / "checkpoint" / "losses.txt").unlink()
         assert main(resume) == 1
         assert "losses.txt is missing" in capsys.readouterr().err
+
+    # (the file given its one edit, the edit, and the error that follows
+    # the file's path): a fresh train's --config, then the checkpoint's
+    # config.txt as predict reads it and its train_config.txt as a resume does
+    CONFIG_FILES = {
+        "train_cfg": ("fresh.cfg", ("net.depths=2\n", "net.depths=two\n"),
+                      "config key net.depths: cannot parse 'two'"),
+        "config_txt": ("run/checkpoint/config.txt", ("depths=2\n", "depths=two\n"),
+                       "config key depths: cannot parse 'two'"),
+        "train_config_txt": ("run/checkpoint/train_config.txt",
+                             ("seed=3\n", "seed=3\nmomentum2=0.9\n"),
+                             "unknown config keys: ['momentum2']"),
+    }
+
+    @pytest.mark.parametrize("site", sorted(CONFIG_FILES))
+    def test_config_error_names_its_file(self, phantom_dir, tmp_path, capsys, site):
+        name, (old, new), error = self.CONFIG_FILES[site]
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        ckpt = run / "checkpoint"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        shutil.copy(cfg_file, tmp_path / "fresh.cfg")
+        bad = tmp_path / name
+        bad.write_text(bad.read_text().replace(old, new, 1))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        capsys.readouterr()
+        argv = {
+            "train_cfg": ["train", "--config", str(bad), "--data", str(phantom_dir),
+                          "--out", str(tmp_path / "fresh")],
+            "config_txt": ["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                           "--out", str(tmp_path / "pred")],
+            "train_config_txt": [*train_args, "--checkpoint", str(ckpt)],
+        }[site]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {error}" in err, err
+        assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+
+    def test_checkpoint_from_before_adam_only_predicts_but_does_not_resume(self, phantom_dir,
+                                                                          tmp_path, capsys):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        ckpt = run / "checkpoint"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        # the optimizer keys every training config held before Adam became the only optimizer
+        stored = ckpt / "train_config.txt"
+        stored.write_text(stored.read_text().replace("batch_size=", (
+            "optimizer=adam\nbeta1=0.9\nbeta2=0.999\nadam_eps=1e-08\nmomentum=0.9\nbatch_size=")))
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        capsys.readouterr()
+        assert main([*train_args, "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {stored}: unknown config keys: "
+                f"['adam_eps', 'beta1', 'beta2', 'momentum', 'optimizer']") in err, err
+        assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+        pred = tmp_path / "pred"
+        assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                     "--out", str(pred)]) == 0
+        assert sorted(p.name for p in pred.iterdir()) == ["case000.npy", "case001.npy"]
 
     def test_resume_below_checkpoint_step_exits_one(self, phantom_dir, tmp_path, capsys):
         cfg_file = tmp_path / "train.cfg"

@@ -33,8 +33,9 @@ from .tensor import ShapeError
 # where the input and the softmax keep 4 channels, so below 4 channels
 # the bound counts 4 (8.7 arrays of 4 channels there). 25
 # leaves three fifths over the largest peak and keeps one worker for the
-# default configuration at 6 GiB free, where two have not been measured.
+# default configuration at 6 GiB available, where two have not been measured.
 FORWARD_PEAK_ARRAYS = 25
+MEMINFO = "/proc/meminfo"
 
 
 def forward_bytes_bound(config: NetConfig) -> int:
@@ -67,21 +68,35 @@ def _blas_thread_setters() -> list:
     return setters
 
 
+def _available_bytes() -> int:
+    """The kernel's estimate of memory available without swapping
+    (MemAvailable, which counts reclaimable page cache), or the free
+    pages where MEMINFO is absent or lacks that line."""
+    try:
+        with open(MEMINFO) as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts kB
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _worker_count(n_patches: int, config: NetConfig, setters: list) -> int:
     """Patch forwards to run at once: one per usable CPU and per patch, as
-    many as free memory holds at `forward_bytes_bound` each, and one when
-    the per-thread BLAS setter or the free-memory reading is missing
+    many as available memory holds at `forward_bytes_bound` each, and one
+    when the per-thread BLAS setter or the memory reading is missing
     (concurrent forwards would then share the BLAS threads or the memory
     blindly).
     """
     if not setters:
         return 1
     try:
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        available = _available_bytes()
         cpus = len(os.sched_getaffinity(0))
     except (AttributeError, ValueError, OSError):
         return 1
-    return max(1, min(cpus, n_patches, free // forward_bytes_bound(config)))
+    return max(1, min(cpus, n_patches, available // forward_bytes_bound(config)))
 
 
 def stitched_probs(x: np.ndarray, params, config: NetConfig, spec: PatchSpec) -> np.ndarray:

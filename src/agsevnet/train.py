@@ -12,6 +12,7 @@ text files, so a checkpoint alone holds everything a resume replays.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import time
@@ -55,6 +56,11 @@ from .pipeline import (
 )
 from .rng import Rng
 from .tensor import DTYPE
+
+try:
+    import resource
+except ImportError:  # no getrusage (Windows): the closing line leaves out the fault count
+    resource = None
 
 # training files inside a checkpoint; the history files are copied to the out dir
 TRAIN_CONFIG_FILE = "train_config.txt"
@@ -143,6 +149,33 @@ class TrainingError(RuntimeError):
     pass
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _pin_malloc_thresholds() -> None:
+    """Set glibc's heap-trim threshold to 1 GiB and its mmap threshold to
+    32 MiB for the rest of the process; a no-op where libc has no `mallopt`.
+
+    By default glibc trims the heap top once a step's graph is freed, and
+    the next forward faults it back in: about 10,000 minor faults per
+    step at width 4, 32³. Setting the trim threshold alone also stops glibc's
+    dynamic mmap threshold, and that measured 2.7x the faults, so the mmap
+    threshold is set too, at the ceiling the dynamic one can reach: an
+    array glibc mmaps at any dynamic threshold is still mmapped.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _minor_faults() -> int | None:
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _read_case(case_dir: Path) -> tuple[np.ndarray, np.ndarray]:
     """A labeled case's stacked (1, z, h, w, 4) tensor and its (z, h, w)
     labels. A missing file, a label outside the alphabet, labels of
@@ -187,20 +220,17 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     `val_dir`, the validation rows (val.txt), each row carrying its
     step. A resume reads that history from the checkpoint alone; the
     out_dir copies of both logs and the report are derived from it at
-    each checkpoint and when a resume loads one.
+    each checkpoint and when a resume loads one. A refused resume reads
+    no case (but for a damaged history, which needs the patch count) and
+    leaves out_dir as it was. Once the run is accepted, glibc's malloc
+    thresholds are set for the rest of the process
+    (`_pin_malloc_thresholds`).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = Rng(config.seed)
     spec = config.patch_spec()
-    cases, patches = _load_training_cases(data_dir, spec)
-    n = len(patches)
     with_val = val_dir is not None
-    if with_val:  # a bad case fails before step 0, not after a traversal
-        for case_dir in list_cases(val_dir):
-            _read_case(case_dir)
-
-    if resume is not None:
+    if resume is not None:  # refused before a case is read or a file written
         params, _, start_step, state = load_checkpoint(resume)
         if sorted(state) != sorted(_opt_state_names(params)):
             raise ValueError(f"checkpoint {resume}: optimizer state is not one Adam m/v pair "
@@ -211,16 +241,25 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
                 raise ValueError(f"checkpoint {resume}: optimizer state {key} has shape "
                                  f"{moment.shape}, its parameter {shape}")
         stored = _check_resumable(resume, config, start_step)
-        loss_log, val_rows = _read_history(Path(resume), stored, config, start_step, n, with_val)
-        _write_derived(out_dir, config, loss_log, val_rows, with_val)
     else:
         params = build(config.net, rng.derive("init"))
         state = init_opt_state(params)
         start_step = 0
-        loss_log, val_rows = [], []
+
+    _pin_malloc_thresholds()
+    cases, patches = _load_training_cases(data_dir, spec)
+    n = len(patches)
+    if with_val:  # a bad case fails before step 0, not after a traversal
+        for case_dir in list_cases(val_dir):
+            _read_case(case_dir)
+    loss_log, val_rows = ([], []) if resume is None else _read_history(
+        Path(resume), stored, config, start_step, n, with_val)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if resume is not None:
+        _write_derived(out_dir, config, loss_log, val_rows, with_val)
 
     weights = ClassWeights(config.class_weights)
-    started = time.time()
+    started, faults = time.time(), None
     checkpoint_dir = out_dir / "checkpoint"
     for step in range(start_step, config.max_steps):
         order_pos = (step * config.batch_size) % n
@@ -254,8 +293,15 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
                      **_history_texts(loss_log, val_rows, with_val)}
             save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state, texts=texts)
             _write_derived(out_dir, config, loss_log, val_rows, with_val)
+        if step == start_step:  # the first step pays for first touch, so the count starts after it
+            faults = _minor_faults()
 
-    log(f"trained {config.max_steps - start_step} steps in {time.time() - started:.1f}s")
+    steps = config.max_steps - start_step
+    closing = f"trained {steps} steps in {time.time() - started:.1f}s"
+    if faults is not None and steps > 1:
+        per_step = (_minor_faults() - faults) / (steps - 1)
+        closing += f", {per_step:.0f} minor page faults per step after the first"
+    log(closing)
     # the last step always saves: only a resume with no step left ends on the loaded checkpoint
     return checkpoint_dir if start_step < config.max_steps else Path(resume)
 

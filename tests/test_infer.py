@@ -112,10 +112,11 @@ def test_one_worker_fallback_same_bytes(params, monkeypatch):
     assert counts == [1]
 
 
-def test_worker_rule(monkeypatch):
+def test_worker_rule(monkeypatch, tmp_path):
     setters = [lambda n: 0]
     page = 4096
     free = {"pages": 2 ** 40 // page}
+    monkeypatch.setattr(infer, "MEMINFO", tmp_path / "absent")  # free pages stand in
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_AVPHYS_PAGES": free["pages"],
                                                      "SC_PAGE_SIZE": page}[name])
@@ -128,6 +129,18 @@ def test_worker_rule(monkeypatch):
     assert _worker_count(27, NET, setters) == 1  # never fewer than one
     free["pages"] = 6 * 2 ** 30 // page
     assert _worker_count(27, NetConfig(), setters) == 1  # default config, 6 GiB free
+
+    # MemAvailable counts reclaimable page cache that MemFree (the free pages) does not
+    gib_kb = 2 ** 20
+    free["pages"] = int(5.85 * 2 ** 30) // page
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text(f"MemTotal:       {int(7.75 * gib_kb)} kB\n"
+                       f"MemFree:        {int(5.85 * gib_kb)} kB\n"
+                       f"MemAvailable:   {int(7.21 * gib_kb)} kB\n")
+    monkeypatch.setattr(infer, "MEMINFO", meminfo)
+    assert _worker_count(27, NetConfig(), setters) == 2  # default config, 7.21 GiB available
+    meminfo.write_text(f"MemFree:        {int(5.85 * gib_kb)} kB\n")  # a kernel before 3.14
+    assert _worker_count(27, NetConfig(), setters) == 1  # falls back to the free pages
 
     def unreadable(name):
         raise ValueError(f"unrecognized configuration name {name}")

@@ -61,21 +61,20 @@ def check_layers(seed: int = 0) -> list[CheckResult]:
     gx, gp = conv(x).backward(probe)
     xs = _rand(rng.derive("convs_x"), (1, 6, 6, 6, 2))
     probe_s = rng.derive("convs_probe").normal((1, 3, 3, 3, 3))
-    gxs, _ = conv(xs, s=2).backward(probe_s)
+    gxs, _ = conv(xs, bv=None, s=2).backward(probe_s)  # the network's convs have no bias
     results = [
         _probe_check("conv3d/input", gx, conv, x, probe),
         _probe_check("conv3d/kernel", gp["kernel"], lambda v: conv(x, v), kernel, probe),
         _probe_check("conv3d/bias", gp["bias"], lambda v: conv(x, kernel, v), bias, probe),
-        _probe_check("conv3d/strided_input", gxs, lambda v: conv(v, s=2), xs, probe_s),
+        _probe_check("conv3d/strided_input", gxs, lambda v: conv(v, bv=None, s=2), xs, probe_s),
     ]
 
     # deconv3d
     xd = _rand(rng.derive("dec_x"), (1, 3, 3, 3, 3))
     kd = _rand(rng.derive("dec_k"), (3, 3, 3, 2, 3)) * 0.5
-    bd = _rand(rng.derive("dec_b"), (2,)) * 0.1
 
     def dec(xv, kv=kd):
-        return deconv3d_forward(xv, Deconv3dParams(kv, bd, stride=2, padding=1, output_padding=1))
+        return deconv3d_forward(xv, Deconv3dParams(kv, stride=2, padding=1, output_padding=1))
 
     probe_d = rng.derive("dec_probe").normal(dec(xd).output.shape)
     gx, gp = dec(xd).backward(probe_d)
@@ -88,7 +87,8 @@ def check_layers(seed: int = 0) -> list[CheckResult]:
          conv3d_oracle),
         ("conv3d/oracle_stride2", xs, conv3d_forward, Conv3dParams(kernel, bias, 2, 1),
          conv3d_oracle),
-        ("deconv3d/oracle", xd, deconv3d_forward, Deconv3dParams(kd, bd, 2, 1, 1),
+        ("conv3d/oracle_unbiased", x, conv3d_forward, Conv3dParams(kernel), conv3d_oracle),
+        ("deconv3d/oracle", xd, deconv3d_forward, Deconv3dParams(kd, 2, 1, 1),
          deconv3d_oracle),
     ):
         want = oracle(xv, params)
@@ -359,7 +359,7 @@ def conv3d_oracle(x: np.ndarray, p: Conv3dParams) -> np.ndarray:
     for b, z, h, w in np.ndindex(*y.shape[:4]):
         for a, bb, c in np.ndindex(*k):
             y[b, z, h, w] += xp[b, z * s0 + a, h * s1 + bb, w * s2 + c] @ p.kernel[a, bb, c]
-    return y + p.bias
+    return y if p.bias is None else y + p.bias
 
 
 def deconv3d_oracle(x: np.ndarray, p: Deconv3dParams) -> np.ndarray:
@@ -374,7 +374,7 @@ def deconv3d_oracle(x: np.ndarray, p: Deconv3dParams) -> np.ndarray:
             z, h, w = i * s[0] + a - pad[0], j * s[1] + bb - pad[1], m * s[2] + c - pad[2]
             if 0 <= z < out[0] and 0 <= h < out[1] and 0 <= w < out[2]:
                 y[b, z, h, w] += p.kernel[a, bb, c] @ x[b, i, j, m]
-    return y + p.bias
+    return y
 
 
 def box_sum_oracle(x: np.ndarray, r: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import format_report, region_rows
+from .losses import LABEL_VALUES, format_report, region_rows
 from .network import NetConfig, forward, predict_labels
 from .npyio import read_npy, write_npy
 from .pipeline import (
@@ -40,7 +40,7 @@ MEMINFO = "/proc/meminfo"
 
 def forward_bytes_bound(config: NetConfig) -> int:
     """Upper bound on the memory one no-grad forward of a patch holds."""
-    channels = max(config.base_width, config.in_channels, config.num_classes)
+    channels = max(config.base_width, config.in_channels, len(LABEL_VALUES))
     return FORWARD_PEAK_ARRAYS * math.prod(config.patch_shape) * channels * 8
 
 
@@ -125,7 +125,7 @@ def stitched_probs(x: np.ndarray, params, config: NetConfig, spec: PatchSpec) ->
     previous = pin_blas()
     pool = ThreadPoolExecutor(workers, initializer=pin_blas)
     try:
-        return stitch_patches(pool.map(predict, starts), (*x.shape[:4], config.num_classes), spec)
+        return stitch_patches(pool.map(predict, starts), (*x.shape[:4], len(LABEL_VALUES)), spec)
     finally:
         pool.shutdown(cancel_futures=True)
         for setter, count in zip(pinned, previous):

@@ -76,44 +76,40 @@ def _triple(v) -> tuple[int, int, int]:
     return t
 
 
-def _geometry(p, c_out: int) -> None:
+def _geometry(p) -> None:
     """Check a conv's or deconv's params in place: stride and padding
-    become triples, strides >= 1 and paddings >= 0; the kernel has 5 axes
-    and the bias the width of its output-channel axis `c_out` (4 for a
-    conv, 3 for a deconv)."""
-    kind = type(p).__name__
+    become triples, strides >= 1 and paddings >= 0; the kernel has 5 axes."""
     p.stride, p.padding = _triple(p.stride), _triple(p.padding)
     if min(p.stride) < 1 or min(p.padding) < 0:
         raise ShapeError(f"stride {p.stride} must be >= 1 and padding {p.padding} >= 0 "
                          f"on every axis")
     if p.kernel.ndim != 5:
-        raise ShapeError(f"{kind} kernel must have 5 axes, got {p.kernel.shape}")
-    if p.bias.shape != (p.kernel.shape[c_out],):
-        raise ShapeError(f"{kind} bias shape {p.bias.shape} does not match c_out "
-                         f"{p.kernel.shape[c_out]}")
+        raise ShapeError(f"{type(p).__name__} kernel must have 5 axes, got {p.kernel.shape}")
 
 
 @dataclass
 class Conv3dParams:
     kernel: np.ndarray  # (kz, kh, kw, c_in, c_out)
-    bias: np.ndarray  # (c_out,)
+    bias: np.ndarray | None = None  # (c_out,); None where a norm's mean subtraction follows
     stride: tuple[int, int, int] = (1, 1, 1)
     padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        _geometry(self, 4)
+        _geometry(self)
+        if self.bias is not None and self.bias.shape != (self.kernel.shape[4],):
+            raise ShapeError(f"Conv3dParams bias shape {self.bias.shape} does not match c_out "
+                             f"{self.kernel.shape[4]}")
 
 
 @dataclass
-class Deconv3dParams:
+class Deconv3dParams:  # no bias: the network's one deconv feeds a norm, which cancels it
     kernel: np.ndarray  # (kz, kh, kw, c_out, c_in)
-    bias: np.ndarray  # (c_out,)
     stride: tuple[int, int, int] = (1, 1, 1)
     padding: tuple[int, int, int] = (0, 0, 0)
     output_padding: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        _geometry(self, 3)
+        _geometry(self)
         self.output_padding = _triple(self.output_padding)
         for op, s in zip(self.output_padding, self.stride):
             if not 0 <= op < s:
@@ -248,7 +244,7 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
     """Strided zero-padded cross-correlation.
 
     Output extent per axis is floor((i + 2p - k)/s) + 1. backward(gy)
-    returns (gx, {"kernel": gk, "bias": gb}).
+    returns (gx, {"kernel": gk, "bias": gb}), "bias" only with a `p.bias`.
     """
     x = as_tensor5(x, "conv input")
     kz, kh, kw, c_in, c_out = p.kernel.shape
@@ -259,15 +255,19 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
         raise ShapeError(f"conv: non-positive output extent {g.out} for input {g.ext}, "
                          f"kernel {(kz, kh, kw)}, stride {p.stride}, padding {p.padding}")
     ph = _split(x, g)
-    y = _gather(ph, p.kernel, g) + p.bias
+    y = _gather(ph, p.kernel, g)
+    if p.bias is not None:
+        y += p.bias
     shape = y.shape
 
     def backward(gy: np.ndarray):
         gy = grad_like(gy, shape, "conv")
         rows = _pitch(gy, g)
         gx = _scatter(rows, p.kernel, g)
-        gk = _kgrad(ph, rows, g, p.kernel.shape)
-        return gx, {"kernel": gk, "bias": voxel_sum(gy, pooled=True)}
+        grads = {"kernel": _kgrad(ph, rows, g, p.kernel.shape)}
+        if p.bias is not None:
+            grads["bias"] = voxel_sum(gy, pooled=True)
+        return gx, grads
 
     return LayerGrad(y, backward)
 
@@ -277,7 +277,7 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
 
     Output extent per axis is s*(i-1) + k - 2p + op; with k=3, s=2, p=1,
     op=1 each spatial extent exactly doubles. backward(gy) returns
-    (gx, {"kernel": gk, "bias": gb}).
+    (gx, {"kernel": gk}).
     """
     x = as_tensor5(x, "deconv input")
     kz, kh, kw, c_out, c_in = p.kernel.shape
@@ -293,15 +293,13 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
     # the grid of the conv this op is the adjoint of: its input is our output
     g = _grid(x.shape[0], out_ext, (kz, kh, kw), p.stride, p.padding)
     rows = _pitch(x, g)
-    y = _scatter(rows, p.kernel, g) + p.bias
+    y = _scatter(rows, p.kernel, g)
     shape = y.shape
 
     def backward(gy: np.ndarray):
         gy = grad_like(gy, shape, "deconv")
         ph = _split(gy, g)
-        gx = _gather(ph, p.kernel, g)
-        gk = _kgrad(ph, rows, g, p.kernel.shape)
-        return gx, {"kernel": gk, "bias": voxel_sum(gy, pooled=True)}
+        return _gather(ph, p.kernel, g), {"kernel": _kgrad(ph, rows, g, p.kernel.shape)}
 
     return LayerGrad(y, backward)
 

@@ -10,8 +10,8 @@ doubling resolution, halving width), fuses it with e's SE output (the
 skip) through the AG filter, and refines with a decoder conv stack.
 Every conv or deconv is followed by the same `_unit`: instance norm,
 ReLU, dropout and a residual add when shapes agree (only the stacks'
-same-shape convs). The head is a 1x1x1 convolution to 4 class channels
-followed by a softmax over channels.
+same-shape convs); the norm cancels a bias, so they have none. The head,
+a biased 1x1x1 convolution to 4 class channels, feeds a softmax.
 
 All parameters live in one flat, deterministically ordered name -> array
 dict; `forward` returns a LayerGrad whose backward produces the input
@@ -60,7 +60,6 @@ CHANNEL_TO_LABEL = np.array(LABEL_VALUES, dtype=np.uint8)
 @dataclass
 class NetConfig:
     in_channels: int = 4
-    num_classes: int = 4
     base_width: int = 16
     depths: int = 2  # convs per stage stack
     se_reduction: int = 4
@@ -77,8 +76,6 @@ class NetConfig:
 
     def validate(self):
         check_finite_floats(self)
-        if self.num_classes != len(LABEL_VALUES):
-            raise ValueError(f"num_classes must be {len(LABEL_VALUES)}, got {self.num_classes}")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.base_width < 1:
@@ -194,10 +191,11 @@ def _parse_value(key: str, hint, raw: str):
 def _add_conv(layout, name, k, c_in, c_out, with_norm=True, transposed=False):
     shape = (k, k, k, c_out, c_in) if transposed else (k, k, k, c_in, c_out)
     layout.append((f"{name}.kernel", shape, ((name,), k ** 3 * c_in)))
-    layout.append((f"{name}.bias", (c_out,), 0.0))
     if with_norm:
         layout.append((f"{name}.gamma", (c_out,), 1.0))
         layout.append((f"{name}.beta", (c_out,), 0.0))
+    else:  # only a conv with no norm has a bias: a norm's mean subtraction cancels one
+        layout.append((f"{name}.bias", (c_out,), 0.0))
 
 
 def _add_se(layout, name, channels, reduction):
@@ -235,7 +233,7 @@ def param_layout(config: NetConfig) -> list[tuple[str, tuple[int, ...], object]]
         _add_ag(layout, f"dec{d}.ag", w)
         for j in range(config.depths):
             _add_conv(layout, f"dec{d}.conv{j}", 3, w, w)
-    _add_conv(layout, "head", 1, config.width(1), config.num_classes, with_norm=False)
+    _add_conv(layout, "head", 1, config.width(1), len(LABEL_VALUES), with_norm=False)
     return layout
 
 
@@ -256,9 +254,8 @@ def build(config: NetConfig, rng: Rng) -> dict[str, np.ndarray]:
 
 def _conv_params(params, name, stride=1):
     kernel = params[f"{name}.kernel"]
-    return Conv3dParams(
-        kernel, params[f"{name}.bias"], stride=stride, padding=(kernel.shape[0] - 1) // 2
-    )
+    return Conv3dParams(kernel, params.get(f"{name}.bias"), stride=stride,
+                        padding=(kernel.shape[0] - 1) // 2)
 
 
 def _se_params(params, name) -> SeParams:
@@ -290,8 +287,8 @@ def _norm(x, params, name):
 
     Normalizing a 1x1x1 slab would collapse it to the shift parameter
     (zero spatial variance), silencing the bottleneck of minimum-size
-    configs; such slabs pass through unchanged and the norm parameters
-    receive zero gradients.
+    configs; such slabs pass through unchanged, with no offset (the conv
+    has no bias), and the norm parameters receive zero gradients.
     """
     if x.shape[1] == x.shape[2] == x.shape[3] == 1:
         zeros = {
@@ -371,8 +368,7 @@ def _level(x, params, config: NetConfig, e, drop, rng, grad):
                         0.0, rng, grad)
     y, inner_bwd = _level(y, params, config, e + 1, drop, rng, grad)
     name = f"dec{STAGES - e}"
-    up_p = Deconv3dParams(params[f"{name}.up.kernel"], params[f"{name}.up.bias"],
-                          stride=2, padding=1, output_padding=1)
+    up_p = Deconv3dParams(params[f"{name}.up.kernel"], stride=2, padding=1, output_padding=1)
     y, up_bwd = _unit(y, deconv3d_forward, up_p, params, f"{name}.up", 0.0, rng, grad)
     y, ag_bwd = _take(ag_forward(skip, y, _ag_params(params, f"{name}.ag", config)), grad)
     y, dec_bwd = _stack(y, params, name, config.depths, drop, rng.derive("dec", STAGES - e), grad)
@@ -556,7 +552,8 @@ def load_checkpoint(directory):
     parameter names and shapes must be the ones `build` makes for the
     stored config; a checkpoint that differs raises ValueError naming it
     and the first parameter that differs, and so does one whose tensors,
-    optimizer moments included, hold a NaN or infinite value."""
+    optimizer moments included, hold a NaN or infinite value, or whose
+    config.txt holds `num_classes` (written before the bias removal)."""
     directory = Path(directory)
     left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
     if left and not directory.exists():
@@ -568,6 +565,9 @@ def load_checkpoint(directory):
             raise ValueError(f"checkpoint {directory}: tensor {name} holds a NaN or infinite value")
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
+    if "\nnum_classes=" in (directory / "config.txt").read_text():
+        raise ValueError(f"checkpoint {directory} predates the bias removal (its config.txt holds "
+                         f"num_classes=), so its layout is no longer read; train a new one")
     config = read_config(NetConfig, directory / "config.txt")
     want = [f"{name} {shape}" for name, shape, _ in param_layout(config)]
     got = [f"{name} {arr.shape}" for name, arr in params.items()]

@@ -221,10 +221,10 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     step. A resume reads that history from the checkpoint alone; the
     out_dir copies of both logs and the report are derived from it at
     each checkpoint and when a resume loads one. A refused resume reads
-    no case (but for a damaged history, which needs the patch count) and
-    leaves out_dir as it was. Once the run is accepted, glibc's malloc
-    thresholds are set for the rest of the process
-    (`_pin_malloc_thresholds`).
+    no case (but for validation rows at the wrong steps, which take the
+    patch count to see) and leaves out_dir as it was. Once the run is
+    accepted, glibc's malloc thresholds are set for the rest of the
+    process (`_pin_malloc_thresholds`).
     """
     out_dir = Path(out_dir)
     rng = Rng(config.seed)
@@ -241,10 +241,12 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
                 raise ValueError(f"checkpoint {resume}: optimizer state {key} has shape "
                                  f"{moment.shape}, its parameter {shape}")
         stored = _check_resumable(resume, config, start_step)
+        loss_log = _read_history(Path(resume), start_step, with_val)
     else:
         params = build(config.net, rng.derive("init"))
         state = init_opt_state(params)
         start_step = 0
+        loss_log = []
 
     _pin_malloc_thresholds()
     cases, patches = _load_training_cases(data_dir, spec)
@@ -252,8 +254,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     if with_val:  # a bad case fails before step 0, not after a traversal
         for case_dir in list_cases(val_dir):
             _read_case(case_dir)
-    loss_log, val_rows = ([], []) if resume is None else _read_history(
-        Path(resume), stored, config, start_step, n, with_val)
+    val_rows = [] if resume is None or not with_val else _val_history(
+        Path(resume), stored, config, start_step, n)
     out_dir.mkdir(parents=True, exist_ok=True)
     if resume is not None:
         _write_derived(out_dir, config, loss_log, val_rows, with_val)
@@ -334,26 +336,32 @@ def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainC
     return stored
 
 
-def _read_history(checkpoint: Path, stored: TrainConfig, config: TrainConfig,
-                  start_step: int, n: int, with_val: bool):
-    """The loss rows of steps 0..start_step-1 and, `with_val`, the
-    validation rows, read from the checkpoint. The stored rows must be
-    exactly those its own run (`stored`) took; the validation rows this
-    run would not take, the final-step rows of a run configured to stop
-    sooner, are dropped.
+def _read_history(checkpoint: Path, start_step: int, with_val: bool):
+    """The loss rows of steps 0..start_step-1, read from the checkpoint.
+    `with_val`, its validation rows must be intact too; their steps, which
+    take the patch count, are checked by `_val_history`.
     """
     loss_log = _history_rows(checkpoint / LOSS_FILE, _loss_row, LOSS_LINE, list(range(start_step)))
-    if not with_val:
-        return loss_log, []
+    if with_val:
+        _history_rows(checkpoint / VAL_FILE, _val_row, VAL_LINE)
+    return loss_log
+
+
+def _val_history(checkpoint: Path, stored: TrainConfig, config: TrainConfig,
+                 start_step: int, n: int):
+    """The validation rows of the checkpoint, which must be exactly those
+    its own run (`stored`) took over n patches; the rows this run would
+    not take, the final-step rows of a run configured to stop sooner,
+    are dropped."""
     taken = [s for s in range(start_step) if _validation_due(stored, s, n) for _ in REGION_ORDER]
     val_rows = _history_rows(checkpoint / VAL_FILE, _val_row, VAL_LINE, taken)
-    return loss_log, [row for row in val_rows if _validation_due(config, row[0], n)]
+    return [row for row in val_rows if _validation_due(config, row[0], n)]
 
 
-def _history_rows(path: Path, parse, line: str, steps: list[int]) -> list[tuple]:
-    """Rows of a checkpoint history file, refused unless their steps are
-    exactly `steps` and each row re-formats to its own line, so a row
-    cut short or edited is caught."""
+def _history_rows(path: Path, parse, line: str, steps: list[int] | None = None) -> list[tuple]:
+    """Rows of a checkpoint history file, refused unless each row
+    re-formats to its own line, so a row cut short or edited is caught,
+    and, given `steps`, their steps are exactly those."""
     if not path.exists():
         raise ValueError(f"checkpoint history {path} is missing, so a resume cannot replay "
                          f"the run before the checkpoint; start a new run")
@@ -362,7 +370,8 @@ def _history_rows(path: Path, parse, line: str, steps: list[int]) -> list[tuple]
         rows = [parse(row) for row in text.splitlines()]
     except ValueError:
         rows = []
-    if "".join(line.format(*row) for row in rows) != text or [row[0] for row in rows] != steps:
+    if "".join(line.format(*row) for row in rows) != text or (
+            steps is not None and [row[0] for row in rows] != steps):
         raise ValueError(f"checkpoint history {path} does not hold exactly the rows of the run "
                          f"before the checkpoint; resume from an intact checkpoint or start a new run")
     return rows
@@ -394,11 +403,17 @@ def _guard_finite(params, step):
 
 def _loss_row(line: str):
     step, lr, loss = line.split(" ")
-    return int(step), float(lr), float(loss)
+    row = int(step), float(lr), float(loss)
+    if not np.isfinite(row[1:]).all():
+        raise ValueError(f"non-finite loss row {line!r}")
+    return row
 
 
 def _val_row(line: str):
     step, text = line.split(" ", 1)
+    for cell in text.split(",")[2:]:  # after the traversal and region: the metrics
+        if cell != "undefined" and not np.isfinite(float(cell)):
+            raise ValueError(f"non-finite validation row {line!r}")
     return int(step), text
 
 

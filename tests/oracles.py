@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import types
+from pathlib import Path
 
 import numpy as np
 
 from agsevnet.ag import DEGENERATE_WEIGHT_SUM, box_sum, window_counts
 from agsevnet.layers import LayerGrad, _Grid, activation
-from agsevnet.losses import SMOOTH, _check_pair, surface_voxels
-from agsevnet.network import NetConfig, forward
+from agsevnet.losses import LABEL_VALUES, SMOOTH, _check_pair, surface_voxels
+from agsevnet.network import NetConfig, forward, load_params, save_params
 from agsevnet.pipeline import PatchSpec, cut_patch, patch_starts, stitch_patches
 from agsevnet.tensor import DTYPE, ShapeError, as_tensor5
 
@@ -42,7 +43,25 @@ def stitched_probs_oracle(x: np.ndarray, params, config: NetConfig, spec: PatchS
     thread, the probability patches stitched as a list."""
     probs = [forward(cut_patch(x, start, spec), params, config).output
              for start in patch_starts(x.shape[1:4], spec)]
-    return stitch_patches(probs, (*x.shape[:4], config.num_classes), spec)
+    return stitch_patches(probs, (*x.shape[:4], len(LABEL_VALUES)), spec)
+
+
+def to_pre_bias_removal_layout(checkpoint: Path) -> None:
+    """Rewrite a checkpoint in the layout written while every conv and
+    deconv that feeds an instance norm had a bias: a zero `<conv>.bias`
+    after each such kernel (its Adam moments included), and the
+    `num_classes=4` key in config.txt and, if present, train_config.txt."""
+    new, old = load_params(checkpoint), {}
+    for name, arr in new.items():
+        old[name] = arr
+        conv = name.removesuffix(".kernel")
+        if f"{conv}.gamma" in new:
+            old[f"{conv}.bias"] = np.zeros_like(new[f"{conv}.gamma"])
+    save_params(checkpoint, old)
+    for name, prefix in (("config.txt", ""), ("train_config.txt", "net.")):
+        path, key = checkpoint / name, f"\n{prefix}base_width="
+        if path.exists():
+            path.write_text(path.read_text().replace(key, f"\n{prefix}num_classes=4{key}"))
 
 
 def surface_distance_pool(pred: np.ndarray, truth: np.ndarray,

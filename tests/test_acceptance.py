@@ -155,7 +155,7 @@ def test_criterion_05_conv_arithmetic_and_adjointness():
     for i in (2, 3, 5, 8):
         x = np.zeros((1, i, i, i, 1))
         out = deconv3d_forward(
-            x, Deconv3dParams(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), 2, 1, 1)
+            x, Deconv3dParams(np.zeros((3, 3, 3, 1, 1)), 2, 1, 1)
         ).output
         assert out.shape[1:4] == (2 * i,) * 3
 
@@ -169,7 +169,7 @@ def test_criterion_05_conv_arithmetic_and_adjointness():
         o = conv.output.shape[1]
         x = rng.normal((1, o, o, o, 2))
         dec = deconv3d_forward(
-            x, Deconv3dParams(kernel, np.zeros(3), s, p, (i + 2 * p - 3) % s)
+            x, Deconv3dParams(kernel, s, p, (i + 2 * p - 3) % s)
         )
         lhs = float((dec.output * y).sum())
         rhs = float((x * conv.output).sum())

@@ -146,17 +146,20 @@ class TestConv3d:
         # these used to fail deep in the kernel (ZeroDivisionError, a zero
         # slice step) or, for a deconv with padding -1, return a wrong shape
         with pytest.raises(ShapeError, match="stride .* padding"):
-            params(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), **geometry)
+            params(np.zeros((3, 3, 3, 1, 1)), **geometry)
 
 
     @pytest.mark.parametrize("params, forward, kernel", CONV_OPS)
     def test_kernel_bias_and_gradient_shapes_validated(self, params, forward, kernel):
         kind = params.__name__
-        p = params(rand(13, kernel), np.zeros(5))  # the bias is as wide as c_out
-        with pytest.raises(ShapeError, match=f"^{kind} bias shape \\(2,\\) does not match c_out 5"):
-            params(rand(13, kernel), np.zeros(2))
+        p = params(rand(13, kernel))  # a conv's bias is optional; a deconv has none
+        if params is Conv3dParams:
+            params(rand(13, kernel), np.zeros(5))  # the bias is as wide as c_out
+            with pytest.raises(ShapeError,
+                               match="^Conv3dParams bias shape \\(2,\\) does not match c_out 5"):
+                params(rand(13, kernel), np.zeros(2))
         with pytest.raises(ShapeError, match=f"^{kind} kernel must have 5 axes"):
-            params(rand(13, kernel[1:]), np.zeros(5))
+            params(rand(13, kernel[1:]))
         lg = forward(rand(14, (1, 4, 4, 4, 2)), p)
         op = forward.__name__.removesuffix("3d_forward")
         with pytest.raises(ShapeError, match=f"^{op} backward: gradient shape"):
@@ -164,7 +167,7 @@ class TestConv3d:
 
     @pytest.mark.parametrize("params, forward, kernel", CONV_OPS)
     def test_backward_keeps_the_output_shape_not_the_output(self, params, forward, kernel):
-        lg = forward(rand(14, (1, 4, 4, 4, 2)), params(rand(13, kernel), np.zeros(5)))
+        lg = forward(rand(14, (1, 4, 4, 4, 2)), params(rand(13, kernel)))
         assert not any(a is lg.output for a in closure_arrays(lg.backward))
 
 
@@ -206,7 +209,7 @@ class TestShiftGemmOracles:
             # conv input gradient = deconv of gy with the output padding
             # that restores the input extent
             op = tuple((e + 2 * pad - kk) % s for e, kk, s in zip(ext, k, stride))
-            adjoint = Deconv3dParams(kernel, np.zeros(2), stride, pad, op)
+            adjoint = Deconv3dParams(kernel, stride, pad, op)
             assert close(gx, deconv3d_oracle(gy, adjoint))
             want_k = kernel_grad_loop(x, gy, kernel.shape, stride, (pad,) * 3)
             assert close(gp["kernel"], want_k)
@@ -217,14 +220,13 @@ class TestShiftGemmOracles:
     def test_deconv_matches_oracles(self, k, stride, pad):
         rng = Rng(51).derive(*k, *stride, pad)
         kernel = rng.normal((*k, 3, 2))
-        bias = rng.normal((3,))
         for ext, n in INPUTS:
             x = rng.normal((n, *ext, 2))
             for op in np.ndindex(*stride):  # every valid output_padding
                 out = [deconv_output_extent(*v) for v in zip(ext, k, stride, (pad,) * 3, op)]
                 if min(out) < 1:
                     continue
-                p = Deconv3dParams(kernel, bias, stride, pad, op)
+                p = Deconv3dParams(kernel, stride, pad, op)
                 lg = deconv3d_forward(x, p)
                 assert close(lg.output, deconv3d_oracle(x, p))
                 gy = rng.normal(lg.output.shape)
@@ -253,7 +255,7 @@ class TestShiftGemmTiles:
         if kind == "conv":
             lg = conv3d_forward(x, Conv3dParams(kernel, np.zeros(kernel.shape[4]), stride, 1))
         else:
-            lg = deconv3d_forward(x, Deconv3dParams(kernel, np.zeros(kernel.shape[3]), stride, 1, op))
+            lg = deconv3d_forward(x, Deconv3dParams(kernel, stride, 1, op))
         gx, gp = lg.backward(rand(gy_seed, lg.output.shape))
         return lg.output, gx, gp["kernel"]
 
@@ -289,6 +291,45 @@ class TestShiftGemmTiles:
         assert layers._product(one, 0, 1, kk, buf).tobytes() == (one @ kk).tobytes()
 
 
+class TestBiasBeforeNorm:
+    """The bias that the network's norm-fed convs and its deconv dropped,
+    kept as an oracle: instance norm's mean subtraction cancels a
+    per-channel offset, so the biased and the bias-free layer give the same
+    norm output and norm gradients. Shapes are the acceptance network's at
+    a 32^3 patch, width 4: a stack conv, enc1.down and dec4.up."""
+
+    CASES = {  # input shape, kernel shape, stride, deconv
+        "conv_s1": ((1, 32, 32, 32, 4), (3, 3, 3, 4, 4), 1, False),
+        "conv_s2": ((1, 32, 32, 32, 4), (3, 3, 3, 4, 8), 2, False),
+        "deconv_up": ((1, 16, 16, 16, 8), (3, 3, 3, 4, 8), 2, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_norm_cancels_a_bias(self, case):
+        x_shape, k_shape, stride, deconv = self.CASES[case]
+        rng = Rng(80).derive(case)
+        x = rng.normal(x_shape)
+        kernel = rng.normal(k_shape, scale=0.2)
+        c_out = k_shape[3] if deconv else k_shape[4]
+        bias = rng.normal((c_out,))
+        gamma, beta = rng.uniform(0.5, 1.5, (c_out,)), rng.normal((c_out,))
+        if deconv:
+            plain = deconv3d_forward(x, Deconv3dParams(kernel, stride, 1, 1)).output
+            biased = plain + bias
+        else:
+            plain = conv3d_forward(x, Conv3dParams(kernel, None, stride, 1)).output
+            biased = conv3d_forward(x, Conv3dParams(kernel, bias, stride, 1)).output
+        assert plain.shape[1:4] == ((32, 32, 32) if deconv else (32 // stride,) * 3)
+        assert np.abs(biased - plain).min() > 0.0
+        got, want = (instance_norm(y, gamma, beta, 1e-5) for y in (plain, biased))
+        assert close(got.output, want.output)
+        gy = rng.normal(plain.shape)
+        (g_got, p_got), (g_want, p_want) = got.backward(gy), want.backward(gy)
+        assert close(g_got, g_want)
+        assert close(p_got["gamma"], p_want["gamma"])
+        assert p_got["beta"].tobytes() == p_want["beta"].tobytes()
+
+
 class TestSizeArithmetic:
     @pytest.mark.parametrize("i", [5, 6, 7, 8, 9, 12, 16])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -307,9 +348,7 @@ class TestSizeArithmetic:
     @pytest.mark.parametrize("i", [2, 3, 5, 8])
     def test_deconv_doubles(self, i):
         x = np.zeros((1, i, i, i, 1))
-        params = Deconv3dParams(
-            np.zeros((3, 3, 3, 1, 1)), np.zeros(1), stride=2, padding=1, output_padding=1
-        )
+        params = Deconv3dParams(np.zeros((3, 3, 3, 1, 1)), stride=2, padding=1, output_padding=1)
         out = deconv3d_forward(x, params).output
         assert out.shape[1:4] == (2 * i,) * 3
         assert deconv_output_extent(i, 3, 2, 1, 1) == 2 * i
@@ -320,7 +359,7 @@ class TestDeconv3d:
         x = rand(20, (1, 3, 3, 3, 1))
         k = np.zeros((1, 1, 1, 1, 1))
         k[0, 0, 0, 0, 0] = 1.0
-        out = deconv3d_forward(x, Deconv3dParams(k, np.zeros(1))).output
+        out = deconv3d_forward(x, Deconv3dParams(k)).output
         assert np.array_equal(out, x)
 
     @pytest.mark.parametrize("i,s,p", [(9, 2, 1), (8, 2, 0), (7, 3, 1), (6, 1, 1)])
@@ -333,7 +372,7 @@ class TestDeconv3d:
         op = (i + 2 * p - 3) % s
         x = rng.normal((1, o, o, o, 2))
         dec = deconv3d_forward(
-            x, Deconv3dParams(kernel, np.zeros(4), stride=s, padding=p, output_padding=op)
+            x, Deconv3dParams(kernel, stride=s, padding=p, output_padding=op)
         )
         assert dec.output.shape == y.shape
         lhs = (dec.output * y).sum()
@@ -342,7 +381,7 @@ class TestDeconv3d:
 
     def test_output_padding_range_validated(self):
         with pytest.raises(ShapeError, match="output_padding"):
-            Deconv3dParams(np.zeros((3, 3, 3, 1, 1)), np.zeros(1), stride=2, output_padding=2)
+            Deconv3dParams(np.zeros((3, 3, 3, 1, 1)), stride=2, output_padding=2)
 
 
 class TestActivations:
@@ -518,7 +557,7 @@ class TestParamSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         params = {
             "enc1.conv0.kernel": rand(36, (3, 3, 3, 2, 4)),
-            "enc1.conv0.bias": rand(37, (4,)),
+            "enc1.conv0.gamma": rand(37, (4,)),
             "head.kernel": rand(38, (1, 1, 1, 4, 4)),
         }
         save_params(tmp_path / "params", params)
@@ -539,7 +578,7 @@ class TestParamSerialization:
             "enc1.conv0.kernel": rand(41, (3, 3, 3, 2, 4)),
             "transposed": rand(42, (5, 3)).T,
             "empty": np.zeros((0, 4)),
-            "enc1.conv0.bias": rand(43, (4,)),
+            "enc1.conv0.gamma": rand(43, (4,)),
         }
         save_params(tmp_path / "p", params)
         flat = np.load(tmp_path / "p" / "params.npy")

@@ -34,6 +34,7 @@ from agsevnet.train import (
     config_hash,
     train,
 )
+import oracles
 
 LOGS = ("losses.txt", "val.txt", "report.txt")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,7 +146,7 @@ class TestTrainConfig:
         defaults, default_net = TrainConfig(), NetConfig()
         assert all(getattr(every_field, k) != getattr(defaults, k) for k in vars(defaults))
         assert all(getattr(net, k) != getattr(default_net, k)
-                   for k in vars(default_net) if k != "num_classes")  # num_classes must be 4
+                   for k in vars(default_net))
         text = config_to_text(every_field)
         assert "patch_stride=8,16,24\n" in text and "net.patch_shape=16,32,48\n" in text
         assert config_from_text(TrainConfig, text) == every_field
@@ -159,11 +160,11 @@ class TestTrainConfig:
             "patch_stride=-\n"
             "\n"
             "# network configuration\n"
-            "net.in_channels=4\nnet.num_classes=4\nnet.base_width=16\nnet.depths=2\n"
+            "net.in_channels=4\nnet.base_width=16\nnet.depths=2\n"
             "net.se_reduction=4\nnet.ag_radius=16\nnet.ag_eps=0.01\nnet.dropout=0.5\n"
             "net.patch_shape=64,128,128\n"
         )
-        assert config_hash(TrainConfig()) == "e3a24674097a0b53"
+        assert config_hash(TrainConfig()) == "adf108e937e45626"
 
     def test_learning_rate_schedule(self):
         cfg = tiny_train_config(lr_initial=1e-4, lr_decayed=3e-5, lr_decay_step=10)
@@ -245,6 +246,10 @@ class TestTraining:
         train(cfg, phantom_dir, tmp_path, val_dir=phantom_dir, log=lambda s: None)
         checkpoint = tmp_path / "checkpoint"
         longer = tiny_train_config(max_steps=4, checkpoint_interval=2)
+
+        def first_row(cells, bad):  # the first row with its cell after `cells` set to `bad`
+            return lambda t: re.sub(f"^{cells}", rf"\g<1>{bad}", t, count=1)
+
         for name, damage, message in (
             ("losses.txt", lambda t: None, "is missing"),
             ("losses.txt", lambda t: t[:20], "does not hold exactly"),
@@ -252,6 +257,12 @@ class TestTraining:
             ("losses.txt", lambda t: t + t.splitlines(keepends=True)[-1], "does not hold exactly"),
             ("val.txt", lambda t: None, "is missing"),
             ("val.txt", lambda t: t.split("\n", 1)[1], "does not hold exactly"),
+            # first rows that re-format to themselves, so that a resume
+            # would copy the NaN or inf into report.txt
+            ("losses.txt", first_row(r"(\S+ \S+ )\S+", "nan"), "does not hold exactly"),  # loss
+            ("losses.txt", first_row(r"(\S+ )\S+", "inf"), "does not hold exactly"),  # rate
+            ("val.txt", first_row(r"(\S+ \S+,WT,)[^,]+", "nan"), "does not hold exactly"),  # dice
+            ("val.txt", first_row(r"([^\n]+,)[^,\n]+", "inf"), "does not hold exactly"),  # hd95
         ):
             original = (checkpoint / name).read_text()
             damaged = damage(original)
@@ -546,10 +557,10 @@ class TestGuards:
 
 class TestPaperDefaults:
     def test_reference_hyperparameters(self):
-        from agsevnet.losses import ClassWeights
+        from agsevnet.losses import LABEL_VALUES, ClassWeights
 
         net = NetConfig()
-        assert net.in_channels == 4 and net.num_classes == 4
+        assert net.in_channels == 4 and len(LABEL_VALUES) == 4
         assert net.se_reduction == 4
         assert net.ag_radius == 16 and net.ag_eps == pytest.approx(0.1 ** 2)
         assert net.dropout == 0.5
@@ -793,7 +804,7 @@ class TestCli:
                         config, 0)
         assert main(predict) == 1
         err = capsys.readouterr().err
-        assert f"checkpoint {ckpt} holds enc1.conv0.bias (2,) where" in err
+        assert f"checkpoint {ckpt} holds enc1.conv0.gamma (2,) where" in err
         save_checkpoint(ckpt, params, config, 0)
         manifest = ckpt / "manifest.txt"
         kernel_line = "name=enc1.conv0.kernel shape=3x3x3x4x2\n"
@@ -929,16 +940,28 @@ class TestCli:
         assert main(resume) == 1
         assert "losses.txt is missing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("refusal", ["missing_checkpoint", "changed_config"])
+    # the run before the resume trains without --val, so its checkpoint holds no val.txt
+    REFUSALS = {
+        "missing_checkpoint": (None, "no parameter manifest at"),
+        "changed_config": ({"lr_initial": 0.5}, "differs from the checkpoint's in lr_initial"),
+        "cut_losses": ({}, "losses.txt does not hold exactly the rows"),
+        "missing_val": ({}, "val.txt is missing"),
+    }
+
+    @pytest.mark.parametrize("refusal", list(REFUSALS))
     def test_refused_resume_writes_nothing_and_reads_no_case(self, phantom_dir, tmp_path, capsys,
                                                              monkeypatch, refusal):
         cfg_file, fresh = tmp_path / "train.cfg", tmp_path / "fresh"
         ckpt = tmp_path / "run" / "checkpoint"
         cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
-        if refusal == "changed_config":
+        changes, message = self.REFUSALS[refusal]
+        if changes is not None:
             assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                          "--out", str(tmp_path / "run")]) == 0
-            cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, lr_initial=0.5)))
+            cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, **changes)))
+        if refusal == "cut_losses":
+            losses = ckpt / "losses.txt"
+            losses.write_bytes(losses.read_bytes()[:20])
         reads = []
 
         def counting_read(case_dir):
@@ -950,7 +973,8 @@ class TestCli:
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(fresh), "--val", str(phantom_dir),
                      "--checkpoint", str(ckpt)]) == 1
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err, err
         assert not fresh.exists()
         assert reads == []
 
@@ -1018,6 +1042,29 @@ class TestCli:
         assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
                      "--out", str(pred)]) == 0
         assert sorted(p.name for p in pred.iterdir()) == ["case000.npy", "case001.npy"]
+
+    def test_checkpoint_from_before_the_bias_removal_exits_one(self, phantom_dir, tmp_path,
+                                                               capsys):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        ckpt = run / "checkpoint"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        oracles.to_pre_bias_removal_layout(ckpt)
+        assert "enc1.conv0.bias" in network.load_params(ckpt)
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        capsys.readouterr()
+        for argv in (["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                      "--out", str(tmp_path / "pred")],
+                     [*train_args, "--checkpoint", str(ckpt)],
+                     ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(tmp_path / "fresh"), "--checkpoint", str(ckpt)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"error: checkpoint {ckpt} predates the bias removal" in err, err
+            assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
 
     def test_resume_below_checkpoint_step_exits_one(self, phantom_dir, tmp_path, capsys):
         cfg_file = tmp_path / "train.cfg"

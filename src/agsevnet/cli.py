@@ -40,7 +40,6 @@ def cmd_phantom_gen(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = Rng(args.seed)
     for k in range(args.count):
         case = generate_phantom(rng.derive("phantom", k), args.shape, args.difficulty)

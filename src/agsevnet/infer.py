@@ -148,15 +148,16 @@ def predict_case(case_dir, params, config: NetConfig,
 
 def predict_dir(data_dir, params, config: NetConfig, out_dir, stride=None, log=print) -> None:
     """Write each case's predicted label volume as out_dir/<case>.npy. A
-    bad `stride` is refused before out_dir is made or a case is read."""
+    bad `stride` is refused before out_dir is made or a case is read, and
+    out_dir is made only once the first case is predicted."""
     try:
         spec = PatchSpec(config.patch_shape, stride)
     except ValueError as exc:
         raise ValueError(f"--stride: {exc}") from None
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for case_dir in list_cases(data_dir):
         labels = predict_case(case_dir, params, config, spec.stride)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_npy(out_dir / f"{case_dir.name}.npy", labels)
         log(f"predicted {case_dir.name}")
 

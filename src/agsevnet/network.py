@@ -468,11 +468,7 @@ def _read_manifest(directory: Path) -> tuple[dict[str, tuple[int, ...]], str]:
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise FileNotFoundError(f"no parameter manifest at {manifest}")
-    text = manifest.read_text()
-    if re.search(r"(?:^|\s)file=", text):
-        raise ValueError(f"checkpoint {directory} has the per-tensor layout (one .npy file per "
-                         f"tensor), which is no longer read; save it again as {PARAMS_NAME}")
-    *lines, last = text.splitlines() or [""]
+    *lines, last = manifest.read_text().splitlines() or [""]
     digest = re.fullmatch(r"sha256=([0-9a-f]{64})", last)
     if digest is None:
         raise ValueError(f"{manifest}: last line {last!r} is not sha256=<64 hex digits>")
@@ -556,19 +552,19 @@ def load_checkpoint(directory):
     config.txt holds `num_classes` (written before the bias removal)."""
     directory = Path(directory)
     left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
-    if left and not directory.exists():
-        raise FileNotFoundError(f"no checkpoint at {directory}: a save was cut short and left "
-                                f"{' and '.join(left)}")
+    if not directory.exists():
+        raise FileNotFoundError(f"no checkpoint at {directory}" + (
+            f": a save was cut short and left {' and '.join(left)}" if left else ""))
+    if "\nnum_classes=" in (directory / "config.txt").read_text():
+        raise ValueError(f"checkpoint {directory} predates the bias removal (its config.txt holds "
+                         f"num_classes=), so its layout is no longer read; train a new one")
+    config = read_config(NetConfig, directory / "config.txt")
     blob = load_params(directory)
     for name, arr in blob.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint {directory}: tensor {name} holds a NaN or infinite value")
     params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
     extra = {k[len("opt."):]: v for k, v in blob.items() if k.startswith("opt.")}
-    if "\nnum_classes=" in (directory / "config.txt").read_text():
-        raise ValueError(f"checkpoint {directory} predates the bias removal (its config.txt holds "
-                         f"num_classes=), so its layout is no longer read; train a new one")
-    config = read_config(NetConfig, directory / "config.txt")
     want = [f"{name} {shape}" for name, shape, _ in param_layout(config)]
     got = [f"{name} {arr.shape}" for name, arr in params.items()]
     for found, built in zip_longest(got, want, fillvalue="nothing"):

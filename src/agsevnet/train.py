@@ -16,12 +16,12 @@ import ctypes
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .infer import predict_case
+from .infer import stitched_probs
 from .losses import (
     LABEL_VALUES,
     METRIC_ORDER,
@@ -39,6 +39,7 @@ from .network import (
     config_to_text,
     forward,
     load_checkpoint,
+    predict_labels,
     read_config,
     save_checkpoint,
 )
@@ -215,10 +216,12 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     report under out_dir/report.txt (loss per step, learning rate,
     seed, config hash, and, when `val_dir` is given, per-traversal
     validation metrics in the evaluation-table layout; no wall-clock
-    inside the report so reruns are byte-identical). Each checkpoint
-    holds the run's history: the loss rows (losses.txt) and, with
-    `val_dir`, the validation rows (val.txt), each row carrying its
-    step. A resume reads that history from the checkpoint alone; the
+    inside the report so reruns are byte-identical). The `val_dir` cases
+    are read once, before step 0, and held for the run like the training
+    cases. Each checkpoint holds the run's history: the loss rows
+    (losses.txt) and, with `val_dir`, the validation rows (val.txt), each
+    row carrying its step. A resume reads that history from the
+    checkpoint alone, and trains the network of its config.txt; the
     out_dir copies of both logs and the report are derived from it at
     each checkpoint and when a resume loads one. A refused resume reads
     no case (but for validation rows at the wrong steps, which take the
@@ -231,7 +234,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     spec = config.patch_spec()
     with_val = val_dir is not None
     if resume is not None:  # refused before a case is read or a file written
-        params, _, start_step, state = load_checkpoint(resume)
+        params, net, start_step, state = load_checkpoint(resume)
         if sorted(state) != sorted(_opt_state_names(params)):
             raise ValueError(f"checkpoint {resume}: optimizer state is not one Adam m/v pair "
                              f"per parameter")
@@ -240,7 +243,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
             if moment.shape != shape:
                 raise ValueError(f"checkpoint {resume}: optimizer state {key} has shape "
                                  f"{moment.shape}, its parameter {shape}")
-        stored = _check_resumable(resume, config, start_step)
+        stored = _check_resumable(resume, config, start_step, net)
         loss_log = _read_history(Path(resume), start_step, with_val)
     else:
         params = build(config.net, rng.derive("init"))
@@ -251,9 +254,8 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     _pin_malloc_thresholds()
     cases, patches = _load_training_cases(data_dir, spec)
     n = len(patches)
-    if with_val:  # a bad case fails before step 0, not after a traversal
-        for case_dir in list_cases(val_dir):
-            _read_case(case_dir)
+    # read once, before step 0: a bad case fails before any step, and none is re-read
+    val_cases = [(d.name, *_read_case(d)) for d in list_cases(val_dir)] if with_val else []
     val_rows = [] if resume is None or not with_val else _val_history(
         Path(resume), stored, config, start_step, n)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,7 +289,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         if checkpoint_due:
             _guard_finite(params, step)
         if with_val and _validation_due(config, step, n):
-            rows = _validation_metrics(val_dir, params, config, traversal)
+            rows = _validation_metrics(val_cases, params, config, traversal)
             val_rows.extend((step, row) for row in rows)
             log(f"traversal {traversal}: " + "; ".join(rows[-3:]))
         if checkpoint_due:
@@ -308,18 +310,18 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     return checkpoint_dir if start_step < config.max_steps else Path(resume)
 
 
-def _check_resumable(checkpoint, config: TrainConfig, start_step: int) -> TrainConfig:
+def _check_resumable(checkpoint, config: TrainConfig, start_step: int, net: NetConfig) -> TrainConfig:
     """Refuse to resume unless the run replays the one the checkpoint's
-    stored training config began: every key must match except max_steps
-    and checkpoint_interval, max_steps may not fall below the steps
-    already taken, and lr_decay_step may move only among the steps not
-    yet taken. Returns the stored config.
-    """
+    stored training config began, its network taken as `net` (config.txt's,
+    which the tensors were checked against): every key must match except
+    max_steps and checkpoint_interval, max_steps may not fall below the
+    steps already taken, and lr_decay_step may move only among the steps
+    not yet taken. Returns the stored config."""
     path = Path(checkpoint) / TRAIN_CONFIG_FILE
     if not path.exists():
         raise ValueError(f"checkpoint {checkpoint} stores no training configuration "
                          f"({TRAIN_CONFIG_FILE}), so a resume cannot be checked against it")
-    stored = read_config(TrainConfig, path)
+    stored = replace(read_config(TrainConfig, path), net=net)
     if config.max_steps < start_step:
         raise ValueError(f"max_steps={config.max_steps} is below the {start_step} steps the "
                          f"checkpoint {checkpoint} has taken; resume with max_steps >= {start_step}")
@@ -384,13 +386,12 @@ def _validation_due(config: TrainConfig, step: int, n: int) -> bool:
     return ((step + 1) * b) // n > (step * b) // n or step + 1 == config.max_steps
 
 
-def _validation_metrics(val_dir, params, config: TrainConfig, traversal: int) -> list[str]:
-    """Mean dice/sensitivity/specificity/hd95 per region over val cases."""
-    rows = []
-    for case_dir in list_cases(val_dir):
-        truth = load_labels(case_dir)
-        pred = predict_case(case_dir, params, config.net)
-        rows += region_rows(case_dir.name, pred, truth)
+def _validation_metrics(val_cases, params, config: TrainConfig, traversal: int) -> list[str]:
+    """Mean dice/sensitivity/specificity/hd95 per region over the held val cases."""
+    rows, spec = [], PatchSpec(config.net.patch_shape)  # as predict_case: no patch_stride
+    for name, x, truth in val_cases:
+        pred = predict_labels(stitched_probs(x, params, config.net, spec))[0]
+        rows += region_rows(name, pred, truth)
     return [",".join([str(traversal), region, *summary_cells(rows, region)])
             for region in REGION_ORDER]
 

@@ -454,7 +454,9 @@ class TestCheckpoint:
         blob = [*params.values(), *extra.values()]
         assert flat.tobytes() == b"".join(arr.tobytes() for arr in blob)
 
-    def test_per_tensor_checkpoint_is_refused(self, tmp_path):
+    def test_per_tensor_checkpoint_is_refused(self, tmp_path, monkeypatch):
+        # every per-tensor checkpoint also predates the bias removal: its
+        # config.txt holds num_classes=4, so it is refused before any tensor is read
         cfg = tiny_config()
         old = tmp_path / "old"
         old.mkdir()
@@ -465,11 +467,15 @@ class TestCheckpoint:
             shape = "x".join(map(str, arr.shape))
             lines.append(f"name={name} shape={shape} file={name}.npy sha256={digest}")
         (old / "manifest.txt").write_text("\n".join(lines) + "\n")
-        (old / "config.txt").write_text(config_to_text(cfg))
+        (old / "config.txt").write_text(
+            config_to_text(cfg).replace("\nbase_width=", "\nnum_classes=4\nbase_width="))
         (old / "step.txt").write_text("1\n")
-        with pytest.raises(ValueError, match="per-tensor layout .* is no longer read") as info:
+        reads = []
+        monkeypatch.setattr(network, "read_file", lambda path: reads.append(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {old} predates the bias removal (its config.txt holds num_classes=)")):
             load_checkpoint(old)
-        assert f"checkpoint {old} " in str(info.value)
+        assert reads == []
 
     def test_parameters_must_match_the_stored_config(self, tmp_path):
         cfg = tiny_config()

@@ -30,7 +30,6 @@ from agsevnet.train import (
     TrainConfig,
     _pin_malloc_thresholds,
     _read_case,
-    _validation_metrics,
     config_hash,
     train,
 )
@@ -430,21 +429,37 @@ class TestTraining:
             assert region in ("WT", "TC", "ET")
         assert report == (tmp_path / "vb" / "report.txt").read_text()
 
-    def test_validation_reads_each_modality_once(self, phantom_dir, monkeypatch):
+    def test_a_validated_run_reads_each_file_once(self, phantom_dir, tmp_path, monkeypatch):
+        val = tmp_path / "val"
+        shutil.copytree(phantom_dir, val)
         reads = []
 
         def counting_read(path):
-            reads.append(f"{path.parent.name}/{path.name}")
+            reads.append(path)
             return read_npy(path)
 
         monkeypatch.setattr(pipeline, "read_npy", counting_read)
-        cfg = tiny_train_config()
-        _validation_metrics(phantom_dir, build(cfg.net, Rng(4)), cfg, 0)
-        modalities = [r for r in reads if not r.endswith("seg.npy")]
-        assert len(modalities) == len(set(modalities)) == 2 * 4
-        assert sorted(r for r in reads if r.endswith("seg.npy")) == [
-            "case000/seg.npy", "case001/seg.npy"
-        ]
+        logged = []
+        # 2 patches a traversal: validation follows steps 1 and 3
+        train(tiny_train_config(max_steps=4, checkpoint_interval=2), phantom_dir, tmp_path / "run",
+              val_dir=val, log=logged.append)
+        assert [line.split(":")[0] for line in logged if line.startswith("traversal")] == [
+            "traversal 0", "traversal 1"]
+        assert sorted(reads) == sorted([*phantom_dir.rglob("*.npy"), *val.rglob("*.npy")])
+
+    def test_val_file_deleted_after_step_zero_changes_no_byte(self, phantom_dir, tmp_path):
+        cfg = tiny_train_config(max_steps=4, checkpoint_interval=1)
+        val = tmp_path / "val"
+        shutil.copytree(phantom_dir, val)
+        train(cfg, phantom_dir, tmp_path / "whole", val_dir=val, log=lambda s: None)
+
+        def log(line):  # step 0's line comes before the first validation
+            if line.startswith("step     0 "):
+                (val / "case001" / "t2.npy").unlink()
+
+        train(cfg, phantom_dir, tmp_path / "cut", val_dir=val, log=log)
+        assert not (val / "case001" / "t2.npy").exists()
+        assert dir_bytes(tmp_path / "cut") == dir_bytes(tmp_path / "whole")
 
     def test_prediction_reads_no_labels(self, phantom_dir, monkeypatch):
         reads = []
@@ -794,6 +809,21 @@ class TestCli:
         assert "--stride: patch stride must be >= 1 per axis, got (0, 0, 0)" in capsys.readouterr().err
         assert reads == [] and not (tmp_path / "pred").exists()
 
+    def test_predict_with_nothing_to_write_leaves_no_out(self, phantom_dir, tmp_path, capsys):
+        net = tiny_train_config().net
+        save_checkpoint(tmp_path / "ck", build(net, Rng(4)), net, 0)
+        empty, bad = tmp_path / "empty", tmp_path / "bad"
+        empty.mkdir()
+        shutil.copytree(phantom_dir, bad)
+        (bad / "case000" / "flair.npy").unlink()  # the first case fails, the second would not
+        for data, error in ((empty, f"no case directories under {empty}"),
+                            (bad, "case case000: missing modality file flair.npy")):
+            capsys.readouterr()
+            assert main(["predict", "--checkpoint", str(tmp_path / "ck"), "--data", str(data),
+                         "--out", str(tmp_path / "new")]) == 1
+            assert f"error: {error}" in capsys.readouterr().err
+            assert not (tmp_path / "new").exists()
+
     def test_predict_refuses_damaged_checkpoint(self, phantom_dir, tmp_path, capsys):
         config = tiny_train_config().net
         params = build(config, Rng(5))
@@ -942,7 +972,7 @@ class TestCli:
 
     # the run before the resume trains without --val, so its checkpoint holds no val.txt
     REFUSALS = {
-        "missing_checkpoint": (None, "no parameter manifest at"),
+        "missing_checkpoint": (None, "no checkpoint at"),
         "changed_config": ({"lr_initial": 0.5}, "differs from the checkpoint's in lr_initial"),
         "cut_losses": ({}, "losses.txt does not hold exactly the rows"),
         "missing_val": ({}, "val.txt is missing"),
@@ -1018,6 +1048,46 @@ class TestCli:
         assert f"error: {bad}: {error}" in err, err
         assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
 
+    def test_resume_trains_the_network_of_config_txt(self, phantom_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        ckpt = run / "checkpoint"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        stored = ckpt / "train_config.txt"
+        text = stored.read_text()
+        assert "\nbase_width=2\n" in (ckpt / "config.txt").read_text()
+        assert "\nnet.base_width=2\n" in text
+        stored.write_text(text.replace("\nnet.base_width=2\n", "\nnet.base_width=4\n"))
+        wide = NetConfig(**{**vars(tiny_train_config().net), "base_width": 4})
+        cfg_file.write_text(config_to_text(
+            tiny_train_config(max_steps=4, checkpoint_interval=2, net=wide)))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        reads = []
+
+        def counting_read(case_dir):
+            reads.append(case_dir)
+            return _read_case(case_dir)
+
+        monkeypatch.setattr("agsevnet.train._read_case", counting_read)
+        capsys.readouterr()
+        for out in (run, tmp_path / "fresh"):
+            assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                         "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+            err = capsys.readouterr().err
+            assert "error: training config differs from the checkpoint's in net.base_width;" in err
+            assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+            assert reads == []
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        assert main([*train_args, "--checkpoint", str(ckpt)]) == 0
+        _, net, step, _ = load_checkpoint(ckpt)
+        assert (net.base_width, step) == (2, 4)
+        assert "\nnet.base_width=2\n" in stored.read_text()
+        assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
+                     "--out", str(tmp_path / "pred")]) == 0
+
     def test_checkpoint_from_before_adam_only_predicts_but_does_not_resume(self, phantom_dir,
                                                                           tmp_path, capsys):
         cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
@@ -1083,7 +1153,9 @@ class TestCli:
 
     def test_bad_inputs_exit_one(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
-        assert main(["phantom-gen", "-n", "1", "--shape", "8", "--out", str(tmp_path / "p")]) == 1
+        for bad in (["--shape", "8"], ["--difficulty", "2"]):
+            assert main(["phantom-gen", "-n", "1", *bad, "--out", str(tmp_path / "p")]) == 1
+            assert not (tmp_path / "p").exists(), bad
         for argv in (["predict", "--checkpoint", "c", "--data", "d", "--out", "o", "--stride", "1,2"],
                      ["train", "--data", "x"], ["phantom-gen", "--count", "two", "--out", "p"],
                      # the training seed is the config's seed= alone

@@ -24,7 +24,7 @@ from .layers import (
     dense,
     instance_norm,
 )
-from .losses import SMOOTH, ClassWeights, _check_pair, dice_loss
+from .losses import CLASS_WEIGHTS, SMOOTH, _check_pair, dice_loss
 from .network import NetConfig, build, forward
 from .rng import Rng
 from .se import SeParams, se_forward
@@ -238,14 +238,13 @@ def check_net(seed: int = 0) -> list[CheckResult]:
     lbl = rng.derive("lbl").integers(0, 4, (1, 16, 16, 16))
     for cls in range(4):
         g[..., cls] = lbl == cls
-    weights = ClassWeights()
 
     def loss_of(p_dict):
         lg = forward(x, p_dict, config)
-        return dice_loss(lg.output, g, weights)[0]
+        return dice_loss(lg.output, g)[0]
 
     lg = forward(x, params, config)
-    loss, grad_p = dice_loss(lg.output, g, weights)
+    loss, grad_p = dice_loss(lg.output, g)
     gx, grads = lg.backward(grad_p)
 
     sample_rng = rng.derive("sample")
@@ -268,7 +267,7 @@ def check_net(seed: int = 0) -> list[CheckResult]:
 
     probe_idx = random_sample_indices(rng.derive("xidx"), x.size, 20)
     numeric_x = numeric_grad(
-        lambda v: dice_loss(forward(v, params, config).output, g, weights)[0],
+        lambda v: dice_loss(forward(v, params, config).output, g)[0],
         x,
         indices=probe_idx,
         refine=True,
@@ -286,14 +285,13 @@ def check_loss(seed: int = 0) -> list[CheckResult]:
     g = np.zeros(shape)
     for cls in range(4):
         g[..., cls] = lbl == cls
-    weights = ClassWeights()
 
     def loss_of(lv):
         probs = activation(lv, "softmax_channel").output
-        return dice_loss(probs, g, weights)[0]
+        return dice_loss(probs, g)[0]
 
     lg_soft = activation(logits, "softmax_channel")
-    loss, grad_p = dice_loss(lg_soft.output, g, weights)
+    loss, grad_p = dice_loss(lg_soft.output, g)
     grad_logits, _ = lg_soft.backward(grad_p)
     numeric = numeric_grad(loss_of, logits)
     results.append(CheckResult("loss/grad_on_logits", max_rel_err(grad_logits, numeric), 1e-6))
@@ -301,8 +299,8 @@ def check_loss(seed: int = 0) -> list[CheckResult]:
     # closed-form gradient vs the composed backward, per class
     probs = lg_soft.output
     closed = dice_grad_closed_form(probs, g)
-    w = np.asarray(weights.w)
-    composed = dice_loss(probs, g, weights)[1]
+    w = np.asarray(CLASS_WEIGHTS)
+    composed = dice_loss(probs, g)[1]
     recomposed = -(w / w.sum()) * closed
     err = float(np.abs(composed - recomposed).max())
     results.append(CheckResult("loss/closed_form_vs_composed", err, 1e-10))

@@ -22,17 +22,9 @@ LABEL_VALUES = (0, 1, 2, 4)
 REGION_LABELS = {"WT": (1, 2, 4), "TC": (1, 4), "ET": (4,)}
 REGION_ORDER = ("WT", "TC", "ET")
 METRIC_ORDER = ("dice", "sensitivity", "specificity", "hd95")
-
-
-@dataclass
-class ClassWeights:
-    w: tuple[float, float, float, float] = (0.1, 1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        self.w = tuple(float(v) for v in self.w)
-        n = len(LABEL_VALUES)
-        if len(self.w) != n or not all(0 <= v < np.inf for v in self.w) or sum(self.w) == 0:
-            raise ValueError(f"class_weights must be {n} finite floats >= 0, not all zero: {self.w}")
+# dice_loss's weight per class channel, in LABEL_VALUES order: the reference
+# setup's, a constant with no config key, like Adam's (train.BETA1...ADAM_EPS)
+CLASS_WEIGHTS = (0.1, 1.0, 1.0, 1.0)
 
 
 @dataclass
@@ -55,16 +47,16 @@ def _check_pair(p: np.ndarray, g: np.ndarray):
     return p, g
 
 
-def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights) -> tuple[float, np.ndarray]:
+def dice_loss(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
     """Weighted negative soft Dice and its gradient with respect to p.
 
-    loss = -sum_c w_c D_c / sum_c w_c, so a perfect prediction with all
-    classes present scores exactly -1. The gradient composes the
-    quotient rule over the three per-class sums; empty classes
-    contribute zero loss and zero gradient.
+    loss = -sum_c w_c D_c / sum_c w_c with w = CLASS_WEIGHTS, so a
+    perfect prediction with all classes present scores exactly -1. The
+    gradient composes the quotient rule over the three per-class sums;
+    empty classes contribute zero loss and zero gradient.
     """
     p, g = _check_pair(p, g)
-    w = np.asarray(weights.w, dtype=DTYPE)
+    w = np.asarray(CLASS_WEIGHTS, dtype=DTYPE)
     wsum = w.sum()
     inter = voxel_sum(p * g, pooled=True)
     pp = voxel_sum(p * p, pooled=True)
@@ -86,15 +78,16 @@ def dice_loss(p: np.ndarray, g: np.ndarray, weights: ClassWeights) -> tuple[floa
 # evaluation metrics over binary region masks
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
+    """The four counts from the overlap and the two mask sizes: one
+    full-volume temporary, `pred & truth`."""
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     if pred.shape != truth.shape:
         raise ShapeError(f"confusion: shape mismatch {pred.shape} vs {truth.shape}")
     tp = int(np.count_nonzero(pred & truth))
-    fp = int(np.count_nonzero(pred & ~truth))
-    fn = int(np.count_nonzero(~pred & truth))
-    tn = int(np.count_nonzero(~pred & ~truth))
-    return ConfusionCounts(tp, fp, fn, tn)
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return ConfusionCounts(tp, fp, fn, pred.size - tp - fp - fn)
 
 
 def metric(kind: str, c: ConfusionCounts) -> Optional[float]:

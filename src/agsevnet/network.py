@@ -111,9 +111,9 @@ def check_finite_floats(config) -> None:
 def config_to_text(config) -> str:
     """`key=value` lines of a config dataclass under its title line.
 
-    Tuples are comma-joined and `-` stands for None. A nested config
-    follows after a blank line as its own titled section, each key
-    prefixed with the field name (`net.ag_eps=0.01`).
+    Tuples are comma-joined. A nested config follows after a blank line
+    as its own titled section, each key prefixed with the field name
+    (`net.ag_eps=0.01`).
     """
     lines, sections = [config.TITLE], []
     for f in fields(config):
@@ -125,8 +125,6 @@ def config_to_text(config) -> str:
             continue
         if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
-        elif v is None:
-            v = "-"
         lines.append(f"{f.name}={v}")
     return "\n".join(lines + sections) + "\n"
 
@@ -171,12 +169,9 @@ def _config_from_pairs(cls, kv: dict[str, str], prefix: str):
 
 def _parse_value(key: str, hint, raw: str):
     """`raw` as a value of type `hint`; a ValueError names `key` and `raw`."""
-    args = get_args(hint)
-    if type(None) in args:  # `T | None`
-        return None if raw == "-" else _parse_value(key, args[0], raw)
     try:
         if get_origin(hint) is tuple:
-            return tuple(args[0](v) for v in raw.split(","))
+            return tuple(get_args(hint)[0](v) for v in raw.split(","))
         return hint(raw)
     except ValueError as exc:
         raise ValueError(f"config key {key}: cannot parse {raw!r} ({exc})") from None

@@ -26,7 +26,6 @@ from .losses import (
     LABEL_VALUES,
     METRIC_ORDER,
     REGION_ORDER,
-    ClassWeights,
     check_labels,
     dice_loss,
     region_rows,
@@ -78,34 +77,23 @@ class TrainConfig:
     max_steps: int = 300
     checkpoint_interval: int = 100
     seed: int = 0
-    class_weights: tuple[float, float, float, float] = ClassWeights.w
-    batch_size: int = 1
-    patch_stride: tuple[int, int, int] | None = None  # defaults to the patch shape
 
     TITLE = "# training configuration"
 
     def __post_init__(self):
-        self.class_weights = tuple(float(v) for v in self.class_weights)
-        if self.patch_stride is not None:
-            self.patch_stride = tuple(int(v) for v in self.patch_stride)
         self.validate()
 
     def validate(self):
         check_finite_floats(self)
         if self.lr_initial <= 0 or self.lr_decayed <= 0:
             raise ValueError("learning rates must be positive")
-        ClassWeights(self.class_weights)
         if not 0 <= self.lr_decay_step <= self.max_steps:
             raise ValueError("lr_decay_step must lie within [0, max_steps]")
-        if self.batch_size < 1 or self.max_steps < 1 or self.checkpoint_interval < 1:
-            raise ValueError("batch_size, max_steps, checkpoint_interval must be >= 1")
-        self.patch_spec()  # rejects a patch_stride without 3 positive extents
+        if self.max_steps < 1 or self.checkpoint_interval < 1:
+            raise ValueError("max_steps, checkpoint_interval must be >= 1")
 
     def learning_rate(self, step: int) -> float:
         return self.lr_initial if step < self.lr_decay_step else self.lr_decayed
-
-    def patch_spec(self) -> PatchSpec:
-        return PatchSpec(self.net.patch_shape, self.patch_stride)
 
 
 def config_hash(config: TrainConfig) -> str:
@@ -198,12 +186,11 @@ def _load_training_cases(data_dir, spec: PatchSpec):
     return cases, patches
 
 
-def _batch(cases, chosen, spec: PatchSpec):
-    """The image and one-hot label patches of the chosen (case, corner)
-    entries, stacked on the batch axis. Label padding is 0, the
-    background channel."""
-    img = np.concatenate([cut_patch(cases[c][0], start, spec) for c, start in chosen], axis=0)
-    lbl = np.concatenate([cut_patch(cases[c][1], start, spec) for c, start in chosen], axis=0)
+def _batch(cases, entry, spec: PatchSpec):
+    """The image and one-hot label patch of one (case, corner) entry, a
+    batch of one. Label padding is 0, the background channel."""
+    c, start = entry
+    img, lbl = (cut_patch(volume, start, spec) for volume in cases[c])
     return img, (lbl == np.array(LABEL_VALUES)).astype(DTYPE)
 
 
@@ -231,7 +218,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     """
     out_dir = Path(out_dir)
     rng = Rng(config.seed)
-    spec = config.patch_spec()
+    spec = PatchSpec(config.net.patch_shape)
     with_val = val_dir is not None
     if resume is not None:  # refused before a case is read or a file written
         params, net, start_step, state = load_checkpoint(resume)
@@ -262,18 +249,15 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     if resume is not None:
         _write_derived(out_dir, config, loss_log, val_rows, with_val)
 
-    weights = ClassWeights(config.class_weights)
     started, faults = time.time(), None
     checkpoint_dir = out_dir / "checkpoint"
     for step in range(start_step, config.max_steps):
-        order_pos = (step * config.batch_size) % n
-        traversal = (step * config.batch_size) // n
+        traversal = step // n
         order = rng.derive("shuffle", traversal).permutation(n)
-        chosen = [patches[order[(order_pos + k) % n]] for k in range(config.batch_size)]
-        img, lbl = _batch(cases, chosen, spec)
+        img, lbl = _batch(cases, patches[order[step % n]], spec)
 
         lg = forward(img, params, config.net, rng=rng.derive("step", step))
-        loss, grad_p = dice_loss(lg.output, lbl, weights)
+        loss, grad_p = dice_loss(lg.output, lbl)
         if not np.isfinite(loss):
             dump = out_dir / f"bad_batch_step{step}"
             dump.mkdir(parents=True, exist_ok=True)
@@ -289,7 +273,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
         if checkpoint_due:
             _guard_finite(params, step)
         if with_val and _validation_due(config, step, n):
-            rows = _validation_metrics(val_cases, params, config, traversal)
+            rows = _validation_metrics(val_cases, params, config.net, spec, traversal)
             val_rows.extend((step, row) for row in rows)
             log(f"traversal {traversal}: " + "; ".join(rows[-3:]))
         if checkpoint_due:
@@ -382,15 +366,16 @@ def _history_rows(path: Path, parse, line: str, steps: list[int] | None = None) 
 def _validation_due(config: TrainConfig, step: int, n: int) -> bool:
     """Validation follows the last step of each traversal of the n
     patches, and the run's final step."""
-    b = config.batch_size
-    return ((step + 1) * b) // n > (step * b) // n or step + 1 == config.max_steps
+    return (step + 1) % n == 0 or step + 1 == config.max_steps
 
 
-def _validation_metrics(val_cases, params, config: TrainConfig, traversal: int) -> list[str]:
-    """Mean dice/sensitivity/specificity/hd95 per region over the held val cases."""
-    rows, spec = [], PatchSpec(config.net.patch_shape)  # as predict_case: no patch_stride
+def _validation_metrics(val_cases, params, net: NetConfig, spec: PatchSpec,
+                        traversal: int) -> list[str]:
+    """Mean dice/sensitivity/specificity/hd95 per region over the held val
+    cases, each predicted on the tiling `spec` that training cuts."""
+    rows = []
     for name, x, truth in val_cases:
-        pred = predict_labels(stitched_probs(x, params, config.net, spec))[0]
+        pred = predict_labels(stitched_probs(x, params, net, spec))[0]
         rows += region_rows(name, pred, truth)
     return [",".join([str(traversal), region, *summary_cells(rows, region)])
             for region in REGION_ORDER]

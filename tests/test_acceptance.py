@@ -23,7 +23,7 @@ from agsevnet.layers import (
     deconv3d_forward,
 )
 from agsevnet.losses import (
-    ClassWeights,
+    CLASS_WEIGHTS,
     confusion,
     derive_regions,
     dice_loss,
@@ -71,9 +71,8 @@ def test_criterion_02_dice_gradient_closed_form_equivalence():
         logits = Rng(1000 + seed).normal((1, 4, 4, 4, 4), scale=2.0)
         p = activation(logits, "softmax_channel").output
         g = one_hot(Rng(2000 + seed).integers(0, 4, (1, 4, 4, 4)))
-        w = ClassWeights()
-        _, composed = dice_loss(p, g, w)
-        wv = np.asarray(w.w)
+        _, composed = dice_loss(p, g)
+        wv = np.asarray(CLASS_WEIGHTS)
         recomposed = -(wv / wv.sum()) * dice_grad_closed_form(p, g)
         worst = max(worst, float(np.abs(composed - recomposed).max()))
     assert worst < 1e-10
@@ -305,7 +304,7 @@ def test_criterion_09_end_to_end_phantom_run(phantom_split, tmp_path):
         net=net, lr_initial=3e-3, lr_decayed=1e-3, lr_decay_step=300,
         max_steps=400, checkpoint_interval=400, seed=7,
     )
-    assert cfg.max_steps <= 500 and cfg.batch_size == 1
+    assert cfg.max_steps <= 500
     checkpoint = train(cfg, phantom_split / "train", tmp_path / "run", log=lambda s: None)
     params, config, _, _ = load_checkpoint(checkpoint)
     predict_dir(phantom_split / "val", params, config, tmp_path / "pred", log=lambda s: None)

@@ -6,7 +6,7 @@ from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet import losses
 from agsevnet.layers import activation
 from agsevnet.losses import (
-    ClassWeights,
+    CLASS_WEIGHTS,
     ConfusionCounts,
     confusion,
     derive_regions,
@@ -72,9 +72,9 @@ class TestSoftDice:
             want = 2 * inter / (pp + gg + 1e-7) if gg > 0 else 0.0
             assert d[c] == pytest.approx(want, abs=1e-12)
         # the oracle for dice_loss: the weighted mean of these scores, negated
-        w = ClassWeights()
-        loss, _ = dice_loss(p, g, w)
-        assert loss == pytest.approx(-(np.asarray(w.w) * d).sum() / sum(w.w), rel=1e-12)
+        w = np.asarray(CLASS_WEIGHTS)
+        loss, _ = dice_loss(p, g)
+        assert loss == pytest.approx(-(w * d).sum() / w.sum(), rel=1e-12)
 
     def test_rejects_non_onehot(self):
         p = random_probs(3, (1, 2, 2, 2))
@@ -88,50 +88,37 @@ class TestDiceLoss:
         lbl = Rng(4).integers(0, 4, (1, 4, 4, 4))
         lbl.flat[:4] = [0, 1, 2, 3]  # every class present
         g = one_hot_from_labels(lbl)
-        loss, grad = dice_loss(g, g, ClassWeights())
+        loss, grad = dice_loss(g, g)
         assert loss == pytest.approx(-1.0, abs=1e-6)
-
-    def test_weight_masking(self):
-        p = random_probs(5, (1, 4, 4, 4))
-        g = random_onehot(6, (1, 4, 4, 4))
-        w = ClassWeights((0.0, 0.0, 0.0, 1.0))
-        loss, _ = dice_loss(p, g, w)
-        q = p.copy()
-        q[..., :3] = Rng(7).random(q[..., :3].shape)  # corrupt the ignored channels
-        loss2, _ = dice_loss(q, g, w)
-        assert loss == pytest.approx(loss2, abs=1e-12)
 
     def test_gradient_on_logits_matches_finite_differences(self):
         logits = Rng(8).normal((1, 3, 3, 3, 4), scale=2.0)
         g = random_onehot(9, (1, 3, 3, 3))
-        w = ClassWeights()
         lg = activation(logits, "softmax_channel")
-        _, grad_p = dice_loss(lg.output, g, w)
+        _, grad_p = dice_loss(lg.output, g)
         analytic, _ = lg.backward(grad_p)
         numeric = numeric_grad(
-            lambda v: dice_loss(activation(v, "softmax_channel").output, g, w)[0], logits
+            lambda v: dice_loss(activation(v, "softmax_channel").output, g)[0], logits
         )
         assert max_rel_err(analytic, numeric) < 1e-6
 
     def test_loss_permutation_invariant(self):
         p = random_probs(10, (1, 3, 3, 3))
         g = random_onehot(11, (1, 3, 3, 3))
-        w = ClassWeights()
-        loss, _ = dice_loss(p, g, w)
+        loss, _ = dice_loss(p, g)
         perm = Rng(12).permutation(27)
         ps = p.reshape(1, 27, 4)[:, perm].reshape(1, 3, 3, 3, 4)
         gs = g.reshape(1, 27, 4)[:, perm].reshape(1, 3, 3, 3, 4)
-        loss2, _ = dice_loss(ps, gs, w)
+        loss2, _ = dice_loss(ps, gs)
         assert loss == pytest.approx(loss2, rel=1e-12)
 
     def test_closed_form_equals_composed_backward(self):
         for seed in range(20):
             p = random_probs(100 + seed, (1, 4, 4, 4))
             g = random_onehot(200 + seed, (1, 4, 4, 4))
-            w = ClassWeights()
-            _, composed = dice_loss(p, g, w)
+            _, composed = dice_loss(p, g)
             closed = dice_grad_closed_form(p, g)
-            wv = np.asarray(w.w)
+            wv = np.asarray(CLASS_WEIGHTS)
             assert np.abs(composed - (-(wv / wv.sum()) * closed)).max() < 1e-10
 
 
@@ -149,20 +136,25 @@ class TestConfusion:
         assert c.tp + c.fp + c.fn + c.tn == truth.size
 
     def test_matches_scalar_oracle(self):
-        pred = Rng(14).random((8, 8, 8)) > 0.6
-        truth = Rng(15).random((8, 8, 8)) > 0.4
-        c = confusion(pred, truth)
-        tp = fp = fn = tn = 0
-        for idx in np.ndindex(8, 8, 8):
-            if pred[idx] and truth[idx]:
-                tp += 1
-            elif pred[idx]:
-                fp += 1
-            elif truth[idx]:
-                fn += 1
-            else:
-                tn += 1
-        assert (c.tp, c.fp, c.fn, c.tn) == (tp, fp, fn, tn)
+        empty, full = np.zeros((8, 8, 8), dtype=bool), np.ones((8, 8, 8), dtype=bool)
+        masks = [empty, full, *(Rng(14 + k).random((8, 8, 8)) > q
+                                for k, q in enumerate((0.6, 0.4, 0.97)))]
+        for pred in masks:
+            for truth in masks:
+                c = confusion(pred, truth)
+                tp = fp = fn = tn = 0
+                for idx in np.ndindex(8, 8, 8):
+                    if pred[idx] and truth[idx]:
+                        tp += 1
+                    elif pred[idx]:
+                        fp += 1
+                    elif truth[idx]:
+                        fn += 1
+                    else:
+                        tn += 1
+                four_masks = [int(np.count_nonzero(a & b)) for a, b in (
+                    (pred, truth), (pred, ~truth), (~pred, truth), (~pred, ~truth))]
+                assert [c.tp, c.fp, c.fn, c.tn] == [tp, fp, fn, tn] == four_masks
 
 
 class TestMetric:

@@ -12,7 +12,7 @@ import agsevnet.layers as layers
 import agsevnet.losses as losses
 import agsevnet.network as network
 import agsevnet.se as se
-from agsevnet.losses import ClassWeights, dice_loss
+from agsevnet.losses import dice_loss
 from agsevnet.network import (
     NetConfig,
     build,
@@ -270,7 +270,7 @@ class TestForward:
             x = Rng(seed + 100).normal((1, 32, 32, 32, 2))
             g = one_hot(Rng(seed + 200).integers(0, 4, (1, 32, 32, 32)))
             lg = forward(x, params, cfg)
-            _, grad_p = dice_loss(lg.output, g, ClassWeights())
+            _, grad_p = dice_loss(lg.output, g)
             _, grads = lg.backward(grad_p)
             dead_sets.append({k for k in params if np.abs(grads[k]).max() == 0.0})
             for name in dead_sets[-1]:
@@ -295,7 +295,7 @@ class TestDeadParameters:
         g = (case.labels[None, ..., None] == np.array(losses.LABEL_VALUES)).astype(float)
         for seed in range(5):
             lg = forward(x, build(cfg, Rng(seed)), cfg)
-            _, grads = lg.backward(dice_loss(lg.output, g, ClassWeights())[1])
+            _, grads = lg.backward(dice_loss(lg.output, g)[1])
             peak = {name: np.abs(grad).max() for name, grad in grads.items()}
             floor = 1e-10 * max(peak.values())
             dead = {name for name, p in peak.items() if p <= floor}
@@ -310,7 +310,7 @@ class TestBackward:
         params = build(cfg, Rng(30))
         x = Rng(31).normal((1, patch, patch, patch, 2))
         lg = forward(x, params, cfg, rng=Rng(33))
-        _, grad_p = dice_loss(lg.output, one_hot(Rng(32).integers(0, 4, x.shape[:4])), ClassWeights())
+        _, grad_p = dice_loss(lg.output, one_hot(Rng(32).integers(0, 4, x.shape[:4])))
         gx_a, grads_a = lg.backward(grad_p)
         gx_b, grads_b = lg.backward(grad_p)
         assert grads_a is not grads_b
@@ -340,7 +340,7 @@ class TestBackward:
 
         def run():
             lg = forward(x, params, cfg, rng=Rng(37))
-            return lg.output, *lg.backward(dice_loss(lg.output, g, ClassWeights())[1])
+            return lg.output, *lg.backward(dice_loss(lg.output, g)[1])
 
         y, gx, grads = run()
         monkeypatch.setattr(network, "instance_norm", oracles.instance_norm_oracle)

@@ -43,7 +43,7 @@ def cut_all(x, spec):
 def one_hot_patches(labels, spec):
     """The training one-hot of every patch of a (z, h, w) label volume."""
     cases = [(np.zeros((1, *labels.shape, 1)), labels[None, ..., None])]
-    return [train._batch(cases, [(0, start)], spec)[1] for start in patch_starts(labels.shape, spec)]
+    return [train._batch(cases, (0, start), spec)[1] for start in patch_starts(labels.shape, spec)]
 
 
 class TestNormalize:
@@ -202,10 +202,10 @@ class TestPatches:
             for z0, h0, w0 in starts:
                 window = (slice(None), slice(z0, z0 + 16), slice(h0, h0 + 16),
                           slice(w0, w0 + 16))
-                img, lbl = train._batch(cases, [(c, (z0, h0, w0))], spec)
+                img, lbl = train._batch(cases, (c, (z0, h0, w0)), spec)
                 assert img.tobytes() == x[window].tobytes()
                 assert lbl.tobytes() == onehot[window].tobytes()
-        assert any(train._batch(cases, [p], spec)[1][..., 3].any() for p in patches)
+        assert any(train._batch(cases, p, spec)[1][..., 3].any() for p in patches)
 
     @pytest.mark.parametrize("shape, stride", [((16,), (16, 16, 16)), ((16, 16, 16), (16,)),
                                                ((16, 16, 16), (16, 16, 16, 16))])

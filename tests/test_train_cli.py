@@ -133,21 +133,20 @@ def dir_bytes(path):
 
 class TestTrainConfig:
     def test_text_round_trip(self):
-        cfg = tiny_train_config(class_weights=(0.2, 1.0, 0.5, 1.0))
+        cfg = tiny_train_config()
         assert config_from_text(TrainConfig, config_to_text(cfg)) == cfg
         net = NetConfig(in_channels=3, base_width=8, depths=3, se_reduction=2, ag_radius=3,
                         ag_eps=0.25, dropout=0.125, patch_shape=(16, 32, 48))
         every_field = TrainConfig(
             net=net, lr_initial=2e-3, lr_decayed=5e-4, lr_decay_step=7, max_steps=9,
-            checkpoint_interval=4, seed=11, class_weights=(0.5, 2.0, 1.5, 0.25),
-            batch_size=2, patch_stride=(8, 16, 24),
+            checkpoint_interval=4, seed=11,
         )
         defaults, default_net = TrainConfig(), NetConfig()
         assert all(getattr(every_field, k) != getattr(defaults, k) for k in vars(defaults))
         assert all(getattr(net, k) != getattr(default_net, k)
                    for k in vars(default_net))
         text = config_to_text(every_field)
-        assert "patch_stride=8,16,24\n" in text and "net.patch_shape=16,32,48\n" in text
+        assert "seed=11\n" in text and "net.patch_shape=16,32,48\n" in text
         assert config_from_text(TrainConfig, text) == every_field
 
     def test_default_text_and_hash_pinned(self):
@@ -155,15 +154,14 @@ class TestTrainConfig:
         assert config_to_text(TrainConfig()) == (
             "# training configuration\n"
             "lr_initial=0.0001\nlr_decayed=3e-05\nlr_decay_step=200\nmax_steps=300\n"
-            "checkpoint_interval=100\nseed=0\nclass_weights=0.1,1.0,1.0,1.0\nbatch_size=1\n"
-            "patch_stride=-\n"
+            "checkpoint_interval=100\nseed=0\n"
             "\n"
             "# network configuration\n"
             "net.in_channels=4\nnet.base_width=16\nnet.depths=2\n"
             "net.se_reduction=4\nnet.ag_radius=16\nnet.ag_eps=0.01\nnet.dropout=0.5\n"
             "net.patch_shape=64,128,128\n"
         )
-        assert config_hash(TrainConfig()) == "adf108e937e45626"
+        assert config_hash(TrainConfig()) == "2197b8b423518b92"
 
     def test_learning_rate_schedule(self):
         cfg = tiny_train_config(lr_initial=1e-4, lr_decayed=3e-5, lr_decay_step=10)
@@ -376,7 +374,6 @@ class TestTraining:
         wider_dropout = NetConfig(**{**vars(tiny_train_config().net), "dropout": 0.2})
         for change, keys in (
             (dict(lr_initial=0.5), "lr_initial"),
-            (dict(class_weights=(1.0, 1.0, 1.0, 1.0)), "class_weights"),
             (dict(lr_initial=0.5, seed=4), "lr_initial, seed"),
             (dict(net=wider_dropout), "net.dropout"),
             (dict(lr_decay_step=1), "lr_decay_step"),  # step 1 ran at lr_initial
@@ -572,7 +569,7 @@ class TestGuards:
 
 class TestPaperDefaults:
     def test_reference_hyperparameters(self):
-        from agsevnet.losses import LABEL_VALUES, ClassWeights
+        from agsevnet.losses import CLASS_WEIGHTS, LABEL_VALUES
 
         net = NetConfig()
         assert net.in_channels == 4 and len(LABEL_VALUES) == 4
@@ -583,7 +580,7 @@ class TestPaperDefaults:
         cfg = TrainConfig()
         assert cfg.lr_initial == pytest.approx(1e-4)
         assert cfg.lr_decayed == pytest.approx(3e-5)
-        assert ClassWeights().w == (0.1, 1.0, 1.0, 1.0)
+        assert CLASS_WEIGHTS == (0.1, 1.0, 1.0, 1.0)
 
 
 class TestThresholdOracle:
@@ -926,7 +923,7 @@ class TestCli:
     def test_non_finite_loss_dumps_the_batch_and_exits_two(self, phantom_dir, tmp_path, capsys,
                                                            monkeypatch):
         monkeypatch.setattr("agsevnet.train.dice_loss",
-                            lambda p, g, weights: (float("nan"), np.zeros_like(p)))
+                            lambda p, g: (float("nan"), np.zeros_like(p)))
         cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
         cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
@@ -1088,26 +1085,36 @@ class TestCli:
         assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
                      "--out", str(tmp_path / "pred")]) == 0
 
-    def test_checkpoint_from_before_adam_only_predicts_but_does_not_resume(self, phantom_dir,
-                                                                          tmp_path, capsys):
+    def test_checkpoint_with_the_removed_keys_predicts_but_does_not_resume(self, phantom_dir,
+                                                                          tmp_path, capsys,
+                                                                          monkeypatch):
         cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
         ckpt = run / "checkpoint"
         train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                       "--out", str(run)]
         cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
         assert main(train_args) == 0
-        # the optimizer keys every training config held before Adam became the only optimizer
+        # the layout of train_config.txt before class weights, batch size and patch
+        # stride became constants: the three keys at their defaults, after seed=
         stored = ckpt / "train_config.txt"
-        stored.write_text(stored.read_text().replace("batch_size=", (
-            "optimizer=adam\nbeta1=0.9\nbeta2=0.999\nadam_eps=1e-08\nmomentum=0.9\nbatch_size=")))
+        stored.write_text(stored.read_text().replace("\nseed=3\n", (
+            "\nseed=3\nclass_weights=0.1,1.0,1.0,1.0\nbatch_size=1\npatch_stride=-\n")))
         cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
         before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        reads = []
+
+        def counting_read(case_dir):
+            reads.append(case_dir)
+            return _read_case(case_dir)
+
+        monkeypatch.setattr("agsevnet.train._read_case", counting_read)
         capsys.readouterr()
         assert main([*train_args, "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert (f"error: {stored}: unknown config keys: "
-                f"['adam_eps', 'beta1', 'beta2', 'momentum', 'optimizer']") in err, err
+                f"['batch_size', 'class_weights', 'patch_stride']") in err, err
         assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+        assert reads == []
         pred = tmp_path / "pred"
         assert main(["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
                      "--out", str(pred)]) == 0
@@ -1200,7 +1207,8 @@ class TestCli:
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {cfg_file}: " in err and key in err, err
         assert not run.exists()
 
     @pytest.mark.parametrize("line, key", [
@@ -1227,12 +1235,13 @@ class TestCli:
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
                      "--out", str(run)]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {cfg_file}: " in err and key in err, err
         assert not run.exists()
 
     @pytest.mark.parametrize("line, key", [("seed=abc", "seed"),
                                            ("net.ag_eps=0.o1", "net.ag_eps"),
-                                           ("patch_stride=16,x,16", "patch_stride")])
+                                           ("net.patch_shape=16,x,16", "net.patch_shape")])
     def test_unparsable_config_value_names_key_exit_one(self, phantom_dir, tmp_path, capsys,
                                                         line, key):
         cfg_file = tmp_path / "train.cfg"

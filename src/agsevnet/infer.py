@@ -16,7 +16,6 @@ from .npyio import read_npy, write_npy
 from .pipeline import (
     LABEL_FILE,
     PatchSpec,
-    check_coverage,
     cut_patch,
     list_cases,
     load_case,
@@ -139,10 +138,8 @@ def predict_case(case_dir, params, config: NetConfig,
     Patches are predicted independently, probabilities averaged over
     overlaps, and the argmax taken over the stitched probability volume.
     """
-    case = load_case(case_dir)
     spec = PatchSpec(config.patch_shape, stride)
-    x = preprocess_case(case)
-    check_coverage(x.shape[1:4], spec)  # before the forward passes, not after
+    x = preprocess_case(load_case(case_dir))
     return predict_labels(stitched_probs(x, params, config, spec))[0]
 
 

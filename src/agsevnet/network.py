@@ -543,16 +543,14 @@ def load_checkpoint(directory):
     parameter names and shapes must be the ones `build` makes for the
     stored config; a checkpoint that differs raises ValueError naming it
     and the first parameter that differs, and so does one whose tensors,
-    optimizer moments included, hold a NaN or infinite value, or whose
-    config.txt holds `num_classes` (written before the bias removal)."""
+    optimizer moments included, hold a NaN or infinite value. config.txt
+    is read first, so one that holds a retired key is refused before any
+    tensor is read."""
     directory = Path(directory)
     left = [f"{directory}{ext}" for ext in (".tmp", ".old") if Path(f"{directory}{ext}").exists()]
     if not directory.exists():
         raise FileNotFoundError(f"no checkpoint at {directory}" + (
             f": a save was cut short and left {' and '.join(left)}" if left else ""))
-    if "\nnum_classes=" in (directory / "config.txt").read_text():
-        raise ValueError(f"checkpoint {directory} predates the bias removal (its config.txt holds "
-                         f"num_classes=), so its layout is no longer read; train a new one")
     config = read_config(NetConfig, directory / "config.txt")
     blob = load_params(directory)
     for name, arr in blob.items():

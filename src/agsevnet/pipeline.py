@@ -43,19 +43,25 @@ class Case:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchSpec:
+    """A patch shape and the step between patch corners. The stride lies
+    in [1, patch] on every axis, so the patches cover every voxel of any
+    volume; it is checked here once and cannot change afterwards."""
     shape: tuple[int, int, int]  # (z, h, w)
     stride: tuple[int, int, int] | None = None  # defaults to the patch shape
 
     def __post_init__(self):
-        self.shape = tuple(int(v) for v in self.shape)
-        self.stride = self.shape if self.stride is None else tuple(int(v) for v in self.stride)
-        if len(self.shape) != 3 or len(self.stride) != 3:
-            raise ValueError(f"patch shape {self.shape} and patch_stride {self.stride} "
+        shape = tuple(int(v) for v in self.shape)
+        stride = shape if self.stride is None else tuple(int(v) for v in self.stride)
+        if len(shape) != 3 or len(stride) != 3:
+            raise ValueError(f"patch shape {shape} and patch stride {stride} "
                              "must each have 3 extents z,h,w")
-        if any(s < 1 for s in self.stride):
-            raise ValueError(f"patch stride must be >= 1 per axis, got {self.stride}")
+        if not all(1 <= s <= p for s, p in zip(stride, shape)):
+            raise ValueError(f"patch stride {stride} must lie in [1, patch] per axis "
+                             f"for patch shape {shape}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "stride", stride)
 
 
 def normalize(x: np.ndarray, source: str = "volume") -> np.ndarray:
@@ -118,20 +124,6 @@ def cut_patch(x: np.ndarray, start: tuple, spec: PatchSpec) -> np.ndarray:
     return img
 
 
-def check_coverage(volume_shape: tuple, spec: PatchSpec) -> None:
-    """Raise ValueError if tiling a (z, h, w) volume with `spec` leaves
-    voxels in no patch: a stride beyond the patch on an axis longer than
-    the patch. The last start of every axis already reaches its end.
-    """
-    gaps = [a for a in range(3)
-            if volume_shape[a] > spec.shape[a] and spec.stride[a] > spec.shape[a]]
-    if gaps:
-        raise ValueError(
-            f"patch stride {spec.stride} leaves gaps between {spec.shape} patches "
-            f"on axes {gaps} of a {tuple(volume_shape)} volume"
-        )
-
-
 def stitch_patches(patches: Iterable[np.ndarray], original_shape: tuple,
                    spec: PatchSpec) -> np.ndarray:
     """Inverse of cutting every patch_starts patch, on per-voxel values:
@@ -143,7 +135,6 @@ def stitch_patches(patches: Iterable[np.ndarray], original_shape: tuple,
     """
     z, h, w = original_shape[1:4]
     starts = patch_starts((z, h, w), spec)
-    check_coverage((z, h, w), spec)
     acc = np.zeros(original_shape, dtype=DTYPE)
     cnt = np.zeros((1, z, h, w, 1), dtype=DTYPE)
     count = 0

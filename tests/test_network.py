@@ -473,7 +473,7 @@ class TestCheckpoint:
         reads = []
         monkeypatch.setattr(network, "read_file", lambda path: reads.append(path))
         with pytest.raises(ValueError, match=re.escape(
-                f"checkpoint {old} predates the bias removal (its config.txt holds num_classes=)")):
+                f"{old / 'config.txt'}: unknown config keys: ['num_classes']")):
             load_checkpoint(old)
         assert reads == []
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from agsevnet.losses import check_labels, derive_regions
 from agsevnet.pipeline import (
     Case,
     PatchSpec,
-    check_coverage,
     cut_patch,
     generate_phantom,
     list_cases,
@@ -162,18 +164,49 @@ class TestPatches:
         want = acc / cnt
         assert np.abs(got - want).max() < 1e-12
 
-    def test_stride_beyond_patch_gaps_only_long_axes(self):
-        spec = PatchSpec((16, 16, 16), (24, 16, 16))  # training may sample sparsely
-        check_coverage((16, 16, 16), spec)  # one patch per axis: no gap
-        # a 40-long axis with patch 16 and stride 24 leaves voxels 16..23 uncovered
-        with pytest.raises(ValueError, match="gaps"):
-            check_coverage((40, 16, 16), spec)
+    def test_every_accepted_stride_covers_every_voxel(self):
+        # each axis in turn runs every extent 1-70 against patch 16 or 32 and
+        # every stride in [1, patch]; the other two axes are drawn from a seed
+        rng = np.random.default_rng(30)
+        for axis in range(3):
+            for patch in (16, 32):
+                for extent in range(1, 71):
+                    for step in range(1, patch + 1):
+                        shape = [int(v) for v in rng.integers(1, 9, 3)]
+                        size = [int(v) for v in rng.integers(1, 5, 3)]
+                        stride = [int(rng.integers(1, p + 1)) for p in size]
+                        shape[axis], size[axis], stride[axis] = extent, patch, step
+                        covered = np.zeros(shape, dtype=bool)
+                        for start in patch_starts(shape, PatchSpec(size, stride)):
+                            assert all(0 <= s0 < v for s0, v in zip(start, shape))
+                            covered[tuple(slice(s0, s0 + p) for s0, p in zip(start, size))] = True
+                        assert covered.all(), (shape, size, stride)
 
-    def test_stitch_refuses_uncovered_voxels(self):
-        spec = PatchSpec((16, 16, 16), (24, 16, 16))
-        x = Rng(9).normal((1, 40, 16, 16, 1))
-        with pytest.raises(ValueError, match="gaps"):
-            stitch_patches(cut_all(x, spec), x.shape, spec)
+    def test_stitched_ones_count_every_voxel(self):
+        rng = np.random.default_rng(31)
+        x = np.ones((1, 20, 23, 37, 1))
+        for stride in [(16, 16, 16), *(tuple(int(v) for v in rng.integers(1, 17, 3))
+                                       for _ in range(4))]:
+            spec = PatchSpec((16, 16, 16), stride)
+            assert np.array_equal(stitch_patches(cut_all(x, spec), x.shape, spec), x), stride
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_stride_outside_one_to_patch_refused(self, axis, offset):
+        shape = (16, 24, 32)
+        stride = list(shape)
+        stride[axis] = offset * (shape[axis] + 1)  # 0, or one past the patch
+        with pytest.raises(ValueError, match=re.escape(
+                f"patch stride {tuple(stride)} must lie in [1, patch] per axis "
+                f"for patch shape {shape}")):
+            PatchSpec(shape, stride)
+
+    def test_spec_is_frozen(self):
+        spec = PatchSpec((16, 16, 16), (8, 8, 8))
+        for name, value in (("stride", (32, 32, 32)), ("shape", (8, 8, 8))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert (spec.shape, spec.stride) == ((16, 16, 16), (8, 8, 8))
 
     def test_patch_count_mismatch_rejected(self):
         x = Rng(8).normal((1, 16, 16, 16, 1))

@@ -14,6 +14,10 @@ imports and `__init__.py` are exempt.
 A module imports only the standard library, its own package and the
 `dependencies` that `pyproject.toml` declares, so a new dependency is a
 decision taken in `pyproject.toml`, not a side effect of an import.
+
+No string constant in `src/`, messages and docstrings included, names a
+config key that the configs no longer have, so an error or a docstring
+cannot point a user at a key that would be refused.
 """
 
 import ast
@@ -27,6 +31,8 @@ PACKAGE = ROOT / "src" / "agsevnet"
 EXEMPT_MODULES = {"checks.py", "gradcheck.py"}
 NOT_USES = {"checks.py"}
 EXEMPT_NAMES = {"__version__"}
+RETIRED_KEYS = ("patch_stride", "batch_size", "class_weights", "num_classes", "momentum",
+                "beta1", "beta2", "adam_eps")
 
 
 def _definitions(tree):
@@ -181,3 +187,32 @@ def test_guard_flags_undeclared_imports(tmp_path):
         "def f():\n    import torch\n"
     )
     assert foreign_imports(tmp_path, declared) == ["a.py:scipy", "a.py:pytest", "a.py:torch"]
+
+
+def retired_key_mentions(root: Path) -> list[str]:
+    """`module:line:key` for each string constant that names a retired
+    config key as a whole word."""
+    pattern = re.compile(r"\b(" + "|".join(RETIRED_KEYS) + r")\b")
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [f"{path.name}:{node.lineno}:{key}"
+                          for key in pattern.findall(node.value)]
+    return found
+
+
+def test_no_string_names_a_retired_config_key():
+    assert retired_key_mentions(PACKAGE) == []
+
+
+def test_guard_flags_retired_keys_in_strings(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Reads batch_size."""\n'
+        "BATCH_SIZE = 1  # batch_size in a comment is not a string\n"
+        "def f(beta1, stride):\n"
+        "    raise ValueError(f'patch_stride {stride} and net.num_classes=4')\n"
+        "G = 'beta12 and my_momentum and class_weights_x'\n"
+    )
+    assert retired_key_mentions(tmp_path) == [
+        "a.py:1:batch_size", "a.py:4:patch_stride", "a.py:4:num_classes"]

@@ -782,15 +782,13 @@ class TestCli:
         assert "1.000000" not in full.splitlines()[1]  # mismatched cases, not a trivial report
         assert (tmp_path / "labels_only.csv").read_text() == full
 
-    def test_predict_rejects_stride_that_leaves_gaps(self, phantom_dir, tmp_path):
+    def test_predict_rejects_stride_that_leaves_gaps(self, tmp_path):
         config = tiny_train_config().net
         save_checkpoint(tmp_path / "ckpt", build(config, Rng(5)), config, 0)
         long_case = generate_phantom(Rng(79), (40, 16, 16), 0.2)
         long_case.id = "long000"
         save_case(tmp_path / "long" / long_case.id, long_case)
         predict = ["predict", "--checkpoint", str(tmp_path / "ckpt"), "--stride", "24,16,16"]
-        # 16^3 cases fit one patch per axis, so stride 24 leaves no gap
-        assert main([*predict, "--data", str(phantom_dir), "--out", str(tmp_path / "ok")]) == 0
         # patch 16, stride 24 on a 40-long axis would leave voxels 16..23 unpredicted
         assert main([*predict, "--data", str(tmp_path / "long"), "--out", str(tmp_path / "out")]) == 1
         assert not list((tmp_path / "out").glob("*.npy"))
@@ -799,12 +797,20 @@ class TestCli:
                                                                 capsys, monkeypatch):
         config = tiny_train_config().net
         save_checkpoint(tmp_path / "ckpt", build(config, Rng(5)), config, 0)
+        long_case = generate_phantom(Rng(79), (40, 16, 16), 0.2)
+        save_case(tmp_path / "long" / "long000", long_case)
         reads = []
         monkeypatch.setattr(pipeline, "read_npy", lambda path: reads.append(path))
-        assert main(["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data",
-                     str(phantom_dir), "--out", str(tmp_path / "pred"), "--stride", "0"]) == 1
-        assert "--stride: patch stride must be >= 1 per axis, got (0, 0, 0)" in capsys.readouterr().err
-        assert reads == [] and not (tmp_path / "pred").exists()
+        # a stride beyond the 16^3 patch is refused whether or not an axis of
+        # the data is longer than the patch
+        for data, stride, got in ((phantom_dir, "0", (0, 0, 0)),
+                                  (phantom_dir, "24,16,16", (24, 16, 16)),
+                                  (tmp_path / "long", "24,16,16", (24, 16, 16))):
+            assert main(["predict", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                         str(data), "--out", str(tmp_path / "pred"), "--stride", stride]) == 1
+            assert (f"error: --stride: patch stride {got} must lie in [1, patch] per axis for "
+                    f"patch shape (16, 16, 16)") in capsys.readouterr().err
+            assert reads == [] and not (tmp_path / "pred").exists()
 
     def test_predict_with_nothing_to_write_leaves_no_out(self, phantom_dir, tmp_path, capsys):
         net = tiny_train_config().net
@@ -898,7 +904,7 @@ class TestCli:
         "empty_extent": ("predict", [], lambda data, ckpt, pred: empty_volumes(data / "case000"),
                          "case case000: all extents must be >= 1"),
         "stride_0": ("predict", ["--stride", "0"], lambda data, ckpt, pred: None,
-                     "patch stride must be >= 1 per axis, got (0, 0, 0)"),
+                     "--stride: patch stride (0, 0, 0) must lie in [1, patch] per axis"),
     }
 
     @pytest.mark.parametrize("bad", sorted(NAMED_REFUSALS))
@@ -1121,7 +1127,7 @@ class TestCli:
         assert sorted(p.name for p in pred.iterdir()) == ["case000.npy", "case001.npy"]
 
     def test_checkpoint_from_before_the_bias_removal_exits_one(self, phantom_dir, tmp_path,
-                                                               capsys):
+                                                               capsys, monkeypatch):
         cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
         ckpt = run / "checkpoint"
         train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
@@ -1132,6 +1138,8 @@ class TestCli:
         assert "enc1.conv0.bias" in network.load_params(ckpt)
         cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
         before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        reads = []
+        monkeypatch.setattr(network, "read_file", lambda path: reads.append(path))
         capsys.readouterr()
         for argv in (["predict", "--checkpoint", str(ckpt), "--data", str(phantom_dir),
                       "--out", str(tmp_path / "pred")],
@@ -1140,8 +1148,10 @@ class TestCli:
                       "--out", str(tmp_path / "fresh"), "--checkpoint", str(ckpt)]):
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert f"error: checkpoint {ckpt} predates the bias removal" in err, err
+            assert (f"error: {ckpt / 'config.txt'}: unknown config keys: "
+                    f"['num_classes']") in err, err
             assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+            assert reads == []  # refused before params.npy is read
 
     def test_resume_below_checkpoint_step_exits_one(self, phantom_dir, tmp_path, capsys):
         cfg_file = tmp_path / "train.cfg"

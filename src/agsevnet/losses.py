@@ -10,7 +10,6 @@ follow the nested label alphabet: whole tumor {1,2,4}, tumor core
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,14 +24,6 @@ METRIC_ORDER = ("dice", "sensitivity", "specificity", "hd95")
 # dice_loss's weight per class channel, in LABEL_VALUES order: the reference
 # setup's, a constant with no config key, like Adam's (train.BETA1...ADAM_EPS)
 CLASS_WEIGHTS = (0.1, 1.0, 1.0, 1.0)
-
-
-@dataclass
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
 
 
 def _check_pair(p: np.ndarray, g: np.ndarray):
@@ -77,8 +68,8 @@ def dice_loss(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 # evaluation metrics over binary region masks
 
-def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
-    """The four counts from the overlap and the two mask sizes: one
+def confusion(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) from the overlap and the two mask sizes: one
     full-volume temporary, `pred & truth`."""
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
@@ -87,29 +78,7 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     tp = int(np.count_nonzero(pred & truth))
     fp = int(np.count_nonzero(pred)) - tp
     fn = int(np.count_nonzero(truth)) - tp
-    return ConfusionCounts(tp, fp, fn, pred.size - tp - fp - fn)
-
-
-def metric(kind: str, c: ConfusionCounts) -> Optional[float]:
-    """dice, sensitivity, or specificity from counts.
-
-    Undefined denominators return None instead of NaN; the one
-    documented convention is dice = 1.0 when both masks are empty.
-    """
-    if kind == "dice":
-        denom = c.fn + c.fp + 2 * c.tp
-        if denom == 0:
-            return 1.0  # both masks empty: perfect agreement by convention
-        return 2.0 * c.tp / denom
-    if kind == "sensitivity":
-        if c.tp + c.fn == 0:
-            return None
-        return c.tp / (c.tp + c.fn)
-    if kind == "specificity":
-        if c.tn + c.fp == 0:
-            return None
-        return c.tn / (c.tn + c.fp)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    return tp, fp, fn, pred.size - tp - fp - fn
 
 
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
@@ -357,14 +326,22 @@ def _fmt(value: Optional[float]) -> str:
 def region_rows(case_id: str, pred_labels, truth_labels,
                 sources=("prediction", "truth")) -> list[dict]:
     """One metric row per region of a case, in REGION_ORDER (hd95 in voxels).
-    `sources` name the prediction and the truth volume in label errors."""
+    `sources` name the prediction and the truth volume in label errors.
+
+    A rate whose denominator is 0 is None, not NaN; the one exception is
+    dice = 1.0 when both masks are empty, perfect agreement by convention.
+    """
     pred, truth = derive_regions(pred_labels, sources[0]), derive_regions(truth_labels, sources[1])
     rows = []
     for region in REGION_ORDER:
-        c = confusion(pred[region], truth[region])
-        counts = {m: metric(m, c) for m in METRIC_ORDER[:3]}  # dice, sensitivity, specificity
-        hd95 = hausdorff95(pred[region], truth[region])
-        rows.append({"case_id": case_id, "region": region, **counts, "hd95": hd95})
+        tp, fp, fn, tn = confusion(pred[region], truth[region])
+        rows.append({
+            "case_id": case_id, "region": region,
+            "dice": 2.0 * tp / (fn + fp + 2 * tp) if fn + fp + tp else 1.0,
+            "sensitivity": tp / (tp + fn) if tp + fn else None,
+            "specificity": tn / (tn + fp) if tn + fp else None,
+            "hd95": hausdorff95(pred[region], truth[region]),
+        })
     return rows
 
 

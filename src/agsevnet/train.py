@@ -6,8 +6,9 @@ All randomness is derived from (seed, step/traversal) rather than from
 mutable generator state, so resuming from a checkpoint replays exactly
 the run that would have happened without the interruption. Optimizer
 moment arrays ride along in the checkpoint under the `opt.` prefix, and
-the run's training config and history (loss and validation rows) as
-text files, so a checkpoint alone holds everything a resume replays.
+the run's training config, the cases it read and its history (loss
+and validation rows) as text files, so a checkpoint alone holds
+everything a resume replays.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .network import (
 from .npyio import write_npy
 from .pipeline import (
     LABEL_FILE,
+    MODALITIES,
     Case,
     PatchSpec,
     cut_patch,
@@ -66,6 +69,8 @@ except ImportError:  # no getrusage (Windows): the closing line leaves out the f
 TRAIN_CONFIG_FILE = "train_config.txt"
 LOSS_FILE, LOSS_LINE = "losses.txt", "{} {:.8e} {:.17e}\n"  # step, learning rate, loss
 VAL_FILE, VAL_LINE = "val.txt", "{} {}\n"  # step, validation row
+# the cases a run reads, checked on resume: "data" or "val", case name, z,h,w
+DATA_FILE, DATA_LINE = "data.txt", "{} {} {},{},{}"
 
 
 @dataclass
@@ -176,14 +181,16 @@ def _read_case(case_dir: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def _load_training_cases(data_dir, spec: PatchSpec):
     """Every case's stacked (1, z, h, w, 4) tensor and (1, z, h, w, 1)
-    uint8 labels, and one (case index, patch corner) entry per training
-    patch, in case order and patch_starts order."""
-    cases, patches = [], []
+    uint8 labels, one (case index, patch corner) entry per training
+    patch, in case order and patch_starts order, and one DATA_LINE per
+    case."""
+    cases, patches, lines = [], [], []
     for case_dir in list_cases(data_dir):
         x, labels = _read_case(case_dir)
         patches += [(len(cases), start) for start in patch_starts(labels.shape, spec)]
         cases.append((x, labels[None, ..., None]))
-    return cases, patches
+        lines.append(DATA_LINE.format("data", case_dir.name, *labels.shape))
+    return cases, patches, lines
 
 
 def _batch(cases, entry, spec: PatchSpec):
@@ -210,11 +217,14 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
     row carrying its step. A resume reads that history from the
     checkpoint alone, and trains the network of its config.txt; the
     out_dir copies of both logs and the report are derived from it at
-    each checkpoint and when a resume loads one. A refused resume reads
-    no case (but for validation rows at the wrong steps, which take the
-    patch count to see) and leaves out_dir as it was. Once the run is
-    accepted, glibc's malloc thresholds are set for the rest of the
-    process (`_pin_malloc_thresholds`).
+    each checkpoint and when a resume loads one. Each checkpoint also
+    names the cases its run read (data.txt), and a resume must read the
+    same names and shapes. A refused resume leaves out_dir as it was and
+    reads no case, but for other cases than the checkpoint's and for
+    validation rows at the wrong steps, which take the cases to see. A
+    network whose input is not the 4 modalities is refused before any
+    case is read. Once the run is accepted, glibc's malloc thresholds
+    are set for the rest of the process (`_pin_malloc_thresholds`).
     """
     out_dir = Path(out_dir)
     rng = Rng(config.seed)
@@ -232,17 +242,26 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
                                  f"{moment.shape}, its parameter {shape}")
         stored = _check_resumable(resume, config, start_step, net)
         loss_log = _read_history(Path(resume), start_step, with_val)
+        stored_data = _stored_data(Path(resume), with_val)
     else:
-        params = build(config.net, rng.derive("init"))
+        net = config.net
+        params = build(net, rng.derive("init"))
         state = init_opt_state(params)
         start_step = 0
         loss_log = []
+    if net.in_channels != len(MODALITIES):
+        raise ValueError(f"net.in_channels={net.in_channels}, but a case holds the "
+                         f"{len(MODALITIES)} modalities {', '.join(MODALITIES)}; "
+                         f"train with net.in_channels={len(MODALITIES)}")
 
     _pin_malloc_thresholds()
-    cases, patches = _load_training_cases(data_dir, spec)
+    cases, patches, data_lines = _load_training_cases(data_dir, spec)
     n = len(patches)
     # read once, before step 0: a bad case fails before any step, and none is re-read
     val_cases = [(d.name, *_read_case(d)) for d in list_cases(val_dir)] if with_val else []
+    data_lines += [DATA_LINE.format("val", name, *truth.shape) for name, _, truth in val_cases]
+    if resume is not None:
+        _check_same_data(Path(resume), stored_data, data_lines)
     val_rows = [] if resume is None or not with_val else _val_history(
         Path(resume), stored, config, start_step, n)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,6 +297,7 @@ def train(config: TrainConfig, data_dir, out_dir, resume: str | None = None,
             log(f"traversal {traversal}: " + "; ".join(rows[-3:]))
         if checkpoint_due:
             texts = {TRAIN_CONFIG_FILE: config_to_text(config),
+                     DATA_FILE: "".join(line + "\n" for line in data_lines),
                      **_history_texts(loss_log, val_rows, with_val)}
             save_checkpoint(checkpoint_dir, params, config.net, step + 1, extra=state, texts=texts)
             _write_derived(out_dir, config, loss_log, val_rows, with_val)
@@ -320,6 +340,28 @@ def _check_resumable(checkpoint, config: TrainConfig, start_step: int, net: NetC
         raise ValueError(f"training config differs from the checkpoint's in "
                          f"{', '.join(changed)}; resume with the stored config or start a new run")
     return stored
+
+
+def _stored_data(checkpoint: Path, with_val: bool) -> list[str]:
+    """The checkpoint's data.txt lines a resume must read again: its
+    "val" lines only `with_val`, as a resume without --val drops the
+    validation history."""
+    path = checkpoint / DATA_FILE
+    if not path.exists():
+        raise ValueError(f"checkpoint {checkpoint} stores no case list ({DATA_FILE}), so a "
+                         f"resume cannot be checked against the cases its run read")
+    return [line for line in path.read_text().splitlines()
+            if with_val or not line.startswith("val ")]
+
+
+def _check_same_data(checkpoint: Path, stored: list[str], lines: list[str]) -> None:
+    """Refuse a resume whose cases, by name and shape, are not those the
+    checkpoint's run read, naming the first line that differs."""
+    for k, (old, new) in enumerate(zip_longest(stored, lines, fillvalue="no case"), start=1):
+        if old != new:
+            raise ValueError(f"checkpoint {checkpoint} was trained on other cases: line {k} of "
+                             f"its {DATA_FILE} is {old!r}, this run read {new!r}; resume with "
+                             f"the same --data and --val or start a new run")
 
 
 def _read_history(checkpoint: Path, start_step: int, with_val: bool):

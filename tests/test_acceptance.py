@@ -28,7 +28,7 @@ from agsevnet.losses import (
     derive_regions,
     dice_loss,
     hausdorff95,
-    metric,
+    region_rows,
 )
 from agsevnet.network import NetConfig, build, forward, load_checkpoint
 from agsevnet.npyio import read_npy, write_npy
@@ -243,23 +243,24 @@ def test_criterion_07_metrics_oracle():
         if not pred.any() or not truth.any():
             continue
         pairs += 1
-        c = confusion(pred, truth)
         tp = int(np.sum(pred & truth))
         fp = int(np.sum(pred & ~truth))
         fn = int(np.sum(~pred & truth))
         tn = int(np.sum(~pred & ~truth))
-        assert (c.tp, c.fp, c.fn, c.tn) == (tp, fp, fn, tn)
-        assert metric("dice", c) == 2 * tp / (fn + fp + 2 * tp)
-        assert metric("sensitivity", c) == tp / (tp + fn)
-        assert metric("specificity", c) == tn / (tn + fp)
+        assert confusion(pred, truth) == (tp, fp, fn, tn)
+        # label volumes 4 * mask: WT = TC = ET = the mask
+        for row in region_rows("c", 4 * pred.astype(np.uint8), 4 * truth.astype(np.uint8)):
+            assert row["dice"] == 2 * tp / (fn + fp + 2 * tp)
+            assert row["sensitivity"] == tp / (tp + fn)
+            assert row["specificity"] == tn / (tn + fp)
         if pairs <= 25:  # the all-pairs python oracle is the slow part
             got = hausdorff95(pred, truth)
             want = hd95_oracle(pred, truth)
             worst_hd = max(worst_hd, abs(got - want))
     assert worst_hd < 1e-12
     mask = Rng(71).random((9, 9, 9)) > 0.6
-    self_c = confusion(mask, mask)
-    assert metric("dice", self_c) == 1.0
+    self_rows = region_rows("c", 4 * mask.astype(np.uint8), 4 * mask.astype(np.uint8))
+    assert [row["dice"] for row in self_rows] == [1.0, 1.0, 1.0]
     assert hausdorff95(mask, mask) == 0.0
     report(
         "7 metrics oracle",

@@ -3,19 +3,20 @@ import pytest
 
 from agsevnet.checks import dice_grad_closed_form
 from agsevnet.gradcheck import max_rel_err, numeric_grad
+from agsevnet.infer import evaluate_dirs
 from agsevnet import losses
 from agsevnet.layers import activation
 from agsevnet.losses import (
     CLASS_WEIGHTS,
-    ConfusionCounts,
     confusion,
     derive_regions,
     dice_loss,
     format_report,
     hausdorff95,
-    metric,
+    region_rows,
     surface_voxels,
 )
+from agsevnet.npyio import write_npy
 from agsevnet.pipeline import generate_phantom
 from agsevnet.rng import Rng
 from oracles import hd95_all_pairs, soft_dice_per_class, surface_distance_pool
@@ -126,14 +127,13 @@ class TestConfusion:
     def test_identical_masks(self):
         truth = np.zeros((10, 10), dtype=bool).reshape(10, 10)
         truth.flat[:10] = True
-        c = confusion(truth, truth)
-        assert (c.tp, c.fp, c.fn, c.tn) == (10, 0, 0, 90)
+        assert confusion(truth, truth) == (10, 0, 0, 90)
 
     def test_complement(self):
         truth = Rng(13).random((6, 6, 6)) > 0.5
-        c = confusion(~truth, truth)
-        assert c.tp == 0 and c.tn == 0
-        assert c.tp + c.fp + c.fn + c.tn == truth.size
+        tp, fp, fn, tn = confusion(~truth, truth)
+        assert tp == 0 and tn == 0
+        assert tp + fp + fn + tn == truth.size
 
     def test_matches_scalar_oracle(self):
         empty, full = np.zeros((8, 8, 8), dtype=bool), np.ones((8, 8, 8), dtype=bool)
@@ -141,7 +141,7 @@ class TestConfusion:
                                 for k, q in enumerate((0.6, 0.4, 0.97)))]
         for pred in masks:
             for truth in masks:
-                c = confusion(pred, truth)
+                counts = confusion(pred, truth)
                 tp = fp = fn = tn = 0
                 for idx in np.ndindex(8, 8, 8):
                     if pred[idx] and truth[idx]:
@@ -154,24 +154,46 @@ class TestConfusion:
                         tn += 1
                 four_masks = [int(np.count_nonzero(a & b)) for a, b in (
                     (pred, truth), (pred, ~truth), (~pred, truth), (~pred, ~truth))]
-                assert [c.tp, c.fp, c.fn, c.tn] == [tp, fp, fn, tn] == four_masks
+                assert list(counts) == [tp, fp, fn, tn] == four_masks
+
+
+def flat_mask(first, stop, shape=(4, 5, 5)):
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[first:stop] = True
+    return mask
+
+
+def rates(pred, truth):
+    """The region row of two binary masks, scored as label volumes 4 * mask,
+    for which WT = TC = ET = mask: all three rows must agree."""
+    rows = region_rows("c", 4 * pred.astype(np.uint8), 4 * truth.astype(np.uint8))
+    rates = [{m: r[m] for m in losses.METRIC_ORDER} for r in rows]
+    assert rates[0] == rates[1] == rates[2]
+    return rates[0]
 
 
 class TestMetric:
     def test_dice_direct(self):
-        assert metric("dice", ConfusionCounts(8, 2, 2, 88)) == pytest.approx(0.8)
+        pred, truth = flat_mask(0, 10), flat_mask(2, 12)
+        assert confusion(pred, truth) == (8, 2, 2, 88)
+        assert rates(pred, truth)["dice"] == pytest.approx(0.8)
 
     def test_identity_masks(self):
-        c = ConfusionCounts(12, 0, 0, 88)
-        assert metric("dice", c) == 1.0
-        assert metric("sensitivity", c) == 1.0
+        mask = flat_mask(0, 12)
+        assert confusion(mask, mask) == (12, 0, 0, 88)
+        row = rates(mask, mask)
+        assert row["dice"] == 1.0
+        assert row["sensitivity"] == 1.0
 
     def test_undefined_conventions(self):
-        empty_both = ConfusionCounts(0, 0, 0, 100)
-        assert metric("dice", empty_both) == 1.0  # both empty by convention
-        assert metric("sensitivity", empty_both) is None
-        all_pos = ConfusionCounts(100, 0, 0, 0)
-        assert metric("specificity", all_pos) is None
+        empty = flat_mask(0, 0)
+        assert confusion(empty, empty) == (0, 0, 0, 100)
+        empty_both = rates(empty, empty)
+        assert empty_both["dice"] == 1.0  # both empty by convention
+        assert empty_both["sensitivity"] is None
+        full = flat_mask(0, 100)
+        assert confusion(full, full) == (100, 0, 0, 0)
+        assert rates(full, full)["specificity"] is None
 
 
 SPACINGS = ((1.0, 1.0, 1.0), (2.5, 1.0, 0.7), (0.3, 1.9, 1.1))
@@ -477,8 +499,7 @@ class TestCrossChecks:
         for trial in range(5):
             pred = rng.random((6, 6, 6)) > 0.5
             truth = rng.random((6, 6, 6)) > 0.5
-            c = confusion(pred, truth)
-            counts_dice = metric("dice", c)
+            counts_dice = rates(pred, truth)["dice"]
             p = np.zeros((1, 6, 6, 6, 4))
             g = np.zeros((1, 6, 6, 6, 4))
             p[..., 1] = pred
@@ -519,3 +540,46 @@ class TestReport:
              "specificity": 0.5, "hd95": 1.0},
         ]
         assert format_report(rows) == format_report(list(reversed(rows)))
+
+    def test_evaluate_report_bytes_pinned(self, tmp_path):
+        # two seeded 32^3 phantoms scored four ways: as they are, against a
+        # truth without ET (sensitivity and hd95 undefined), both without ET
+        # (dice 1.0 by convention), and against an all-ET truth (specificity
+        # undefined)
+        truth = generate_phantom(Rng(41), (32, 32, 32), 0.3).labels
+        pred = generate_phantom(Rng(42), (32, 32, 32), 0.3).labels
+        no_et = np.where(truth == 4, 1, truth).astype(np.uint8)
+        pairs = {
+            "case000": (pred, truth),
+            "case001": (pred, no_et),
+            "case002": (np.where(pred == 4, 1, pred).astype(np.uint8), no_et),
+            "case003": (truth, np.full((32, 32, 32), 4, dtype=np.uint8)),
+        }
+        for name, (p, t) in pairs.items():
+            (tmp_path / "truth" / name).mkdir(parents=True)
+            write_npy(tmp_path / "truth" / name / "seg.npy", t)
+            (tmp_path / "pred").mkdir(exist_ok=True)
+            write_npy(tmp_path / "pred" / f"{name}.npy", p)
+        assert evaluate_dirs(tmp_path / "pred", tmp_path / "truth") == (
+            "case_id,region,dice,sensitivity,specificity,hd95\n"
+            "case000,WT,0.882737,0.828346,0.993881,1.732051\n"
+            "case000,TC,0.853321,0.845521,0.995296,1.414214\n"
+            "case000,ET,0.740310,0.647458,0.999076,2.000000\n"
+            "case001,WT,0.882737,0.828346,0.993881,1.732051\n"
+            "case001,TC,0.853321,0.845521,0.995296,1.414214\n"
+            "case001,ET,0.000000,undefined,0.993256,undefined\n"
+            "case002,WT,0.882737,0.828346,0.993881,1.732051\n"
+            "case002,TC,0.853321,0.845521,0.995296,1.414214\n"
+            "case002,ET,1.000000,undefined,1.000000,undefined\n"
+            "case003,WT,0.201734,0.112183,undefined,15.033296\n"
+            "case003,TC,0.064615,0.033386,undefined,18.411953\n"
+            "case003,ET,0.017845,0.009003,undefined,20.712315\n"
+            "\n"
+            "summary,region,dice,sensitivity,specificity,hd95\n"
+            "mean,WT,0.712486,0.649305,0.993881,5.057362\n"
+            "mean,TC,0.656145,0.642487,0.995296,5.663648\n"
+            "mean,ET,0.439539,0.328230,0.997444,11.356158\n"
+            "median,WT,0.882737,0.828346,0.993881,1.732051\n"
+            "median,TC,0.853321,0.845521,0.995296,1.414214\n"
+            "median,ET,0.379077,0.328230,0.999076,11.356158\n"
+        )

@@ -221,7 +221,8 @@ class TestPatches:
         for k in range(2):
             case = generate_phantom(rng.derive("case", k), (20, 24, 18), 0.3)
             save_case(tmp_path / f"case{k}", case)
-        cases, patches = train._load_training_cases(tmp_path, spec)
+        cases, patches, lines = train._load_training_cases(tmp_path, spec)
+        assert lines == ["data case0 20,24,18", "data case1 20,24,18"]
         starts = patch_starts((20, 24, 18), spec)
         assert len(starts) == 8
         assert patches == [(c, start) for c in range(2) for start in starts]

@@ -31,6 +31,7 @@ from agsevnet.train import (
     _pin_malloc_thresholds,
     _read_case,
     config_hash,
+    init_opt_state,
     train,
 )
 import oracles
@@ -585,7 +586,7 @@ class TestPaperDefaults:
 
 class TestThresholdOracle:
     def test_noiseless_phantoms_separable_by_thresholding(self, tmp_path):
-        from agsevnet.losses import confusion, derive_regions, metric
+        from agsevnet.losses import region_rows
         from agsevnet.pipeline import load_case
 
         assert main([
@@ -596,9 +597,9 @@ class TestThresholdOracle:
             case = load_case(tmp_path / "flat" / f"case{k:03d}")
             flair = case.modalities[3]
             wt_guess = flair > 0.5  # tumor plateaus sit well above brain tissue
-            wt_true = derive_regions(load_labels(tmp_path / "flat" / f"case{k:03d}"))["WT"]
-            dice = metric("dice", confusion(wt_guess, wt_true))
-            assert dice >= 0.99
+            truth = load_labels(tmp_path / "flat" / f"case{k:03d}")
+            wt_row = region_rows(f"case{k:03d}", 4 * wt_guess.astype(np.uint8), truth)[0]
+            assert wt_row["region"] == "WT" and wt_row["dice"] >= 0.99
 
 
 class TestCli:
@@ -1167,6 +1168,97 @@ class TestCli:
         assert main([*train_args, "--checkpoint", str(tmp_path / "run" / "checkpoint")]) == 1
         assert "max_steps=2 is below the 4 steps" in capsys.readouterr().err
         assert dir_bytes(tmp_path / "run") == before
+
+    def test_resume_over_other_cases_exits_one(self, tmp_path, capsys):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        for name, count, shape in (("three", 3, "16"), ("two", 2, "32,16,16")):
+            assert main(["phantom-gen", "-n", str(count), "--shape", shape, "--seed", "5",
+                         "--out", str(tmp_path / name)]) == 0
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=3, checkpoint_interval=3)))
+        assert main(["train", "--config", str(cfg_file), "--data", str(tmp_path / "three"),
+                     "--out", str(run)]) == 0
+        ckpt = run / "checkpoint"
+        assert (ckpt / "data.txt").read_text() == (
+            "data case000 16,16,16\ndata case001 16,16,16\ndata case002 16,16,16\n")
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=6, checkpoint_interval=3)))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_file), "--data", str(tmp_path / "two"),
+                     "--out", str(run), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: checkpoint {ckpt} was trained on other cases: line 1 of its data.txt "
+                f"is 'data case000 16,16,16', this run read 'data case000 32,16,16'") in err, err
+        assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+
+    def test_resume_checks_the_validation_cases_too(self, phantom_dir, tmp_path):
+        val = tmp_path / "val"
+        shutil.copytree(phantom_dir, val)
+        run = tmp_path / "run"
+        train(tiny_train_config(max_steps=2, checkpoint_interval=2), phantom_dir, run,
+              val_dir=val, log=lambda s: None)
+        ckpt = run / "checkpoint"
+        assert (ckpt / "data.txt").read_text().splitlines() == [
+            "data case000 16,16,16", "data case001 16,16,16",
+            "val case000 16,16,16", "val case001 16,16,16"]
+        longer = tiny_train_config(max_steps=4, checkpoint_interval=2)
+        before = dir_bytes(run)
+        shutil.rmtree(val / "case001")
+        with pytest.raises(ValueError, match="line 4 of its data.txt is 'val case001 16,16,16', "
+                                             "this run read 'no case'"):
+            train(longer, phantom_dir, run, val_dir=val, resume=ckpt, log=lambda s: None)
+        assert dir_bytes(run) == before
+
+    def test_checkpoint_without_case_list_refused_before_reading_a_case(
+            self, phantom_dir, tmp_path, capsys, monkeypatch):
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        train_args = ["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                      "--out", str(run)]
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=2, checkpoint_interval=2)))
+        assert main(train_args) == 0
+        (run / "checkpoint" / "data.txt").unlink()
+        cfg_file.write_text(config_to_text(tiny_train_config(max_steps=4, checkpoint_interval=2)))
+        before = sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)
+        reads = []
+
+        def counting_read(case_dir):
+            reads.append(case_dir)
+            return _read_case(case_dir)
+
+        monkeypatch.setattr("agsevnet.train._read_case", counting_read)
+        capsys.readouterr()
+        assert main([*train_args, "--checkpoint", str(run / "checkpoint")]) == 1
+        assert "stores no case list (data.txt)" in capsys.readouterr().err
+        assert (sorted(tmp_path.rglob("*")), dir_bytes(tmp_path)) == before
+        assert reads == []
+
+    def test_network_not_on_four_modalities_refused_before_reading_a_case(
+            self, phantom_dir, tmp_path, capsys, monkeypatch):
+        reads = []
+
+        def counting_read(case_dir):
+            reads.append(case_dir)
+            return _read_case(case_dir)
+
+        monkeypatch.setattr("agsevnet.train._read_case", counting_read)
+        three = tiny_train_config(net=NetConfig(**{**vars(tiny_train_config().net),
+                                                   "in_channels": 3}))
+        cfg_file, run = tmp_path / "train.cfg", tmp_path / "run"
+        cfg_file.write_text(config_to_text(three))
+        # a resume trains the network of the checkpoint's config.txt
+        ckpt = tmp_path / "ckpt"
+        params = build(three.net, Rng(5))
+        save_checkpoint(ckpt, params, three.net, 0, extra=init_opt_state(params), texts={
+            "train_config.txt": config_to_text(three), "losses.txt": "",
+            "data.txt": "data case000 16,16,16\ndata case001 16,16,16\n"})
+        for resume in ([], ["--checkpoint", str(ckpt)]):
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg_file), "--data", str(phantom_dir),
+                         "--out", str(run), *resume]) == 1
+            err = capsys.readouterr().err
+            assert ("error: net.in_channels=3, but a case holds the 4 modalities "
+                    "t1, t1ce, t2, flair") in err, err
+            assert not run.exists()
+            assert reads == []
 
     def test_bad_inputs_exit_one(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1

@@ -113,16 +113,31 @@ def attention_map(i: np.ndarray, o: np.ndarray, p: AgParams) -> LayerGrad:
 # ---------------------------------------------------------------------------
 # attention-weighted window fit
 
+def _slope(mean_i, mean_o, e_ii, e_io, s_safe, counts, eps):
+    """The fit's denominator var + eps * counts / s_safe and its slope
+    a_w = cov / denom, as two new arrays; the forward and the backward
+    both build them here, so they hold the same bits."""
+    denom = np.multiply(mean_i, mean_i)
+    np.subtract(e_ii, denom, out=denom)  # var
+    denom += eps * counts / s_safe
+    a_w = np.multiply(mean_i, mean_o)
+    np.subtract(e_io, a_w, out=a_w)  # cov
+    a_w /= denom
+    return denom, a_w
+
+
 def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float):
     """Weighted per-window affine fit plus covering-window averaging.
 
     Returns (A, B, backward) where backward(gA, gB) -> (gI, gO, gT).
     Windows whose normalized weight mass falls below a floor get the
     documented fallback: slope 0 and the unweighted window mean of O.
-    Full-size terms live in a few reused buffers, updated with the
-    operators of `fit_forward_oracle` (tests/oracles.py) in its order, so
-    results are bitwise equal; `a += (-b) * c` runs as `a -= b * c`, the
-    same number.
+    Full-size terms live in a few reused buffers, each dropped after its
+    last read, and are updated with the operators of `fit_forward_oracle`
+    (tests/oracles.py) in its order, so results are bitwise equal;
+    `a += (-b) * c` runs as `a -= b * c`, the same number. backward keeps
+    the four divided moments, s_safe, counts and q beside the inputs and
+    rebuilds the rest: denom and a_w with `_slope`, q0 as t * t.
     """
     spatial = i.shape[1:4]
     voxels = float(np.prod(spatial))
@@ -140,23 +155,26 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
     p2 = box_sum(np.multiply(q, o, out=buf), r)
     p3 = box_sum(np.multiply(qi, i, out=buf), r)
     p4 = box_sum(np.multiply(qi, o, out=buf), r)
+    del q0, qi, buf
 
     degenerate = s < DEGENERATE_WEIGHT_SUM  # (n,z,h,w,1)
     s_safe = np.where(degenerate, 1.0, s)
     mean_i, mean_o, e_ii, e_io = (np.divide(p, s_safe, out=p) for p in (p1, p2, p3, p4))
-    denom = np.subtract(e_ii, np.multiply(mean_i, mean_i, out=qi), out=qi)  # var
-    denom += eps * counts / s_safe
-    a_w = np.subtract(e_io, np.multiply(mean_i, mean_o, out=buf), out=buf)  # cov
-    a_w /= denom
+    denom, a_w = _slope(mean_i, mean_o, e_ii, e_io, s_safe, counts, eps)
+    del s, denom
     b = a_w * mean_i
     np.subtract(mean_o, b, out=b)  # b_w; degenerate windows: the window mean of O
     box_o = box_sum(o, r)
     np.copyto(b, np.divide(box_o, counts, out=box_o), where=degenerate)
-    coeff_a, coeff_b = (np.divide(v, counts, out=v)
-                        for v in (box_sum(np.where(degenerate, 0.0, a_w), r), box_sum(b, r)))
+    del box_o
+    np.copyto(a_w, 0.0, where=degenerate)
+    coeff_a = box_sum(a_w, r)
+    del a_w
+    coeff_a, coeff_b = (np.divide(v, counts, out=v) for v in (coeff_a, box_sum(b, r)))
 
     def backward(g_a: np.ndarray, g_b: np.ndarray):
         da = box_sum(g_a / counts, r)
+        del g_a  # ag_forward passes gy * i, which nothing else holds
         db = box_sum(g_b / counts, r)
         # db reaches the fit on fitted windows and the mean of O on degenerate ones
         d_mean_o = np.where(degenerate, 0.0, db)
@@ -164,9 +182,11 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
         g_deg = box_sum(np.divide(db, counts, out=db), r)
         da_n = np.subtract(da, np.multiply(d_mean_o, mean_i, out=db), out=da)
         np.copyto(da_n, 0.0, where=degenerate)
+        denom, a_w = _slope(mean_i, mean_o, e_ii, e_io, s_safe, counts, eps)
         d_mean_i = np.multiply(np.negative(d_mean_o, out=db), a_w)
         ddenom = np.divide(np.multiply(np.negative(da_n, out=db), a_w, out=db), denom)
         dcov = np.divide(da_n, denom, out=da_n)
+        del denom, a_w
         d_mean_i -= np.multiply(dcov, mean_o, out=db)
         d_mean_o -= np.multiply(dcov, mean_i, out=db)
         d_mean_i -= np.multiply(np.multiply(ddenom, 2.0, out=db), mean_i, out=db)
@@ -178,25 +198,31 @@ def _fit_forward(i: np.ndarray, o: np.ndarray, t: np.ndarray, r: int, eps: float
         ds /= s_safe
         ds = np.subtract(np.multiply(ddenom, -eps * counts / (s_safe * s_safe), out=db), ds, out=ds)
         np.copyto(ds, 0.0, where=degenerate)
-        w1, w2, w3, w4 = (box_sum(np.divide(d, s_safe, out=d), r)
-                          for d in (d_mean_i, d_mean_o, ddenom, dcov))
         ws = box_sum(channel_sum(ds), r)
 
-        g_i = np.multiply(np.multiply(i, 2.0, out=d_mean_i), w3, out=d_mean_i)
+        # w_k = box_sum(d_k / s_safe), each freed once g_i, dq and g_o have read it
+        w3 = box_sum(np.divide(ddenom, s_safe, out=ddenom), r)
+        del ddenom
+        g_i = np.multiply(np.multiply(i, 2.0, out=ds), w3, out=ds)
+        w1 = box_sum(np.divide(d_mean_i, s_safe, out=d_mean_i), r)
         g_i += w1
-        g_i += np.multiply(o, w4, out=db)
-        g_i *= q
-        g_o = np.add(w2, np.multiply(i, w4, out=d_mean_o), out=d_mean_o)
-        g_o *= q
-        g_o += g_deg
-
-        dq = np.multiply(i, w1, out=ds)
+        dq = np.multiply(i, w1, out=d_mean_i)
+        del w1
+        w2 = box_sum(np.divide(d_mean_o, s_safe, out=d_mean_o), r)
         dq += np.multiply(o, w2, out=db)
         dq += np.multiply(np.multiply(i, i, out=db), w3, out=db)
+        del d_mean_o, w3
+        w4 = box_sum(np.divide(dcov, s_safe, out=dcov), r)
+        g_i += np.multiply(o, w4, out=db)
+        g_i *= q
         dq += np.multiply(np.multiply(i, o, out=db), w4, out=db)
+        g_o = np.add(w2, np.multiply(i, w4, out=db), out=db)
+        del dcov, w2, w4
+        g_o *= q
+        g_o += g_deg
         dq = channel_sum(dq) + ws
         # q = q0 * voxels / sum(q0): distribute through the normalization
-        inner = (dq * q0).sum(axis=(1, 2, 3, 4), keepdims=True)
+        inner = (dq * (t * t)).sum(axis=(1, 2, 3, 4), keepdims=True)
         dq0 = np.where(live, (voxels / s2_safe) * (dq - inner / s2_safe), 0.0)
         g_t = 2.0 * t * dq0
         return g_i, g_o, g_t

@@ -26,12 +26,12 @@ from .pipeline import (
 )
 from .tensor import ShapeError
 
-# A no-grad forward's tracemalloc peak measured 14.5-15.7 float64 arrays
+# A no-grad forward's tracemalloc peak measured 11.4-12.2 float64 arrays
 # of the patch's voxels at base_width channels for widths 4 to 16
-# (patches 32^3 and 64^3, depths 2 and 3) and 17.3 at width 2 (16x32x48),
-# where the input and the softmax keep 4 channels, so below 4 channels
-# the bound counts 4 (8.7 arrays of 4 channels there). 25
-# leaves three fifths over the largest peak and keeps one worker for the
+# (patches 32^3, 32x64x64 and 64^3, depths 2 and 3) and 13.3 at width 2
+# (16x32x48), where the input and the softmax keep 4 channels, so below
+# 4 channels the bound counts 4 (6.7 arrays of 4 channels there). 25
+# is about twice the largest peak and keeps one worker for the
 # default configuration at 6 GiB available, where two have not been measured.
 FORWARD_PEAK_ARRAYS = 25
 MEMINFO = "/proc/meminfo"

@@ -3,7 +3,9 @@
 Every layer returns a `LayerGrad`: the forward output plus a closure
 mapping an output-shaped gradient to (input gradient, parameter
 gradients). Closures keep only what the backward reads (ReLU and
-dropout a bool mask, conv and deconv their output's shape); they are
+dropout a bool mask, conv and deconv their input itself, which the
+caller often holds too, and their output's shape; backward splits or
+pitches that input again rather than keep a padded copy); they are
 pure, linear in the incoming gradient, and safe to call repeatedly.
 
 Kernel layouts (channels last, matching the tensor axis order):
@@ -254,8 +256,7 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
     if min(g.out) < 1:
         raise ShapeError(f"conv: non-positive output extent {g.out} for input {g.ext}, "
                          f"kernel {(kz, kh, kw)}, stride {p.stride}, padding {p.padding}")
-    ph = _split(x, g)
-    y = _gather(ph, p.kernel, g)
+    y = _gather(_split(x, g), p.kernel, g)
     if p.bias is not None:
         y += p.bias
     shape = y.shape
@@ -264,7 +265,7 @@ def conv3d_forward(x: np.ndarray, p: Conv3dParams) -> LayerGrad:
         gy = grad_like(gy, shape, "conv")
         rows = _pitch(gy, g)
         gx = _scatter(rows, p.kernel, g)
-        grads = {"kernel": _kgrad(ph, rows, g, p.kernel.shape)}
+        grads = {"kernel": _kgrad(_split(x, g), rows, g, p.kernel.shape)}
         if p.bias is not None:
             grads["bias"] = voxel_sum(gy, pooled=True)
         return gx, grads
@@ -292,14 +293,13 @@ def deconv3d_forward(x: np.ndarray, p: Deconv3dParams) -> LayerGrad:
         raise ShapeError(f"deconv: non-positive output extent {out_ext}")
     # the grid of the conv this op is the adjoint of: its input is our output
     g = _grid(x.shape[0], out_ext, (kz, kh, kw), p.stride, p.padding)
-    rows = _pitch(x, g)
-    y = _scatter(rows, p.kernel, g)
+    y = _scatter(_pitch(x, g), p.kernel, g)
     shape = y.shape
 
     def backward(gy: np.ndarray):
         gy = grad_like(gy, shape, "deconv")
         ph = _split(gy, g)
-        return _gather(ph, p.kernel, g), {"kernel": _kgrad(ph, rows, g, p.kernel.shape)}
+        return _gather(ph, p.kernel, g), {"kernel": _kgrad(ph, _pitch(x, g), g, p.kernel.shape)}
 
     return LayerGrad(y, backward)
 

@@ -16,7 +16,7 @@ from agsevnet.gradcheck import max_rel_err, numeric_grad
 from agsevnet.layers import Conv3dParams
 from agsevnet.rng import Rng
 from agsevnet.tensor import ShapeError
-from oracles import closure_arrays, fit_forward_oracle
+from oracles import closure_arrays, fit_forward_oracle, retained_bytes
 
 
 def rand(seed, shape, scale=1.0):
@@ -156,7 +156,7 @@ class TestAttentionMap:
         with pytest.raises(ShapeError, match="spatial"):
             attention_map(rand(15, (1, 2, 3, 3, 2)), rand(14, (1, 3, 3, 3, 2)), p)
 
-    def test_backward_keeps_no_conv_or_relu_output(self, monkeypatch):
+    def test_backward_keeps_no_conv_output(self, monkeypatch):
         outputs = []
 
         def recording(layer):
@@ -168,11 +168,18 @@ class TestAttentionMap:
 
         for name in ("conv3d_forward", "activation"):
             monkeypatch.setattr(ag, name, recording(getattr(ag, name)))
-        lg = attention_map(rand(16, (1, 3, 4, 5, 2)), rand(17, (1, 3, 4, 5, 2)), ag_params(18, 2))
+        i, o, p = rand(16, (1, 3, 4, 5, 2)), rand(17, (1, 3, 4, 5, 2)), ag_params(18, 2)
+        lg = attention_map(i, o, p)
         # conv o, conv i, relu, gate conv, then the sigmoid, whose backward reads its output
         assert len(outputs) == 5 and outputs[-1] is lg.output
-        kept = closure_arrays(lg.backward)
-        assert not any(a is y for a in kept for y in outputs[:-1])
+        y_o, y_i, relu, gate, t = outputs
+        assert not any(a is y for a in closure_arrays(lg.backward) for y in (y_o, y_i, gate))
+        # the convs keep their inputs (i, o and the relu output, which the
+        # gate's kernel gradient reads), the relu its bool mask, the sigmoid
+        # its output; nothing else but the parameters
+        params = [v for c in (p.attn_o, p.attn_i, p.attn_gate) for v in (c.kernel, c.bias)]
+        kept = i.nbytes + o.nbytes + relu.nbytes + relu.size + t.nbytes
+        assert retained_bytes(lg.backward) == kept + sum(v.nbytes for v in params)
 
 
 class TestAgFit:

@@ -163,6 +163,10 @@ def test_forward_bytes_bound_covers_measured_peak(depths, shape, width):
     finally:
         tracemalloc.stop()
     assert peak <= forward_bytes_bound(cfg)
+    # the peak in arrays of the patch at the bound's channel count, the cut
+    # patch included, measured at 13.2 (width 4) and 7.7 (width 2)
+    arrays = peak * infer.FORWARD_PEAK_ARRAYS / forward_bytes_bound(cfg)
+    assert arrays <= 1.02 * {4: 13.2, 2: 7.7}[width]
 
 
 def test_predict_case_leaves_no_thread(params, tmp_path):

@@ -27,6 +27,7 @@ from oracles import (
     closure_arrays,
     gather_untiled,
     instance_norm_oracle,
+    retained_bytes,
     scatter_untiled,
     sigmoid_masked,
 )
@@ -167,8 +168,14 @@ class TestConv3d:
 
     @pytest.mark.parametrize("params, forward, kernel", CONV_OPS)
     def test_backward_keeps_the_output_shape_not_the_output(self, params, forward, kernel):
-        lg = forward(rand(14, (1, 4, 4, 4, 2)), params(rand(13, kernel)))
-        assert not any(a is lg.output for a in closure_arrays(lg.backward))
+        x, p = rand(14, (1, 4, 4, 4, 2)), params(rand(13, kernel), padding=1)
+        lg = forward(x, p)
+        kept = closure_arrays(lg.backward)
+        assert not any(a is lg.output for a in kept)
+        # the input itself, which backward splits or pitches again: no
+        # padded or pitch copy of it is kept
+        assert any(a is x for a in kept)
+        assert retained_bytes(lg.backward) == x.nbytes + p.kernel.nbytes
 
 
 # kernel x stride x padding; each case runs on the two (extent, batch) inputs
